@@ -40,11 +40,11 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::binwire;
 
+use super::net::{self, Acceptor};
 use super::proto::MAX_BINARY_FRAME;
 
 /// A tiny deterministic RNG (xorshift64\* over a SplitMix64-scrambled
@@ -173,9 +173,8 @@ impl FaultPlan {
 /// accept index.
 pub struct ChaosProxy {
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     forwarded: Arc<AtomicU64>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl ChaosProxy {
@@ -188,43 +187,26 @@ impl ChaosProxy {
     ) -> io::Result<ChaosProxy> {
         let listener = TcpListener::bind(listen)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let forwarded = Arc::new(AtomicU64::new(0));
         let acceptor = {
-            let stop = Arc::clone(&stop);
+            let relays_stop = Arc::clone(&stop);
             let forwarded = Arc::clone(&forwarded);
-            std::thread::spawn(move || {
-                let mut conn_index: u64 = 0;
-                while !stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((inbound, _)) => {
-                            let index = conn_index;
-                            conn_index += 1;
-                            let forwarded = Arc::clone(&forwarded);
-                            let stop = Arc::clone(&stop);
-                            std::thread::spawn(move || {
-                                let _ = relay(inbound, upstream, plan, index, forwarded, stop);
-                            });
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => {
-                            // Aborted backlog connections surface here;
-                            // the listener must keep accepting or every
-                            // future peer hangs in the backlog.
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    }
-                }
-            })
+            let mut conn_index: u64 = 0;
+            Acceptor::spawn(listener, stop, move |inbound| {
+                let index = conn_index;
+                conn_index += 1;
+                let forwarded = Arc::clone(&forwarded);
+                let stop = Arc::clone(&relays_stop);
+                std::thread::spawn(move || {
+                    let _ = relay(inbound, upstream, plan, index, forwarded, stop);
+                });
+            })?
         };
         Ok(ChaosProxy {
             local_addr,
-            stop,
             forwarded,
-            acceptor: Some(acceptor),
+            acceptor,
         })
     }
 
@@ -243,18 +225,10 @@ impl ChaosProxy {
         Arc::clone(&self.forwarded)
     }
 
-    /// Stops accepting. Existing relays end when their connections do.
+    /// Stops accepting (dropping the proxy does the same). Existing
+    /// relays end when their connections do.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ChaosProxy {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.acceptor.shutdown();
     }
 }
 
@@ -269,7 +243,7 @@ fn relay(
     forwarded: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
 ) -> io::Result<()> {
-    let outbound = TcpStream::connect(upstream)?;
+    let outbound = net::connect(upstream)?;
     let pump_up = {
         let from = inbound.try_clone()?;
         let to = outbound.try_clone()?;

@@ -27,6 +27,7 @@ use std::time::Duration;
 use crate::campaign::CampaignResult;
 use crate::scenario::{AssertionOutcome, Scenario};
 
+use super::net;
 use super::proto::{write_message, FrameReader, JobSpec, Message};
 use super::status::StatusReport;
 use super::DispatchError;
@@ -121,7 +122,7 @@ fn submit_spec(
     work: JobSpec,
     shards: usize,
 ) -> Result<(CampaignResult, Vec<AssertionOutcome>), DispatchError> {
-    let mut stream = TcpStream::connect(addr)?;
+    let mut stream = net::connect(addr)?;
     write_message(&mut stream, &Message::Submit { work, shards })?;
     let mut reader = FrameReader::new(std::io::BufReader::new(stream));
     match reader.next_message().map_err(DispatchError::Proto)? {
@@ -247,7 +248,7 @@ pub fn submit_scenario_with_retry(
 /// fresh connection per poll; a watcher that wants one socket can speak
 /// [`Message::StatusRequest`] itself.
 pub fn status(addr: impl ToSocketAddrs) -> Result<StatusReport, DispatchError> {
-    let mut stream = TcpStream::connect(addr)?;
+    let mut stream = net::connect(addr)?;
     write_message(&mut stream, &Message::StatusRequest)?;
     let mut reader = FrameReader::new(std::io::BufReader::new(stream));
     match reader.next_message().map_err(DispatchError::Proto)? {
@@ -269,7 +270,8 @@ pub fn status(addr: impl ToSocketAddrs) -> Result<StatusReport, DispatchError> {
 /// backoff: `delay` is the base (doubling per attempt, capped at 100×),
 /// jittered so concurrently starting processes don't stampede the bind.
 /// For CLI and CI use, where the coordinator and its workers start
-/// concurrently and the first connect can race the bind.
+/// concurrently and the first connect can race the bind. The stream has
+/// `TCP_NODELAY` set, like every dispatcher socket.
 pub fn connect_with_retry(
     addr: impl ToSocketAddrs + Copy,
     attempts: usize,
@@ -294,7 +296,7 @@ pub fn connect_with_retry_seeded(
     let mut backoff = Backoff::new(base_ms, base_ms.saturating_mul(100), seed);
     let mut last = None;
     for attempt in 0..attempts.max(1) {
-        match TcpStream::connect(addr) {
+        match net::connect(addr) {
             Ok(stream) => return Ok(stream),
             Err(e) => last = Some(e),
         }

@@ -52,9 +52,10 @@
 //!
 //! # The TCP shell
 //!
-//! [`Server`] is the thin I/O layer: one reader thread per connection
-//! feeding a channel, one loop draining it into the state machine and
-//! writing the resulting frames back out. All policy lives in the state
+//! [`Server`] is the thin I/O layer: one thread blocked in `accept`, one
+//! reader thread per connection feeding a channel, one loop draining it
+//! into the state machine and writing the resulting frames back out,
+//! every socket with `TCP_NODELAY` set. All policy lives in the state
 //! machine; the shell only moves bytes (and reports each connection's
 //! peer IP so the rate limiter has an identity to key on).
 
@@ -73,6 +74,7 @@ use crate::scenario::EvaluatorRegistry;
 
 use super::clock::Clock;
 use super::journal::{replay_journal_file, Journal, JournalEntry};
+use super::net::Acceptor;
 use super::proto::{
     write_message_wire, FrameReader, JobSpec, Message, ProtoError, RejectReason, WorkerCaps,
 };
@@ -966,78 +968,71 @@ impl Server {
         };
 
         let (tx, rx) = mpsc::channel::<ConnEvent>();
-        let stop = Arc::new(AtomicBool::new(false));
         let writers: Arc<Mutex<BTreeMap<ConnId, TcpStream>>> =
             Arc::new(Mutex::new(BTreeMap::new()));
+        let frame_deadline_ms = self.coordinator.cfg.frame_deadline_ms;
+        let mut acceptor = {
+            let writers = Arc::clone(&writers);
+            let clock = Arc::clone(&self.clock);
+            let mut next_id: ConnId = 1;
+            Acceptor::spawn(self.listener.try_clone()?, Arc::default(), move |stream| {
+                let conn = next_id;
+                next_id += 1;
+                // The submitter identity the rate limiter keys on: the
+                // peer IP, not the port, so one host's reconnects share a
+                // bucket.
+                let identity = stream
+                    .peer_addr()
+                    .map(|a| a.ip().to_string())
+                    .unwrap_or_else(|_| "unknown".to_string());
+                if let Ok(write_half) = stream.try_clone() {
+                    writers.lock().expect("writer map").insert(conn, write_half);
+                    let _ = tx.send(ConnEvent::Opened(conn, identity));
+                    spawn_reader(
+                        conn,
+                        stream,
+                        tx.clone(),
+                        frame_deadline_ms,
+                        Arc::clone(&clock),
+                    );
+                }
+            })?
+        };
+
+        let served = self.serve(&opts, &rx, &writers, journal.as_mut());
+        // One shutdown for every exit: the run bound, the stop flag and a
+        // failed journal append. The acceptor is joined before the sweep,
+        // so no connection it accepts while stopping escapes it. Shutting
+        // every connection down gives workers EOF, and they exit.
+        acceptor.shutdown();
+        for (_, stream) in std::mem::take(&mut *writers.lock().expect("writer map")) {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+        served.map(|jobs_completed| ServeSummary { jobs_completed })
+    }
+
+    /// Drains connection events into the state machine and performs its
+    /// actions until the run bound is reached or the stop flag is raised
+    /// (`Ok` with the jobs completed), or a journal append fails.
+    fn serve(
+        &mut self,
+        opts: &ServeOptions,
+        rx: &mpsc::Receiver<ConnEvent>,
+        writers: &Mutex<BTreeMap<ConnId, TcpStream>>,
+        mut journal: Option<&mut Journal>,
+    ) -> Result<usize, DispatchError> {
         // Submitter identity per live connection, mirrored from Opened
         // events so journal records carry the identity the rate limiter
         // will key on at replay.
         let mut identities: BTreeMap<ConnId, String> = BTreeMap::new();
-
-        // Accept loop: non-blocking with a short sleep so the stop flag
-        // is honored promptly when the run bound is reached.
-        self.listener.set_nonblocking(true)?;
-        let frame_deadline_ms = self.coordinator.cfg.frame_deadline_ms;
-        let acceptor = {
-            let listener = self.listener.try_clone()?;
-            let tx = tx.clone();
-            let stop = Arc::clone(&stop);
-            let writers = Arc::clone(&writers);
-            let clock = Arc::clone(&self.clock);
-            std::thread::spawn(move || {
-                let mut next_id: ConnId = 1;
-                while !stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let conn = next_id;
-                            next_id += 1;
-                            // The submitter identity the rate limiter
-                            // keys on: the peer IP, not the port, so one
-                            // host's reconnects share a bucket.
-                            let identity = stream
-                                .peer_addr()
-                                .map(|a| a.ip().to_string())
-                                .unwrap_or_else(|_| "unknown".to_string());
-                            if let Ok(write_half) = stream.try_clone() {
-                                writers.lock().expect("writer map").insert(conn, write_half);
-                                if tx.send(ConnEvent::Opened(conn, identity)).is_err() {
-                                    return;
-                                }
-                                spawn_reader(
-                                    conn,
-                                    stream,
-                                    tx.clone(),
-                                    frame_deadline_ms,
-                                    Arc::clone(&clock),
-                                );
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                        Err(e) => {
-                            // Per-connection failures (ECONNABORTED: the
-                            // peer RST a connection still in the backlog)
-                            // surface as accept() errors; a listener that
-                            // stopped accepting would strand every future
-                            // peer in the backlog, so only the stop flag
-                            // ends this loop.
-                            eprintln!("dispatch: accept failed (transient): {e}");
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                    }
-                }
-            })
-        };
-
         let mut completed = 0usize;
-        'serve: loop {
+        loop {
             if opts
                 .stop
                 .as_ref()
                 .is_some_and(|flag| flag.load(Ordering::SeqCst))
             {
-                break 'serve;
+                return Ok(completed);
             }
             let event = match rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(ConnEvent::Opened(conn, identity)) => {
@@ -1049,7 +1044,7 @@ impl Server {
                     // state machine acts on it, so a crash at any point
                     // leaves the ledger a superset of the applied state —
                     // replay is idempotent, loss is not.
-                    if let Some(journal) = journal.as_mut() {
+                    if let Some(journal) = journal.as_deref_mut() {
                         if Journal::records(&msg) {
                             let peer = identities
                                 .get(&conn)
@@ -1059,8 +1054,6 @@ impl Server {
                                 // The durability promise is broken; better
                                 // to die visibly than serve amnesiac.
                                 eprintln!("dispatch: journal append failed: {e}");
-                                stop.store(true, Ordering::SeqCst);
-                                let _ = acceptor.join();
                                 return Err(DispatchError::Io(e));
                             }
                         }
@@ -1076,7 +1069,7 @@ impl Server {
                     Event::Disconnected(conn)
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => Event::Tick,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(completed),
             };
             let actions = self.coordinator.handle(self.clock.now_ms(), event);
             for action in actions {
@@ -1100,7 +1093,7 @@ impl Server {
                     Action::JobCompleted { .. } => {
                         completed += 1;
                         if opts.max_jobs.is_some_and(|max| completed >= max) {
-                            break 'serve;
+                            return Ok(completed);
                         }
                     }
                     Action::WorkerLost {
@@ -1116,17 +1109,6 @@ impl Server {
                 }
             }
         }
-
-        stop.store(true, Ordering::SeqCst);
-        // Dropping the writer map closes every connection; workers see
-        // EOF and exit their loops.
-        for (_, stream) in std::mem::take(&mut *writers.lock().expect("writer map")) {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        let _ = acceptor.join();
-        Ok(ServeSummary {
-            jobs_completed: completed,
-        })
     }
 }
 

@@ -39,6 +39,8 @@
 //!   restarted coordinator replays it and resumes its jobs.
 //! * [`chaos`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   driving a frame-mangling TCP proxy, for the crash-recovery suites.
+//! * `net` — socket set-up shared by all of the above: `TCP_NODELAY` on
+//!   every stream, and one blocking accept loop that shutdown wakes.
 //!
 //! Wire format and failure semantics are documented in
 //! `docs/PROTOCOL.md`; deployment, tuning and failure playbooks in
@@ -51,6 +53,7 @@ pub mod client;
 pub mod clock;
 pub mod coordinator;
 pub mod journal;
+mod net;
 pub mod proto;
 pub mod status;
 pub mod worker;

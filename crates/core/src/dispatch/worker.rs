@@ -27,7 +27,7 @@
 
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -35,6 +35,7 @@ use crate::binwire::WireFormat;
 use crate::campaign::{CampaignShard, ShardCheckpoint, ShardSpec};
 use crate::error::ConfigError;
 
+use super::net;
 use super::proto::{write_message, write_message_wire, FrameReader, JobSpec, Message, WorkerCaps};
 use super::DispatchError;
 
@@ -125,7 +126,7 @@ pub fn run_worker(
     opts: &WorkerOptions,
     runner: &mut dyn ShardRunner,
 ) -> Result<WorkerSummary, DispatchError> {
-    let stream = TcpStream::connect(addr)?;
+    let stream = net::connect(addr)?;
     let reader = stream.try_clone()?;
     let writer = Arc::new(Mutex::new(stream));
     {
@@ -140,16 +141,16 @@ pub fn run_worker(
     }
 
     // Heartbeat thread: one frame per cadence tick, through the shared
-    // writer lock, until the main loop says stop or a write fails
-    // (coordinator gone — the main read loop will see it too).
-    let stop = Arc::new(AtomicBool::new(false));
+    // writer lock, until the main loop ends or a write fails (coordinator
+    // gone — the main read loop will see it too). Dropping `end_beats`
+    // ends the wait between ticks at once, so the worker returns as soon
+    // as its connection does.
+    let (end_beats, beats_ended) = mpsc::channel::<()>();
     let beat = {
         let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
         let interval = Duration::from_millis(opts.heartbeat_interval_ms.max(1));
         std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(interval);
+            while let Err(RecvTimeoutError::Timeout) = beats_ended.recv_timeout(interval) {
                 let mut w = writer.lock().expect("frame writer");
                 if write_message(&mut *w, &Message::Heartbeat).is_err() {
                     return;
@@ -159,9 +160,8 @@ pub fn run_worker(
     };
 
     let result = worker_loop(reader, &writer, runner, opts);
-    stop.store(true, Ordering::SeqCst);
-    // Unblock the coordinator side promptly; the heartbeat thread exits
-    // on its next tick either way.
+    drop(end_beats);
+    // Unblock the coordinator side promptly.
     let _ = writer
         .lock()
         .expect("frame writer")

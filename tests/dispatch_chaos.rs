@@ -6,12 +6,14 @@
 //! sequential in-process run or a typed error — never a hang (every
 //! test runs under a watchdog), never a panic, never a corrupted merge.
 //! Plus the crash-restart drill: a coordinator killed mid-job and
-//! restarted on its journal finishes the job for a retrying submitter.
+//! restarted on its journal finishes the job for a retrying submitter,
+//! and the teardown drills: an idle coordinator or proxy stops promptly
+//! and frees its port.
 
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use strex::campaign::{Campaign, CampaignResult, CampaignShard, ShardCheckpoint, ShardSpec};
 use strex::config::{SchedulerKind, SimConfig};
@@ -295,4 +297,46 @@ fn coordinator_killed_mid_job_resumes_from_its_journal() {
         tiny_sequential().to_json()
     );
     let _ = std::fs::remove_file(&journal);
+}
+
+/// The accept loops block in `accept` and are woken by a connect from
+/// their own shutdown; a listener on an unspecified address must be woken
+/// through loopback. Both drills bind `0.0.0.0` for that reason.
+const PROMPT_STOP: Duration = Duration::from_millis(500);
+
+#[test]
+fn an_idle_server_stops_promptly_and_frees_its_port() {
+    let took = under_watchdog(30, || {
+        let (bound, stop, server) = spawn_server("0.0.0.0:0", None);
+        // Let the acceptor settle into its blocking wait.
+        std::thread::sleep(Duration::from_millis(100));
+        let t = Instant::now();
+        stop.store(true, Ordering::SeqCst);
+        server.join().expect("server thread").expect("clean stop");
+        let took = t.elapsed();
+        TcpListener::bind(("0.0.0.0", bound.port())).expect("the port is free at once");
+        took
+    });
+    assert!(took < PROMPT_STOP, "the server took {took:?} to stop");
+}
+
+#[test]
+fn an_idle_proxy_stops_promptly_and_frees_its_port() {
+    let took = under_watchdog(30, || {
+        let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
+        let mut proxy = ChaosProxy::start(
+            "0.0.0.0:0",
+            upstream.local_addr().expect("upstream address"),
+            FaultPlan::benign(5),
+        )
+        .expect("proxy up");
+        let port = proxy.local_addr().port();
+        std::thread::sleep(Duration::from_millis(100));
+        let t = Instant::now();
+        proxy.shutdown();
+        let took = t.elapsed();
+        TcpListener::bind(("0.0.0.0", port)).expect("the port is free at once");
+        took
+    });
+    assert!(took < PROMPT_STOP, "the proxy took {took:?} to stop");
 }

@@ -4,12 +4,14 @@
 //! sequential in-process run) including the run where a worker dies
 //! mid-shard and its shard is re-queued, that a scenario file dispatched
 //! to the fleet yields the same diagnostics as an in-process check, and
-//! that a garbage-speaking peer cannot take the coordinator down.
+//! that a garbage-speaking peer cannot take the coordinator down. Two
+//! latency checks close it: a tiny job costs its simulation plus a few
+//! milliseconds, and a worker returns as soon as its coordinator stops.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use strex::campaign::{Campaign, CampaignResult, CampaignShard, ShardSpec};
 use strex::config::{SchedulerKind, SimConfig};
@@ -315,4 +317,123 @@ fn submitting_twice_concurrently_coalesces_onto_one_job() {
     // One job completed, not two: both submissions keyed onto it.
     assert_eq!(server.join().expect("server"), 1);
     assert_eq!(worker.join().expect("worker"), 2, "the matrix ran once");
+}
+
+/// A four-cell TPC-E document over a one-transaction pool: a few
+/// milliseconds of simulation, so dispatch costs dominate its round trip.
+/// Each `name` makes a distinct job (a repeated job key would be answered
+/// from the coordinator's finished-result cache).
+fn tiny_tpce_job(name: &str) -> Scenario {
+    Scenario::from_json(&format!(
+        r#"{{
+        "name": "{name}",
+        "matrix": {{
+            "workloads": ["TPC-E"],
+            "pool": 1,
+            "seed": 7,
+            "small": true,
+            "schedulers": ["baseline", "strex"],
+            "cores": [2, 4]
+        }},
+        "assertions": [
+            {{
+                "kind": "throughput_at_least",
+                "cell": {{"workload": "TPC-E", "scheduler": "strex", "cores": 4}},
+                "min": 0.0
+            }}
+        ]
+    }}"#
+    ))
+    .expect("valid scenario")
+}
+
+#[test]
+fn a_tiny_job_costs_its_simulation_plus_a_few_milliseconds() {
+    // Nagle's algorithm holding back a worker's small frames until the
+    // coordinator's delayed ACK, or an accept loop that polls, each add
+    // tens of milliseconds to every job; this bounds what dispatch adds.
+    const JOBS: usize = 20;
+    let cfg = DispatchConfig {
+        submit_refill_ms: 0, // twenty back-to-back jobs would empty the bucket
+        ..DispatchConfig::default()
+    };
+    let (addr, server) = spawn_server(cfg, JOBS);
+    // Default options, so checkpoint frames flow between the shards'
+    // cells as they do in a deployed fleet.
+    let worker = std::thread::spawn(move || {
+        run_worker(addr, &WorkerOptions::default(), &mut tiny_runner)
+            .expect("worker run")
+            .shards_run
+    });
+
+    let registry = EvaluatorRegistry::with_defaults();
+    let mut overheads_ms = Vec::with_capacity(JOBS);
+    for i in 0..JOBS {
+        let scenario = tiny_tpce_job(&format!("latency {i}"));
+        // One worker runs the two shards one after the other, so the
+        // in-process reference runs the same cells on one thread.
+        let t = Instant::now();
+        let workloads = scenario.workloads();
+        let local = scenario
+            .campaign(&workloads)
+            .parallelism(1)
+            .run()
+            .expect("valid matrix");
+        let local_outcomes = scenario.evaluate(&local, &registry).expect("evaluable");
+        let local_ms = t.elapsed().as_secs_f64() * 1e3;
+
+        let t = Instant::now();
+        let (result, outcomes) = submit_scenario(addr, &scenario, 2).expect("dispatched job");
+        let fleet_ms = t.elapsed().as_secs_f64() * 1e3;
+
+        assert_eq!(result.to_json(), local.to_json(), "job {i}");
+        assert_eq!(outcomes, local_outcomes, "job {i}");
+        overheads_ms.push(fleet_ms - local_ms);
+    }
+    overheads_ms.sort_by(f64::total_cmp);
+    let median = overheads_ms[JOBS / 2];
+    assert!(
+        median < 20.0,
+        "median dispatch overhead {median:.1} ms per job; all, sorted: {overheads_ms:.1?}"
+    );
+    assert_eq!(server.join().expect("server"), JOBS);
+    assert_eq!(worker.join().expect("worker"), 2 * JOBS);
+}
+
+#[test]
+fn a_worker_returns_promptly_once_its_coordinator_stops() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        DispatchConfig::default(),
+        [CAMPAIGN.to_string()],
+        Arc::new(SystemClock::new()),
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr().expect("bound");
+    let server = std::thread::spawn(move || {
+        let summary = server
+            .run(ServeOptions {
+                max_jobs: Some(1),
+                ..ServeOptions::default()
+            })
+            .expect("serve");
+        (summary.jobs_completed, Instant::now())
+    });
+    // Default options: a heartbeat a second, which the worker must not
+    // sit out once its connection is gone.
+    let worker = std::thread::spawn(move || {
+        let summary =
+            run_worker(addr, &WorkerOptions::default(), &mut tiny_runner).expect("worker run");
+        (summary.shards_run, Instant::now())
+    });
+
+    submit(addr, CAMPAIGN, 2).expect("dispatched campaign");
+    let (jobs, server_returned) = server.join().expect("server thread");
+    let (shards, worker_returned) = worker.join().expect("worker thread");
+    assert_eq!((jobs, shards), (1, 2));
+    let lag = worker_returned.saturating_duration_since(server_returned);
+    assert!(
+        lag < Duration::from_millis(100),
+        "run_worker returned {lag:?} after Server::run"
+    );
 }
