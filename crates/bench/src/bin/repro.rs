@@ -5,14 +5,13 @@
 //! ```text
 //! repro [fig1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|table3|table4|config|all] [--quick] [--json]
 //! repro scale
-//! repro check PATH [--procs N] [--wire json|bin] [--connect ADDR [--shards N]]
-//! repro dist [--procs N] [--wire json|bin]
-//! repro shard I/N [--pin CORE] [--wire json|bin] [--scenario PATH]
-//! repro serve --listen ADDR [--jobs N] [--timeout-ms MS] [--wire json|bin]
+//! repro check PATH [--connect ADDR [--shards N]]
+//! repro serve --listen ADDR [--jobs N] [--journal PATH] [--timeout-ms MS]
 //!            [--burst N] [--refill-ms MS] [--max-pending N]
-//! repro work --connect ADDR [--pin CORE] [--name LABEL] [--wire json|bin]
-//! repro submit --connect ADDR [--shards N] [--verify] [--scenario PATH]
+//! repro work --connect ADDR [--pin CORE] [--name LABEL] [--reconnect N]
+//! repro submit --connect ADDR [--shards N] [--retry N] [--verify] [--scenario PATH]
 //! repro status --connect ADDR [--watch]
+//! repro chaos-proxy --listen ADDR --connect ADDR [--seed N] [--benign]
 //! repro --bench-json [--check [baseline.json]]
 //! ```
 //!
@@ -24,63 +23,40 @@
 //!
 //! `scale` is the scale-out mode: it sweeps the sharded campaign
 //! executor's worker count over the quick matrix (1, 2, 4, … up to the
-//! host's parallelism), checks every sweep point bit-identical to the
-//! sequential run, and prints aggregate events/sec, events/sec-per-core
-//! and scaling efficiency per point. It always runs the quick matrix
-//! (the sweep multiplies it by the worker counts), so `--quick` and
-//! `--json` are rejected rather than silently ignored.
-//!
-//! `dist` is `scale`'s multi-**process** sibling: it re-executes this
-//! very binary as `repro shard i/N` child processes (deterministic
-//! key-hash shards of the quick matrix), collects each child's shard
-//! over stdout — negotiating JSON vs binwire by the first byte — merges
-//! them, checks the merged campaign bit-identical to the in-process
-//! sequential run, and prints the same scale-out table — pinned (each
-//! child under `sched_setaffinity` on core `i mod host cores`) and
-//! unpinned, per wire format (`--wire` restricts to one). Process
-//! fan-out sidesteps the shared allocator and LLC contention that caps
-//! thread scaling, and the same wire formats cross a socket to another
-//! machine.
+//! host's parallelism) in interleaved rounds with the sequential
+//! reference, checks every run bit-identical to it, and prints aggregate
+//! events/sec, events/sec-per-core and scaling efficiency per point. It
+//! always runs the quick matrix (the sweep multiplies it by the worker
+//! counts), so `--quick` and `--json` are rejected rather than silently
+//! ignored. One host fans out on threads; work that crosses processes or
+//! hosts goes through the dispatcher below.
 //!
 //! `check` evaluates declarative scenarios (`strex::scenario`; format
 //! reference in `docs/SCENARIOS.md`): `PATH` is one scenario JSON file
 //! or a directory of them (`*.json`, sorted, non-recursive — the
 //! committed `scenarios/` directory encodes the paper's headline
 //! claims). Each scenario's scheduler × workload × cores × team-size
-//! matrix runs through the campaign executor — in-process by default,
-//! fanned out to `--procs N` `repro shard` child processes carrying
-//! `--scenario PATH` (the shards merge bit-identical to the in-process
-//! run, so the assertions judge the same numbers either way), or
+//! matrix runs through the campaign executor — in-process by default, or
 //! dispatched to a running fleet with `--connect ADDR [--shards N]`,
 //! where the coordinator evaluates the assertions on the merged result
 //! and returns the same diagnostics — and every assertion prints one
 //! PASS/FAIL line with the expected bound, the observed value and the
-//! cell key. The output format is identical across all three execution
-//! modes, so CI diffs a remote check against an in-process one byte for
-//! byte. Exit code 0 means every assertion of every scenario passed; 1
-//! means at least one assertion failed; 2 means the check could not run
-//! (usage, I/O, or a scenario file that does not validate).
+//! cell key. The output format is identical in both execution modes, so
+//! CI diffs a remote check against an in-process one byte for byte. Exit
+//! code 0 means every assertion of every scenario passed; 1 means at
+//! least one assertion failed; 2 means the check could not run (usage,
+//! I/O, or a scenario file that does not validate).
 //!
-//! `shard I/N` is the child half of `dist`: it executes shard `I` of `N`
-//! of the quick matrix sequentially (cells workload-major, so the packed
-//! trace stream stays LLC-hot across cells sharing a workload) and
-//! writes exactly one document — the shard — to stdout: a JSON line by
-//! default, the length-prefixed binwire bytes under `--wire bin`.
-//! `--pin C` pins the process to core `C` first (best-effort; a no-op
-//! off Linux). With `--scenario PATH` the shard comes from that
-//! scenario file's declared matrix instead of the quick matrix — the
-//! child half of `check --procs`.
-//!
-//! `serve` / `work` / `submit` / `status` are `dist` grown into a
-//! service (the `strex::dispatch` TCP campaign dispatcher; wire format
-//! in `docs/PROTOCOL.md`, operations in `docs/DISPATCHER.md`). `serve`
-//! binds a coordinator that accepts campaign and scenario submissions
-//! and hands shards to capability-matched workers, tracking their
-//! liveness by heartbeat and re-queueing shards from dead or straggling
-//! workers (`--jobs N` exits cleanly after N jobs — the CI smoke's run
-//! bound; `--burst`/`--refill-ms` tune per-submitter token-bucket rate
-//! limiting, `--max-pending` bounds the job queue). `work` connects a
-//! worker that registers its detected capabilities and executes shards
+//! `serve` / `work` / `submit` / `status` are the `strex::dispatch` TCP
+//! campaign dispatcher (wire format in `docs/PROTOCOL.md`, operations in
+//! `docs/DISPATCHER.md`). `serve` binds a coordinator that accepts
+//! campaign and scenario submissions and hands shards to
+//! capability-matched workers, tracking their liveness by heartbeat and
+//! re-queueing shards from dead or straggling workers (`--jobs N` exits
+//! cleanly after N jobs — the CI smoke's run bound; `--journal PATH`
+//! makes it crash-tolerant; `--burst`/`--refill-ms` tune per-submitter
+//! token-bucket rate limiting, `--max-pending` bounds the job queue). `work` connects a worker that registers its detected
+//! capabilities (pinned to one core with `--pin C`) and executes shards
 //! until the coordinator closes the connection. `submit` submits the
 //! quick matrix — or, with `--scenario PATH`, that scenario document —
 //! split `--shards` ways and prints the merged campaign's summary plus
@@ -89,15 +65,15 @@
 //! unless the dispatched result (and diagnostics) are bit-identical —
 //! the end-to-end determinism check CI runs on loopback. `status` polls
 //! a coordinator for one fleet snapshot (`--watch` re-polls every 2 s).
+//! `chaos-proxy` sits between fleet processes and injects a seeded fault
+//! storm (docs/DISPATCHER.md).
 //!
 //! `--bench-json` is a standalone mode: it times the quick reproduction
 //! suite cell by cell, merges the result with the committed same-session
 //! baselines (seed, PR 2 and PR 3 engines), the sharded-executor scaling
-//! section, the multi-process `dist` fan-out grid (1/2/4 shard children,
-//! pinned vs unpinned, json vs bin wire), the same-run transport-vs-
-//! compute accounting, the host core count, the PGO-vs-plain ratio when
-//! CI exports `BENCH_PLAIN_EPS`, and the same-run hot-path microbenches,
-//! and writes the trajectory record to `${BENCH_ARTIFACT}.json` in the
+//! section, the host core count, the PGO-vs-plain ratio when CI exports
+//! `BENCH_PLAIN_EPS`, and the same-run hot-path microbenches, and writes
+//! the trajectory record to `${BENCH_ARTIFACT}.json` in the
 //! working directory (the perf document CI gates on and uploads). The
 //! artifact name is derived in exactly one place (`perf::bench_artifact`,
 //! default `BENCH_PR7`).
@@ -130,13 +106,11 @@ const CHECK_TOLERANCE: f64 = 0.9;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = env::args().skip(1).collect();
-    // `shard` and `dist` carry their own value-taking flags (`--pin`,
-    // `--procs`), so they dispatch before the generic flag check below
-    // would reject those. Both require the subcommand word first.
+    // The subcommands carry their own value-taking flags, so they
+    // dispatch before the generic flag check below would reject those.
+    // Each requires the subcommand word first.
     match args.first().map(String::as_str) {
-        Some("shard") => return shard_mode(&args[1..]),
         Some("check") => return check_mode(&args[1..]),
-        Some("dist") => return dist_mode(&args[1..]),
         Some("serve") => return serve_mode(&args[1..]),
         Some("work") => return work_mode(&args[1..]),
         Some("submit") => return submit_mode(&args[1..]),
@@ -269,7 +243,7 @@ fn main() -> ExitCode {
 /// Sweeps the sharded campaign executor's worker count over the quick
 /// matrix and prints the scale-out table: aggregate events/sec,
 /// events/sec-per-core (per *effective* core), and scaling efficiency
-/// against the 1-worker point.
+/// against the 1-worker reference measured in the same rounds.
 fn scale_mode() -> ExitCode {
     use strex_bench::perf;
 
@@ -288,7 +262,8 @@ fn scale_mode() -> ExitCode {
 
     println!("Sharded campaign executor scale-out — quick matrix, {avail} host cores");
     println!(
-        "(one shared sequential baseline; every sweep point is checked bit-identical to it)\n"
+        "(medians of interleaved rounds with the 1-worker reference; every run is checked \
+         bit-identical to it)\n"
     );
     println!("workers  eff.cores  events/sec  events/sec-per-core  efficiency");
     for s in perf::campaign_scaling_sweep(&sweep) {
@@ -308,152 +283,24 @@ fn scale_mode() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The child half of `dist`: executes one deterministic shard of the
-/// quick matrix and writes the shard — and nothing else — to stdout in
-/// the requested wire format (JSON line or binwire bytes), so the parent
-/// can pipe it straight into `CampaignShard::from_json` / `from_bin`,
-/// negotiating by the first byte.
-fn shard_mode(rest: &[String]) -> ExitCode {
-    let mut spec: Option<strex::campaign::ShardSpec> = None;
-    let mut pin: Option<usize> = None;
-    let mut wire = strex::WireFormat::Json;
-    let mut scenario: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--pin" {
-            pin = match it.next().and_then(|v| v.parse().ok()) {
-                Some(core) => Some(core),
-                None => {
-                    eprintln!("--pin needs a core index");
-                    return ExitCode::FAILURE;
-                }
-            };
-        } else if arg == "--scenario" {
-            scenario = match it.next() {
-                Some(path) => Some(path.clone()),
-                None => {
-                    eprintln!("--scenario needs a scenario file path");
-                    return ExitCode::FAILURE;
-                }
-            };
-        } else if arg == "--wire" {
-            wire = match it.next().map(|v| strex::WireFormat::parse(v)) {
-                Some(Ok(w)) => w,
-                _ => {
-                    eprintln!("--wire needs `json` or `bin`");
-                    return ExitCode::FAILURE;
-                }
-            };
-        } else if spec.is_none() {
-            let parsed = arg
-                .split_once('/')
-                .and_then(|(i, n)| Some((i.parse::<usize>().ok()?, n.parse::<usize>().ok()?)));
-            spec = match parsed.and_then(|(i, n)| strex::campaign::ShardSpec::new(i, n).ok()) {
-                Some(s) => Some(s),
-                None => {
-                    eprintln!("`{arg}` is not a valid shard spec (expected I/N with I < N)");
-                    return ExitCode::FAILURE;
-                }
-            };
-        } else {
-            eprintln!(
-                "shard takes one I/N spec and optionally --pin CORE / --wire {{json,bin}} / \
-                 --scenario PATH; unexpected `{arg}`"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    let Some(spec) = spec else {
-        eprintln!("usage: repro shard I/N [--pin CORE] [--wire {{json,bin}}] [--scenario PATH]");
-        return ExitCode::FAILURE;
-    };
-    if let Some(core) = pin {
-        // Best-effort by design: an unpinnable child still computes the
-        // right answer, it just floats (and the parent's "pinned" label
-        // stays honest only on Linux — which is where dist runs in CI).
-        if !strex::affinity::pin_to_core(core) {
-            eprintln!("note: could not pin to core {core}; running unpinned");
-        }
-    }
-    let shard = match &scenario {
-        // A scenario child re-parses the file itself: the parent and
-        // every sibling agree on the matrix because they all decode the
-        // same validated document, not because anyone re-encoded it.
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("cannot read scenario {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let s = match strex::scenario::Scenario::from_json(&text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let workloads = s.workloads();
-            match s.campaign(&workloads).run_shard(spec) {
-                Ok(shard) => shard,
-                Err(e) => {
-                    eprintln!("{path}: invalid matrix: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => strex_bench::perf::run_quick_shard(spec),
-    };
-    match wire {
-        strex::WireFormat::Json => println!("{}", shard.to_json()),
-        strex::WireFormat::Bin => {
-            use std::io::Write;
-            // Raw bytes, no trailing newline: the parent reads to EOF and
-            // negotiates by the leading magic byte.
-            let mut out = std::io::stdout().lock();
-            if out
-                .write_all(&shard.to_bin())
-                .and_then(|()| out.flush())
-                .is_err()
-            {
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 /// Evaluates declarative scenarios: runs each file's declared matrix
-/// through the campaign executor (in-process, `--procs N` shard
-/// children carrying `--scenario`, or — with `--connect ADDR` — a
-/// running dispatcher fleet, which evaluates the assertions
+/// through the campaign executor (in-process, or — with `--connect
+/// ADDR` — a running dispatcher fleet, which evaluates the assertions
 /// coordinator-side and returns the same diagnostics), judges every
 /// assertion, and prints one PASS/FAIL diagnostic per assertion. The
-/// output format is identical across all three execution modes, so CI
-/// can diff a remote check against an in-process one byte for byte.
+/// output format is identical in both execution modes, so CI can diff a
+/// remote check against an in-process one byte for byte.
 /// Exit 0 = all passed, 1 = an assertion failed, 2 = the check could
 /// not run (usage, I/O, or an invalid scenario file).
 fn check_mode(rest: &[String]) -> ExitCode {
     use strex::scenario::{EvaluatorRegistry, Scenario};
 
     let mut path: Option<String> = None;
-    let mut procs: Option<usize> = None;
     let mut connect: Option<String> = None;
     let mut shards: usize = 4;
-    let mut wire = strex::WireFormat::default();
-    let mut wire_set = false;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
-        if arg == "--procs" {
-            procs = match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => Some(n),
-                _ => {
-                    eprintln!("--procs needs a positive process count");
-                    return ExitCode::from(2);
-                }
-            };
-        } else if arg == "--connect" {
+        if arg == "--connect" {
             connect = match it.next() {
                 Some(addr) => Some(addr.clone()),
                 None => {
@@ -469,45 +316,20 @@ fn check_mode(rest: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-        } else if arg == "--wire" {
-            wire = match it.next().map(|v| strex::WireFormat::parse(v)) {
-                Some(Ok(w)) => w,
-                _ => {
-                    eprintln!("--wire needs `json` or `bin`");
-                    return ExitCode::from(2);
-                }
-            };
-            wire_set = true;
         } else if path.is_none() && !arg.starts_with("--") {
             path = Some(arg.clone());
         } else {
             eprintln!(
-                "check takes one scenario file or directory and optionally --procs N / \
-                 --wire {{json,bin}} / --connect ADDR [--shards N]; unexpected `{arg}`"
+                "check takes one scenario file or directory and optionally \
+                 --connect ADDR [--shards N]; unexpected `{arg}`"
             );
             return ExitCode::from(2);
         }
     }
     let Some(path) = path else {
-        eprintln!(
-            "usage: repro check PATH [--procs N] [--wire {{json,bin}}] \
-             [--connect ADDR [--shards N]]"
-        );
+        eprintln!("usage: repro check PATH [--connect ADDR [--shards N]]");
         return ExitCode::from(2);
     };
-    if connect.is_some() && (procs.is_some() || wire_set) {
-        // Remote checks run on the fleet's workers; the local fan-out
-        // knobs have nothing to apply to.
-        eprintln!("--connect is exclusive with --procs/--wire (the fleet runs the shards)");
-        return ExitCode::from(2);
-    }
-    if wire_set && procs.is_none() {
-        // The wire format only shapes shard transport; silently accepting
-        // it in-process would let a CI invocation believe it tested a
-        // format it never exercised.
-        eprintln!("--wire only applies with --procs (in-process runs have no shard transport)");
-        return ExitCode::from(2);
-    }
 
     // A directory means every `*.json` directly inside it, sorted by
     // name so the report order (and any first-failure exit) is stable.
@@ -535,16 +357,6 @@ fn check_mode(rest: &[String]) -> ExitCode {
     };
 
     let registry = EvaluatorRegistry::with_defaults();
-    let exe = match procs {
-        Some(_) => match env::current_exe() {
-            Ok(exe) => Some(exe),
-            Err(e) => {
-                eprintln!("cannot locate the repro binary to re-execute: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
     let mut broken = 0usize;
     let mut assertions = 0usize;
     let mut failed = 0usize;
@@ -588,27 +400,13 @@ fn check_mode(rest: &[String]) -> ExitCode {
             }
             continue;
         }
-        let result = match (procs, &exe) {
-            (Some(procs), Some(exe)) => {
-                match strex_bench::perf::scenario_fan_out(exe, file, procs, wire) {
-                    Ok(result) => result,
-                    Err(e) => {
-                        eprintln!("{display}: fan-out failed: {e}");
-                        broken += 1;
-                        continue;
-                    }
-                }
-            }
-            _ => {
-                let workloads = scenario.workloads();
-                match scenario.campaign(&workloads).run() {
-                    Ok(result) => result,
-                    Err(e) => {
-                        eprintln!("{display}: invalid matrix: {e}");
-                        broken += 1;
-                        continue;
-                    }
-                }
+        let workloads = scenario.workloads();
+        let result = match scenario.campaign(&workloads).run() {
+            Ok(result) => result,
+            Err(e) => {
+                eprintln!("{display}: invalid matrix: {e}");
+                broken += 1;
+                continue;
             }
         };
         match scenario.evaluate(&result, &registry) {
@@ -643,91 +441,6 @@ fn check_mode(rest: &[String]) -> ExitCode {
     }
 }
 
-/// Multi-process scale-out: fans the quick matrix out to `--procs` child
-/// processes (pinned and unpinned, per wire format), merges their shards,
-/// checks the merged campaign bit-identical to the in-process sequential
-/// run, and prints the scale-out table next to what `scale` prints for
-/// threads. `--wire {json,bin}` restricts the sweep to one shard
-/// encoding; by default both are measured side by side.
-fn dist_mode(rest: &[String]) -> ExitCode {
-    use strex_bench::perf;
-
-    let mut procs: Option<usize> = None;
-    let mut wires = vec![strex::WireFormat::Json, strex::WireFormat::Bin];
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--procs" {
-            procs = match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => Some(n),
-                _ => {
-                    eprintln!("--procs needs a positive process count");
-                    return ExitCode::FAILURE;
-                }
-            };
-        } else if arg == "--wire" {
-            wires = match it.next().map(|v| strex::WireFormat::parse(v)) {
-                Some(Ok(w)) => vec![w],
-                _ => {
-                    eprintln!("--wire needs `json` or `bin`");
-                    return ExitCode::FAILURE;
-                }
-            };
-        } else {
-            eprintln!("dist takes --procs N and --wire {{json,bin}}; unexpected `{arg}`");
-            return ExitCode::FAILURE;
-        }
-    }
-    let avail = perf::host_cores();
-    // Even a 1-core host demonstrates the fan-out with 2 processes; the
-    // efficiency framing against effective cores keeps the table honest.
-    let procs = procs.unwrap_or_else(|| avail.max(2));
-    let exe = match env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("cannot locate the repro binary to re-execute: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "Multi-process campaign fan-out — quick matrix, {procs} shard processes, \
-         {avail} host cores"
-    );
-    println!(
-        "(children re-execute this binary as `repro shard i/{procs}`; every merged \
-         result is checked bit-identical to the sequential run)\n"
-    );
-    let mut sweep = vec![1, procs];
-    sweep.dedup();
-    let scaling = match perf::dist_scaling(&exe, &sweep, None, &wires) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("dist fan-out failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("  procs  wire  pinned  eff.cores  events/sec  events/sec-per-core  efficiency");
-    for p in &scaling.points {
-        println!(
-            "{:>7}  {:>4}  {:>6}  {:>9}  {:>10.0}  {:>19.0}  {:>10.3}",
-            p.procs,
-            p.wire.to_string(),
-            if p.pinned { "yes" } else { "no" },
-            p.effective_cores,
-            p.events_per_sec(),
-            p.events_per_sec_per_core(),
-            p.efficiency(),
-        );
-    }
-    println!(
-        "\nefficiency = events/sec over (same (wire, pinned) flavor's 1-process \
-         events/sec x effective cores); wall time includes process startup, one \
-         workload generation per child (shared in-process via the WorkloadCache) \
-         and shard transport in the row's wire format. pinned = children under \
-         sched_setaffinity on core i mod host cores."
-    );
-    ExitCode::SUCCESS
-}
-
 /// The coordinator half of the dispatcher: binds `--listen ADDR`, accepts
 /// campaign submissions and worker registrations, and serves until
 /// `--jobs N` jobs complete (forever without it). Workers silent for
@@ -739,22 +452,10 @@ fn serve_mode(rest: &[String]) -> ExitCode {
     let mut listen: Option<String> = None;
     let mut jobs: Option<usize> = None;
     let mut journal: Option<std::path::PathBuf> = None;
-    let mut wire = strex::WireFormat::default();
     let mut cfg = DispatchConfig::default();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--wire" => match it.next().map(|v| strex::WireFormat::parse(v)) {
-                Some(Ok(w)) => wire = w,
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("--wire needs a format (json or bin)");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--listen" => match it.next() {
                 Some(addr) => listen = Some(addr.clone()),
                 None => {
@@ -813,8 +514,7 @@ fn serve_mode(rest: &[String]) -> ExitCode {
             other => {
                 eprintln!(
                     "serve takes --listen ADDR [--jobs N] [--journal PATH] [--timeout-ms MS] \
-                     [--burst N] [--refill-ms MS] [--max-pending N] [--wire json|bin]; \
-                     unexpected `{other}`"
+                     [--burst N] [--refill-ms MS] [--max-pending N]; unexpected `{other}`"
                 );
                 return ExitCode::FAILURE;
             }
@@ -823,7 +523,7 @@ fn serve_mode(rest: &[String]) -> ExitCode {
     let Some(listen) = listen else {
         eprintln!(
             "usage: repro serve --listen ADDR [--jobs N] [--journal PATH] [--timeout-ms MS] \
-             [--burst N] [--refill-ms MS] [--max-pending N] [--wire json|bin]"
+             [--burst N] [--refill-ms MS] [--max-pending N]"
         );
         return ExitCode::FAILURE;
     };
@@ -845,7 +545,6 @@ fn serve_mode(rest: &[String]) -> ExitCode {
     }
     match server.run(ServeOptions {
         max_jobs: jobs,
-        wire,
         journal,
         stop: None,
     }) {
@@ -863,7 +562,8 @@ fn serve_mode(rest: &[String]) -> ExitCode {
 /// The worker half of the dispatcher: connects to `--connect ADDR`,
 /// registers, and executes assigned quick-matrix shards until the
 /// coordinator closes the connection. `--pin C` pins the process first
-/// (best-effort, like `shard`); `--name` labels it in coordinator logs.
+/// (best-effort: a no-op off Linux); `--name` labels it in coordinator
+/// logs.
 /// `--reconnect N` survives N coordinator outages: a transport failure
 /// re-dials under jittered exponential backoff and re-registers, so a
 /// fleet rides out a coordinator restart (`serve --journal`) without
@@ -899,17 +599,6 @@ fn work_mode(rest: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--wire" => match it.next().map(|v| strex::WireFormat::parse(v)) {
-                Some(Ok(w)) => opts.wire = w,
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("--wire needs a format (json or bin)");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--reconnect" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => reconnect = n,
                 None => {
@@ -919,18 +608,15 @@ fn work_mode(rest: &[String]) -> ExitCode {
             },
             other => {
                 eprintln!(
-                    "work takes --connect ADDR [--pin CORE] [--name LABEL] [--reconnect N] \
-                     [--wire json|bin]; unexpected `{other}`"
+                    "work takes --connect ADDR [--pin CORE] [--name LABEL] [--reconnect N]; \
+                     unexpected `{other}`"
                 );
                 return ExitCode::FAILURE;
             }
         }
     }
     let Some(connect) = connect else {
-        eprintln!(
-            "usage: repro work --connect ADDR [--pin CORE] [--name LABEL] [--reconnect N] \
-             [--wire json|bin]"
-        );
+        eprintln!("usage: repro work --connect ADDR [--pin CORE] [--name LABEL] [--reconnect N]");
         return ExitCode::FAILURE;
     };
     if let Some(core) = pin {
@@ -1336,32 +1022,11 @@ fn bench_json_mode(check_path: Option<&str>) -> ExitCode {
     let pr2 = baseline_seed::pr2_record();
     let pr3 = baseline_seed::pr3_record();
     println!("Measuring the sharded executor (1 worker vs 4 workers)...");
-    // The sweep's sequential run doubles as the dist grid's golden, so
-    // the matrix is simulated once for both references.
-    let (mut scalings, golden) = perf::campaign_scaling_sweep_with_golden(&[4]);
-    let scaling = scalings.pop().expect("one sweep point in, one out");
-    println!(
-        "Measuring the multi-process fan-out (1/2/4 procs, pinned and unpinned, \
-         json and bin wire)..."
-    );
-    let wires = [strex::WireFormat::Json, strex::WireFormat::Bin];
-    let dist = match env::current_exe()
-        .and_then(|exe| perf::dist_scaling(&exe, &[1, 2, 4], Some(&golden), &wires))
-    {
-        Ok(dist) => dist,
-        Err(e) => {
-            eprintln!("dist fan-out measurement failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("Measuring transport vs compute (4 shards, json and bin wire)...");
-    let transport = perf::transport_accounting(4);
+    let scaling = perf::campaign_scaling(4);
     println!("Running the same-run hot-path microbenches...");
     let micros = perf::same_run_micros();
     let pgo = perf::PgoComparison::from_env();
-    let doc = perf::bench_json(
-        &current, &baseline, &pr2, &pr3, &micros, &scaling, &dist, &transport, pgo,
-    );
+    let doc = perf::bench_json(&current, &baseline, &pr2, &pr3, &micros, &scaling, pgo);
     // One source of truth with CI: perf::bench_artifact reads the
     // BENCH_ARTIFACT the workflow exports; the filename written here, the
     // default --check path above and the artifact uploaded by CI all
@@ -1396,33 +1061,6 @@ fn bench_json_mode(check_path: Option<&str>) -> ExitCode {
         scaling.effective_cores,
         scaling.events_per_sec_per_core(),
         scaling.efficiency(),
-    );
-    for p in &dist.points {
-        println!(
-            "dist: {} procs ({}, {} wire) — {:.0} events/sec, efficiency {:.3}",
-            p.procs,
-            if p.pinned { "pinned" } else { "unpinned" },
-            p.wire,
-            p.events_per_sec(),
-            p.efficiency(),
-        );
-    }
-    for t in &transport.wires {
-        println!(
-            "transport: {} — {} bytes/{} shards, encode {:.4}s + decode {:.4}s \
-             ({:.1}% of {:.2}s shard compute)",
-            t.wire,
-            t.bytes,
-            transport.shards,
-            t.encode_seconds,
-            t.decode_seconds,
-            100.0 * t.round_trip_seconds() / transport.compute_seconds.max(f64::MIN_POSITIVE),
-            transport.compute_seconds,
-        );
-    }
-    println!(
-        "transport: bin round trip is {:.3}x the json round trip",
-        transport.bin_round_trip_vs_json(),
     );
     if let Some(pgo) = pgo {
         println!(

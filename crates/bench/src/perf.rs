@@ -16,28 +16,16 @@
 //! and the binary share). Alongside the suite-level record, the document
 //! carries the sharded-executor scale-out section ([`campaign_scaling`]:
 //! aggregate events/sec, events/sec-per-core, scaling efficiency), the
-//! multi-process fan-out grid ([`dist_scaling`]: `repro shard` children
-//! at 1/2/4 processes, pinned vs unpinned per wire format, merged
-//! results verified bit-identical before any number is recorded), the
-//! same-run transport-vs-compute accounting
-//! ([`transport_accounting`]), the measuring host's
-//! core count, the PGO-vs-plain ratio when CI provides one
+//! measuring host's core count, the PGO-vs-plain ratio when CI provides one
 //! ([`PgoComparison`]), and three *same-run* microbenches timing each
 //! optimized hot path against its in-tree reference implementation inside
 //! the producing process — those ratios are portable across machines by
 //! construction.
 
-use std::io;
-use std::path::Path;
-use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Instant;
 
-use strex::binwire;
-use strex::binwire::WireFormat;
-use strex::campaign::{
-    merge, scaling_efficiency, Campaign, CampaignResult, CampaignShard, ShardSpec,
-};
+use strex::campaign::{scaling_efficiency, Campaign, CampaignShard, ShardSpec};
 use strex::config::SchedulerKind;
 use strex::driver::{run, run_with, run_with_generic_loop};
 use strex::json::JsonWriter;
@@ -68,21 +56,6 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Whether this host would actually grant the core pinning a `procs`-way
-/// pinned fan-out requests (Linux, with cores `0..min(procs, host
-/// cores)` allowed by the process's cpuset). Probed from scratch threads
-/// so the caller's own affinity is never touched. [`dist_scaling`] skips
-/// the pinned grid flavor when this is false, so a recorded
-/// `pinned: true` point always means the pin really happened.
-pub fn pinning_available(procs: usize) -> bool {
-    let cores = host_cores();
-    (0..procs.min(cores).max(1)).all(|core| {
-        std::thread::spawn(move || strex::affinity::pin_to_core(core))
-            .join()
-            .unwrap_or(false)
-    })
 }
 
 /// `{bench_artifact()}.json` — the on-disk form of [`bench_artifact`].
@@ -494,9 +467,9 @@ pub fn driver_microbench() -> DriverMicrobench {
 }
 
 /// Scale-out measurement of the sharded campaign executor over the quick
-/// matrix: the same cells as [`quick_suite`], run once sequentially
-/// (1 worker) and once on `workers` workers, with the two results checked
-/// bit-identical before any number is reported.
+/// matrix: the same cells as [`quick_suite`], run sequentially (1 worker)
+/// and on `workers` workers in the same interleaved rounds, with every
+/// result checked bit-identical before any number is reported.
 #[derive(Copy, Clone, Debug)]
 pub struct CampaignScaling {
     /// Worker threads of the multi-worker run.
@@ -508,9 +481,11 @@ pub struct CampaignScaling {
     pub effective_cores: usize,
     /// Memory-reference events the matrix simulates (identical both runs).
     pub total_events: u64,
-    /// Aggregate events/sec of the 1-worker (sequential) run.
+    /// Aggregate events/sec of the 1-worker (sequential) reference, the
+    /// median of its rounds.
     pub single_events_per_sec: f64,
-    /// Aggregate events/sec of the `workers`-worker run.
+    /// Aggregate events/sec of the `workers`-worker runs, the median of
+    /// their rounds.
     pub events_per_sec: f64,
 }
 
@@ -536,7 +511,7 @@ impl CampaignScaling {
 }
 
 /// Runs the quick matrix through the sharded executor at 1 worker and at
-/// `workers` workers, asserting the two results bit-identical (the
+/// `workers` workers, asserting every result bit-identical (the
 /// executor's determinism guarantee doubles as a smoke test here) and
 /// returning the throughput comparison.
 pub fn campaign_scaling(workers: usize) -> CampaignScaling {
@@ -546,8 +521,8 @@ pub fn campaign_scaling(workers: usize) -> CampaignScaling {
 }
 
 /// The quick reproduction matrix's workloads — one source shared by the
-/// suite timer, the in-process scaling sweep, and every `repro shard`
-/// child (all processes of a fan-out must agree on the matrix cell for
+/// suite timer, the in-process scaling sweep, and every `repro work`
+/// worker (all processes of a fleet must agree on the matrix cell for
 /// cell, which they do because each rebuilds it from this function and
 /// the fixed [`SEED`]). Within one process the pools come from the
 /// [`WorkloadCache`](strex_oltp::cache::WorkloadCache), so a dispatch
@@ -572,18 +547,9 @@ pub fn quick_campaign(workloads: &[Arc<Workload>]) -> Campaign<'_> {
         .over_cores(Effort::Quick.core_counts())
 }
 
-/// Executes shard `spec` of the quick matrix — the body of a
-/// `repro shard i/N` child process.
-pub fn run_quick_shard(spec: ShardSpec) -> CampaignShard {
-    let workloads = quick_matrix_workloads();
-    quick_campaign(&workloads)
-        .run_shard(spec)
-        .expect("quick matrix is valid")
-}
-
 /// The catalog name the dispatcher knows the quick matrix by: what
-/// `repro serve` accepts, `repro submit` submits, and `repro work` maps
-/// to [`run_quick_shard`]. One constant so the three CLIs cannot drift.
+/// `repro serve` accepts, `repro submit` submits, and `repro work` runs
+/// through [`QuickRunner`]. One constant so the three CLIs cannot drift.
 pub const QUICK_CAMPAIGN: &str = "quick";
 
 /// The campaign names a `repro serve` coordinator accepts.
@@ -634,478 +600,88 @@ pub fn dispatch_runner() -> QuickRunner {
     QuickRunner
 }
 
-/// [`campaign_scaling`] for a whole worker-count sweep: the sequential
-/// (1-worker) run is measured **once** and every sweep point is judged
-/// against that same baseline — K points cost K+1 matrix executions, not
-/// 2K, and all efficiencies share one denominator instead of K noisy
-/// re-measurements of it.
+/// How many interleaved rounds [`campaign_scaling_sweep`] measures. Each
+/// round runs the reference and every sweep point once, so drift in the
+/// host's speed lands on both sides of every ratio.
+const SCALING_ROUNDS: usize = 3;
+
+/// [`campaign_scaling`] for a whole worker-count sweep. Each of the
+/// `SCALING_ROUNDS` (3) rounds runs the 1-worker reference and then every
+/// other distinct worker count once, and every run is checked
+/// bit-identical to the first. A point's throughput is the median of its
+/// rounds, judged against the median of the reference runs from the same
+/// rounds; a 1-worker point *is* the reference, so its efficiency is
+/// exactly 1.0.
 pub fn campaign_scaling_sweep(worker_counts: &[usize]) -> Vec<CampaignScaling> {
-    campaign_scaling_sweep_with_golden(worker_counts).0
+    let workloads = quick_matrix_workloads();
+    let mut counts = vec![1];
+    for &workers in worker_counts {
+        if !counts.contains(&workers) {
+            counts.push(workers);
+        }
+    }
+    let mut samples = vec![Vec::with_capacity(SCALING_ROUNDS); counts.len()];
+    let mut golden: Option<String> = None;
+    let mut total_events = 0;
+    for _ in 0..SCALING_ROUNDS {
+        for (runs, &workers) in samples.iter_mut().zip(&counts) {
+            let result = quick_campaign(&workloads)
+                .parallelism(workers)
+                .run()
+                .expect("quick matrix is valid");
+            let json = result.to_json();
+            match &golden {
+                None => golden = Some(json),
+                Some(golden) => assert_eq!(
+                    golden, &json,
+                    "sharded executor diverged from sequential at {workers} workers"
+                ),
+            }
+            total_events = result.perf().total_events;
+            runs.push(result.perf().events_per_sec());
+        }
+    }
+    scaling_points(worker_counts, &counts, &samples, total_events, host_cores())
 }
 
-/// [`campaign_scaling_sweep`] that also hands back the sequential run's
-/// serialized campaign — the golden every sweep point was checked
-/// against. `repro --bench-json` feeds it to [`dist_scaling`] so the
-/// multi-process grid reuses this run instead of re-simulating the whole
-/// matrix for its own reference.
-pub fn campaign_scaling_sweep_with_golden(
+/// The sweep's rows from its per-round throughputs: `samples[i]` holds
+/// the rounds of `counts[i]` workers, and `counts[0]` is the 1-worker
+/// reference.
+fn scaling_points(
     worker_counts: &[usize],
-) -> (Vec<CampaignScaling>, String) {
-    let workloads = quick_matrix_workloads();
-    let run_at = |parallelism: usize| {
-        quick_campaign(&workloads)
-            .parallelism(parallelism)
-            .run()
-            .expect("quick matrix is valid")
-    };
-    let single = run_at(1);
-    let single_json = single.to_json();
-    let avail = host_cores();
-    let points = worker_counts
+    counts: &[usize],
+    samples: &[Vec<f64>],
+    total_events: u64,
+    host_cores: usize,
+) -> Vec<CampaignScaling> {
+    let reference = median(&samples[0]);
+    worker_counts
         .iter()
         .map(|&workers| {
-            let multi = run_at(workers);
-            assert_eq!(
-                single_json,
-                multi.to_json(),
-                "sharded executor diverged from sequential at {workers} workers"
-            );
+            let i = counts
+                .iter()
+                .position(|&c| c == workers)
+                .expect("every requested count was measured");
             CampaignScaling {
                 workers,
-                effective_cores: avail.min(workers).max(1),
-                total_events: multi.perf().total_events,
-                single_events_per_sec: single.perf().events_per_sec(),
-                events_per_sec: multi.perf().events_per_sec(),
+                effective_cores: host_cores.min(workers).max(1),
+                total_events,
+                single_events_per_sec: reference,
+                events_per_sec: median(&samples[i]),
             }
         })
-        .collect();
-    (points, single_json)
+        .collect()
 }
 
-/// One multi-process fan-out measurement: the quick matrix split into
-/// `procs` shards, each executed by a freshly spawned `repro shard`
-/// child, the shards merged back and verified bit-identical to the
-/// sequential run before any number is reported.
-#[derive(Copy, Clone, Debug)]
-pub struct DistPoint {
-    /// Child processes the matrix was fanned out to.
-    pub procs: usize,
-    /// Whether each child was pinned to a core (`--pin i mod host
-    /// cores`). Only ever `true` when [`pinning_available`] confirmed the
-    /// host grants the affinity, so the flag records what happened, not
-    /// what was asked for.
-    pub pinned: bool,
-    /// The encoding the children shipped their shards back in.
-    pub wire: WireFormat,
-    /// `min(procs, host cores)` — what efficiency is judged against.
-    pub effective_cores: usize,
-    /// Memory-reference events the matrix simulates.
-    pub total_events: u64,
-    /// Parent-measured wall seconds, first spawn to last shard parsed —
-    /// process startup, workload regeneration and JSON transport all
-    /// included, because a real fan-out pays all of them.
-    pub wall_seconds: f64,
-    /// The same flavor's 1-process fan-out throughput (the baseline its
-    /// efficiency is judged against — also a child process, so spawn
-    /// overhead cancels out of the ratio).
-    pub single_events_per_sec: f64,
-}
-
-impl DistPoint {
-    /// Aggregate events per parent-measured wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.total_events as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Throughput normalized per *effective* core.
-    pub fn events_per_sec_per_core(&self) -> f64 {
-        if self.effective_cores > 0 {
-            self.events_per_sec() / self.effective_cores as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Scaling efficiency against the same-flavor 1-process fan-out on
-    /// the effective cores (1.0 = perfect linear scaling).
-    pub fn efficiency(&self) -> f64 {
-        scaling_efficiency(
-            self.single_events_per_sec,
-            self.events_per_sec(),
-            self.effective_cores,
-        )
-    }
-}
-
-/// A full multi-process scaling measurement: the pinned and unpinned
-/// fan-out grids over one process-count list, plus the host's core count
-/// (recorded so a committed record says what machine class produced it).
-#[derive(Clone, Debug)]
-pub struct DistScaling {
-    /// `std::thread::available_parallelism` of the measuring host.
-    pub host_cores: usize,
-    /// Pinned points first (in `procs_list` order), then unpinned.
-    pub points: Vec<DistPoint>,
-}
-
-/// Spawns `procs` children of `exe` (`repro shard i/procs --wire W`,
-/// plus `--pin i mod host cores` when `pin`), collects their shards from
-/// stdout, and merges them. The parent negotiates each child's output by
-/// its first byte — a [`strex::binwire`] magic opens the binary
-/// decoder, anything else is the JSON path — so `wire` only tells the
-/// children what to emit. Returns the merged result and the
-/// parent-measured wall seconds. Child failures, unparseable output and
-/// incomplete shard sets are `io::Error`s, not panics.
-pub fn dist_fan_out(
-    exe: &Path,
-    procs: usize,
-    pin: bool,
-    wire: WireFormat,
-) -> io::Result<(CampaignResult, f64)> {
-    fan_out_with_args(exe, procs, pin, wire, &[])
-}
-
-/// Fans a **scenario's** matrix out to `procs` child processes — the
-/// `repro check --procs N` execution path. Children are `repro shard
-/// i/procs --scenario <path> --wire W`: each re-parses the scenario file
-/// itself (so the parent and children agree on the matrix by
-/// construction — same file, same validated parse) and ships its shard
-/// back exactly like a quick-matrix fan-out. The merged result is what
-/// the caller evaluates assertions against; by the executor's
-/// determinism guarantee it is bit-identical to an in-process
-/// [`Campaign::run`](strex::campaign::Campaign::run) of the same matrix.
-pub fn scenario_fan_out(
-    exe: &Path,
-    scenario_path: &Path,
-    procs: usize,
-    wire: WireFormat,
-) -> io::Result<CampaignResult> {
-    let extra = [
-        "--scenario".to_string(),
-        scenario_path.display().to_string(),
-    ];
-    fan_out_with_args(exe, procs, false, wire, &extra).map(|(merged, _)| merged)
-}
-
-/// The shared spawn/drain/merge engine behind [`dist_fan_out`] and
-/// [`scenario_fan_out`]: spawns `procs` `repro shard i/procs` children
-/// with `extra_args` appended, drains each child's stdout on its own
-/// thread, negotiates the wire format by first byte, and merges the
-/// shards.
-fn fan_out_with_args(
-    exe: &Path,
-    procs: usize,
-    pin: bool,
-    wire: WireFormat,
-    extra_args: &[String],
-) -> io::Result<(CampaignResult, f64)> {
-    // Kills and reaps already-spawned children when a later spawn fails —
-    // no zombies (or whole shards burning CPU for a result nobody will
-    // read) behind a library call. After the spawn loop, each child is
-    // waited on by its own drain thread instead.
-    fn reap(children: impl Iterator<Item = std::process::Child>) {
-        for mut child in children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-
-    let cores = host_cores();
-    let start = Instant::now();
-    let mut children = Vec::with_capacity(procs);
-    for i in 0..procs {
-        let mut cmd = Command::new(exe);
-        cmd.arg("shard")
-            .arg(format!("{i}/{procs}"))
-            .arg("--wire")
-            .arg(wire.to_string());
-        if pin {
-            cmd.arg("--pin").arg((i % cores).to_string());
-        }
-        cmd.args(extra_args);
-        cmd.stdout(Stdio::piped());
-        // Stderr is captured too, so a failing child's own words travel
-        // into the error the caller sees instead of a bare exit status.
-        cmd.stderr(Stdio::piped());
-        match cmd.spawn() {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                reap(children.into_iter());
-                return Err(e);
-            }
-        }
-    }
-    // One drain thread per child: the ~64 KiB pipe buffer means a child
-    // that finishes while the parent is reading a sibling would otherwise
-    // block in write(2), serializing JSON transport into the measured
-    // wall time. Concurrent drains keep transport overlapped — and every
-    // child is waited on by its own thread, so no error path leaves a
-    // zombie.
-    let readers: Vec<_> = children
-        .into_iter()
-        .enumerate()
-        .map(|(i, child)| {
-            std::thread::spawn(move || -> io::Result<CampaignShard> {
-                let out = child.wait_with_output()?;
-                if !out.status.success() {
-                    // Same rendering the dispatcher uses for a lost
-                    // worker: peer, exit status, and its stderr.
-                    return Err(io::Error::other(strex::dispatch::peer_failure(
-                        &format!("shard child {i}/{procs}"),
-                        &out.status.to_string(),
-                        &String::from_utf8_lossy(&out.stderr),
-                    )));
-                }
-                // Negotiate by first byte, exactly like the dispatch
-                // protocol reader: binary shards open with the binwire
-                // magic, which no JSON (or UTF-8) output can start with.
-                if out.stdout.first().copied().is_some_and(binwire::is_binary) {
-                    return CampaignShard::from_bin(&out.stdout)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-                }
-                let text = std::str::from_utf8(&out.stdout)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                CampaignShard::from_json(text.trim())
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-            })
-        })
-        .collect();
-    let mut shards: Vec<CampaignShard> = Vec::with_capacity(procs);
-    let mut first_err: Option<io::Error> = None;
-    for handle in readers {
-        match handle.join() {
-            Ok(Ok(shard)) => shards.push(shard),
-            Ok(Err(e)) => first_err = first_err.or(Some(e)),
-            Err(_) => {
-                first_err = first_err.or_else(|| Some(io::Error::other("shard drain panicked")))
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    let merged =
-        merge(shards).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let wall_seconds = start.elapsed().as_secs_f64();
-    Ok((merged, wall_seconds))
-}
-
-/// Measures the multi-process fan-out grid: for each wire format in
-/// `wires` and each pinning flavor, a 1-process baseline plus every
-/// count in `procs_list`, each point's merged result checked
-/// **bit-identical** to an in-process sequential run before its
-/// throughput is recorded. Efficiency is judged against the same
-/// `(wire, pinned)` flavor's own 1-process baseline, so the per-wire
-/// grids are directly comparable.
-///
-/// `exe` is the `repro` binary itself (`std::env::current_exe()` in the
-/// caller) — the children are `repro shard` invocations. `golden` is the
-/// sequential campaign's serialized form when the caller already has one
-/// (e.g. from [`campaign_scaling_sweep_with_golden`], saving a redundant
-/// full-matrix simulation); `None` computes it here.
-pub fn dist_scaling(
-    exe: &Path,
-    procs_list: &[usize],
-    golden: Option<&str>,
-    wires: &[WireFormat],
-) -> io::Result<DistScaling> {
-    let golden = match golden {
-        Some(g) => g.to_string(),
-        None => {
-            let workloads = quick_matrix_workloads();
-            quick_campaign(&workloads)
-                .parallelism(1)
-                .run()
-                .expect("quick matrix is valid")
-                .to_json()
-        }
-    };
-    let cores = host_cores();
-    let mut points = Vec::new();
-    // The pinned flavor runs only where pinning would actually stick
-    // (Linux, cores inside the cpuset) — the recorded `pinned` flag
-    // reports an outcome, not an intent.
-    let max_procs = procs_list.iter().copied().max().unwrap_or(1);
-    let flavors: &[bool] = if pinning_available(max_procs) {
-        &[true, false]
+/// The middle value (the mean of the middle two for an even count).
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
     } else {
-        &[false]
-    };
-    for &wire in wires {
-        for &pinned in flavors {
-            let measure = |procs: usize, single_eps: f64| -> io::Result<DistPoint> {
-                let (merged, wall_seconds) = dist_fan_out(exe, procs, pinned, wire)?;
-                if merged.to_json() != golden {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "merged {procs}-process campaign diverged from the sequential run \
-                             (pinned={pinned}, wire={wire})"
-                        ),
-                    ));
-                }
-                Ok(DistPoint {
-                    procs,
-                    pinned,
-                    wire,
-                    effective_cores: cores.min(procs).max(1),
-                    total_events: merged.perf().total_events,
-                    wall_seconds,
-                    single_events_per_sec: single_eps,
-                })
-            };
-            let mut baseline = measure(1, 0.0)?;
-            let single_eps = baseline.events_per_sec();
-            baseline.single_events_per_sec = single_eps;
-            for &procs in procs_list {
-                if procs == 1 {
-                    points.push(baseline);
-                } else {
-                    points.push(measure(procs, single_eps)?);
-                }
-            }
-        }
-    }
-    Ok(DistScaling {
-        host_cores: cores,
-        points,
-    })
-}
-
-/// One wire format's share of the transport tax: what encoding and
-/// decoding every shard of the accounting matrix costs, and how many
-/// bytes cross the process boundary.
-#[derive(Clone, Debug)]
-pub struct WireTiming {
-    /// Which encoding was timed.
-    pub wire: WireFormat,
-    /// Encoded bytes across all shards.
-    pub bytes: u64,
-    /// Wall seconds to encode every shard (best of the measuring passes).
-    pub encode_seconds: f64,
-    /// Wall seconds to decode every shard back (best of the passes).
-    pub decode_seconds: f64,
-}
-
-impl WireTiming {
-    /// Encode + decode: the CPU cost one full transport round trip pays.
-    pub fn round_trip_seconds(&self) -> f64 {
-        self.encode_seconds + self.decode_seconds
-    }
-}
-
-/// Same-run transport-vs-compute accounting: the quick matrix split into
-/// `shards` shards and executed once in-process (the compute
-/// denominator), then every shard encoded and decoded under each wire
-/// format (the transport numerator). This is what locates the fan-out's
-/// efficiency loss: if a wire's round trip is a large fraction of shard
-/// compute, the children are paying serialization, not simulation.
-#[derive(Clone, Debug)]
-pub struct TransportAccounting {
-    /// How many shards the matrix was split into.
-    pub shards: usize,
-    /// Wall seconds to execute all shards sequentially in-process.
-    pub compute_seconds: f64,
-    /// Per-wire-format timings, JSON first.
-    pub wires: Vec<WireTiming>,
-}
-
-impl TransportAccounting {
-    /// The timing recorded for `wire`, if measured.
-    pub fn timing(&self, wire: WireFormat) -> Option<&WireTiming> {
-        self.wires.iter().find(|t| t.wire == wire)
-    }
-
-    /// Binary round-trip cost as a fraction of the JSON round-trip cost
-    /// (< 1.0 means the binary path is cheaper).
-    pub fn bin_round_trip_vs_json(&self) -> f64 {
-        match (self.timing(WireFormat::Bin), self.timing(WireFormat::Json)) {
-            (Some(bin), Some(json)) if json.round_trip_seconds() > 0.0 => {
-                bin.round_trip_seconds() / json.round_trip_seconds()
-            }
-            _ => 0.0,
-        }
-    }
-}
-
-/// Measures [`TransportAccounting`] for the quick matrix split
-/// `shard_count` ways: runs every shard once (timed), then encodes and
-/// decodes each under both wire formats, keeping the fastest of a few
-/// passes per direction. Every decode is asserted bit-identical (via the
-/// canonical JSON re-serialization) to the shard it came from, so the
-/// numbers can never come from a lossy path.
-pub fn transport_accounting(shard_count: usize) -> TransportAccounting {
-    let workloads = quick_matrix_workloads();
-    let campaign = quick_campaign(&workloads);
-    let start = Instant::now();
-    let shards: Vec<CampaignShard> = (0..shard_count)
-        .map(|i| {
-            campaign
-                .run_shard(ShardSpec::new(i, shard_count).expect("valid spec"))
-                .expect("quick matrix is valid")
-        })
-        .collect();
-    let compute_seconds = start.elapsed().as_secs_f64();
-
-    const PASSES: usize = 5;
-    let encode = |wire: WireFormat, s: &CampaignShard| -> Vec<u8> {
-        match wire {
-            WireFormat::Json => s.to_json().into_bytes(),
-            WireFormat::Bin => s.to_bin(),
-        }
-    };
-    let decode = |wire: WireFormat, p: &[u8]| -> CampaignShard {
-        match wire {
-            WireFormat::Json => {
-                CampaignShard::from_json(std::str::from_utf8(p).expect("JSON payloads are UTF-8"))
-            }
-            WireFormat::Bin => CampaignShard::from_bin(p),
-        }
-        .expect("self-encoded shards decode")
-    };
-    let wires = [WireFormat::Json, WireFormat::Bin]
-        .into_iter()
-        .map(|wire| {
-            let mut encode_seconds = f64::INFINITY;
-            let mut payloads: Vec<Vec<u8>> = Vec::new();
-            for _ in 0..PASSES {
-                let start = Instant::now();
-                let encoded: Vec<Vec<u8>> = shards.iter().map(|s| encode(wire, s)).collect();
-                encode_seconds = encode_seconds.min(start.elapsed().as_secs_f64());
-                payloads = encoded;
-            }
-            let bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
-            let mut decode_seconds = f64::INFINITY;
-            for _ in 0..PASSES {
-                let start = Instant::now();
-                for p in &payloads {
-                    std::hint::black_box(decode(wire, p));
-                }
-                decode_seconds = decode_seconds.min(start.elapsed().as_secs_f64());
-            }
-            for (s, p) in shards.iter().zip(&payloads) {
-                assert_eq!(
-                    decode(wire, p).to_json(),
-                    s.to_json(),
-                    "transport accounting round trip must be bit-identical ({wire})"
-                );
-            }
-            WireTiming {
-                wire,
-                bytes,
-                encode_seconds,
-                decode_seconds,
-            }
-        })
-        .collect();
-    TransportAccounting {
-        shards: shard_count,
-        compute_seconds,
-        wires,
+        sorted[mid]
     }
 }
 
@@ -1162,9 +738,7 @@ pub fn same_run_micros() -> SameRunMicros {
 /// PR 2 and PR 3 baselines, a fresh measurement of the current build, the
 /// trajectory ratios between them, the sharded-executor scale-out section
 /// (aggregate events/sec, events/sec-per-core, scaling efficiency), the
-/// multi-process `dist` fan-out grid (events/sec at each process count,
-/// pinned vs unpinned, per wire format), the same-run transport-vs-compute
-/// accounting, the measuring host's core count, the CI-recorded
+/// measuring host's core count, the CI-recorded
 /// PGO-vs-plain ratio when available, and the three same-run hot-path
 /// microbenchmarks (each timing the optimized path against its in-tree
 /// reference inside this very run, so those ratios are portable across
@@ -1180,8 +754,6 @@ pub fn bench_json(
     pr3: &BenchRecord,
     micros: &SameRunMicros,
     scaling: &CampaignScaling,
-    dist: &DistScaling,
-    transport: &TransportAccounting,
     pgo: Option<PgoComparison>,
 ) -> String {
     let mut w = JsonWriter::new();
@@ -1193,7 +765,7 @@ pub fn bench_json(
     // What machine class produced this record: absolute numbers and
     // scaling points are only comparable across runs on similar hosts.
     w.key("host_cores");
-    w.number_u64(dist.host_cores as u64);
+    w.number_u64(host_cores() as u64);
     w.key("baseline");
     baseline.write_into(&mut w);
     w.key("pr2");
@@ -1214,9 +786,10 @@ pub fn bench_json(
     w.begin_object();
     w.key("description");
     w.string(
-        "the quick matrix executed by the sharded campaign executor, once \
-         sequentially and once on `workers` workers (bit-identical results \
-         asserted); scaling efficiency is judged against \
+        "the quick matrix executed by the sharded campaign executor \
+         sequentially and on `workers` workers in 3 interleaved rounds \
+         (medians; bit-identical results asserted); scaling efficiency is \
+         judged against \
          effective_cores = min(workers, available cores), so the committed \
          record stays meaningful on small recording machines",
     );
@@ -1234,88 +807,6 @@ pub fn bench_json(
     w.float(scaling.events_per_sec_per_core());
     w.key("scaling_efficiency");
     w.float(scaling.efficiency());
-    w.end_object();
-    w.key("dist");
-    w.begin_object();
-    w.key("description");
-    w.string(
-        "the quick matrix fanned out to `procs` child processes (`repro \
-         shard i/procs --wire W`), shards shipped back over stdout in the \
-         point's wire format, merged, and checked bit-identical to the \
-         sequential run; wall time is parent-measured and includes process \
-         startup, one workload generation per child process (shared \
-         in-process via the WorkloadCache) and shard transport. pinned \
-         points run each child under sched_setaffinity on core i mod \
-         host_cores. efficiency is against the same (wire, pinned) \
-         flavor's 1-process fan-out on \
-         effective_cores = min(procs, host cores)",
-    );
-    w.key("points");
-    w.begin_array();
-    for p in &dist.points {
-        w.begin_object();
-        w.key("procs");
-        w.number_u64(p.procs as u64);
-        w.key("pinned");
-        w.boolean(p.pinned);
-        w.key("wire");
-        w.string(&p.wire.to_string());
-        w.key("effective_cores");
-        w.number_u64(p.effective_cores as u64);
-        w.key("total_events");
-        w.number_u64(p.total_events);
-        w.key("wall_seconds");
-        w.float(p.wall_seconds);
-        w.key("events_per_sec");
-        w.float(p.events_per_sec());
-        w.key("events_per_sec_per_core");
-        w.float(p.events_per_sec_per_core());
-        w.key("scaling_efficiency");
-        w.float(p.efficiency());
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.key("transport");
-    w.begin_object();
-    w.key("description");
-    w.string(
-        "same-run transport-vs-compute accounting: the quick matrix split \
-         into `shards` shards and executed once in-process \
-         (compute_seconds), then every shard encoded and decoded under \
-         each wire format (best of 5 passes per direction, every decode \
-         asserted bit-identical). bin_round_trip_vs_json < 1.0 means the \
-         binary wire is cheaper than JSON",
-    );
-    w.key("shards");
-    w.number_u64(transport.shards as u64);
-    w.key("compute_seconds");
-    w.float(transport.compute_seconds);
-    w.key("wires");
-    w.begin_array();
-    for t in &transport.wires {
-        w.begin_object();
-        w.key("wire");
-        w.string(&t.wire.to_string());
-        w.key("bytes");
-        w.number_u64(t.bytes);
-        w.key("encode_seconds");
-        w.float(t.encode_seconds);
-        w.key("decode_seconds");
-        w.float(t.decode_seconds);
-        w.key("round_trip_seconds");
-        w.float(t.round_trip_seconds());
-        w.key("round_trip_vs_compute");
-        w.float(if transport.compute_seconds > 0.0 {
-            t.round_trip_seconds() / transport.compute_seconds
-        } else {
-            0.0
-        });
-        w.end_object();
-    }
-    w.end_array();
-    w.key("bin_round_trip_vs_json");
-    w.float(transport.bin_round_trip_vs_json());
     w.end_object();
     if let Some(pgo) = pgo {
         w.key("pgo");
@@ -1449,73 +940,6 @@ mod tests {
         }
     }
 
-    fn tiny_dist() -> DistScaling {
-        DistScaling {
-            host_cores: 4,
-            points: vec![
-                DistPoint {
-                    procs: 1,
-                    pinned: true,
-                    wire: WireFormat::Bin,
-                    effective_cores: 1,
-                    total_events: 1000,
-                    wall_seconds: 1.0,
-                    single_events_per_sec: 1000.0,
-                },
-                DistPoint {
-                    procs: 4,
-                    pinned: true,
-                    wire: WireFormat::Bin,
-                    effective_cores: 4,
-                    total_events: 1000,
-                    wall_seconds: 0.3125,
-                    single_events_per_sec: 1000.0,
-                },
-            ],
-        }
-    }
-
-    fn tiny_transport() -> TransportAccounting {
-        TransportAccounting {
-            shards: 2,
-            compute_seconds: 1.0,
-            wires: vec![
-                WireTiming {
-                    wire: WireFormat::Json,
-                    bytes: 4000,
-                    encode_seconds: 0.06,
-                    decode_seconds: 0.04,
-                },
-                WireTiming {
-                    wire: WireFormat::Bin,
-                    bytes: 1000,
-                    encode_seconds: 0.015,
-                    decode_seconds: 0.01,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn dist_point_arithmetic() {
-        let p = &tiny_dist().points[1];
-        assert!((p.events_per_sec() - 3200.0).abs() < 1e-9);
-        assert!((p.events_per_sec_per_core() - 800.0).abs() < 1e-9);
-        assert!((p.efficiency() - 0.8).abs() < 1e-9);
-        let degenerate = DistPoint {
-            procs: 0,
-            pinned: false,
-            wire: WireFormat::Json,
-            effective_cores: 0,
-            total_events: 0,
-            wall_seconds: 0.0,
-            single_events_per_sec: 0.0,
-        };
-        assert_eq!(degenerate.events_per_sec(), 0.0);
-        assert_eq!(degenerate.events_per_sec_per_core(), 0.0);
-        assert_eq!(degenerate.efficiency(), 0.0);
-    }
-
     #[test]
     fn json_shape() {
         let r = tiny_record();
@@ -1529,20 +953,7 @@ mod tests {
         let scaling = tiny_scaling();
         assert!((scaling.events_per_sec_per_core() - 800.0).abs() < 1e-9);
         assert!((scaling.efficiency() - 0.8).abs() < 1e-9);
-        let transport = tiny_transport();
-        assert!((transport.bin_round_trip_vs_json() - 0.25).abs() < 1e-9);
-        let merged = bench_json(
-            &r,
-            &r,
-            &r,
-            &r,
-            &micros,
-            &scaling,
-            &tiny_dist(),
-            &transport,
-            None,
-        );
-        assert!(merged.contains(r#""host_cores":4"#));
+        let merged = bench_json(&r, &r, &r, &r, &micros, &scaling, None);
         assert!(merged.contains(r#""baseline":"#));
         assert!(merged.contains(r#""pr2":"#));
         assert!(merged.contains(r#""pr3":"#));
@@ -1552,12 +963,8 @@ mod tests {
         assert!(merged.contains(r#""campaign":"#));
         assert!(merged.contains(r#""events_per_sec_per_core":800"#));
         assert!(merged.contains(r#""scaling_efficiency":0.8"#));
-        assert!(merged.contains(r#""dist":"#));
-        assert!(merged.contains(r#""procs":4"#));
-        assert!(merged.contains(r#""pinned":true"#));
-        assert!(merged.contains(r#""wire":"bin""#));
-        assert!(merged.contains(r#""transport":"#));
-        assert!(merged.contains(r#""bin_round_trip_vs_json":0.25"#));
+        assert!(!merged.contains(r#""dist":"#));
+        assert!(!merged.contains(r#""transport":"#));
         assert!(
             !merged.contains(r#""pgo":"#),
             "no pgo section without CI env"
@@ -1568,12 +975,30 @@ mod tests {
         assert!(merged.contains(r#""passive_driver""#));
         assert!(merged.contains(r#""speedup":2"#), "microbench speedup");
         // The document parses back through the in-tree reader (the gate's
-        // path) and the dist section round-trips numerically.
+        // path) and records the measuring host.
         let doc = strex::jsonval::JsonValue::parse(&merged).expect("well-formed");
-        assert_eq!(doc.req_u64("host_cores").unwrap(), 4);
-        let points = doc.get("dist.points").unwrap().as_array().unwrap();
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[1].req_u64("procs").unwrap(), 4);
+        assert_eq!(doc.req_u64("host_cores").unwrap(), host_cores() as u64);
+        assert_eq!(doc.req_u64("campaign.workers").unwrap(), 4);
+    }
+
+    #[test]
+    fn one_worker_scaling_point_is_the_reference() {
+        // Noisy rounds on purpose: the 1-worker row must still read
+        // exactly 1.0, because it is the reference rather than a rerun.
+        let counts = [1, 2, 4];
+        let samples = vec![
+            vec![1000.0, 1100.0, 900.0],
+            vec![1700.0, 1900.0, 1800.0],
+            vec![1750.0, 1850.0, 1800.0],
+        ];
+        let points = scaling_points(&[1, 2, 4], &counts, &samples, 500, 2);
+        assert_eq!(points[0].efficiency(), 1.0);
+        assert_eq!(points[0].events_per_sec, 1000.0);
+        assert_eq!(points[1].single_events_per_sec, 1000.0);
+        assert!((points[1].efficiency() - 0.9).abs() < 1e-12);
+        assert_eq!(points[2].effective_cores, 2);
+        assert!((points[2].efficiency() - 0.9).abs() < 1e-12);
+        assert_eq!(median(&[3.0, 1.0, 2.0, 10.0]), 2.5);
     }
 
     #[test]
@@ -1584,17 +1009,7 @@ mod tests {
         };
         // tiny_record: 1000 events in 0.5 s = 2000 events/sec → 2x plain.
         assert!((pgo.ratio(tiny_record().events_per_sec()) - 2.0).abs() < 1e-9);
-        let merged = bench_json(
-            &r,
-            &r,
-            &r,
-            &r,
-            &tiny_micros(),
-            &tiny_scaling(),
-            &tiny_dist(),
-            &tiny_transport(),
-            Some(pgo),
-        );
+        let merged = bench_json(&r, &r, &r, &r, &tiny_micros(), &tiny_scaling(), Some(pgo));
         assert!(merged.contains(r#""pgo":"#));
         assert!(merged.contains(r#""plain_events_per_sec":1000"#));
         assert!(merged.contains(r#""pgo_vs_plain":2"#));

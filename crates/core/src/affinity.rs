@@ -1,7 +1,8 @@
-//! CPU affinity pinning for campaign workers and `repro dist` children.
+//! CPU affinity pinning for campaign workers and dispatcher worker
+//! processes.
 //!
-//! Multi-process campaign fan-out wants each worker process (and each
-//! in-process worker thread) parked on one core: pinning stops the OS
+//! A campaign wants each worker thread (and each `repro work` process)
+//! parked on one core: pinning stops the OS
 //! scheduler from migrating a worker mid-cell, which would drag its
 //! packed trace stream and simulator state across LLC domains and charge
 //! the migration to the measurement. Workers execute their cells
@@ -22,9 +23,8 @@
 /// 1024-bit `cpu_set_t`, or when the kernel rejects the mask (e.g. the
 /// core does not exist or is outside the process's cgroup cpuset).
 ///
-/// Child processes inherit the mask across `fork`/`exec`, which is how
-/// `repro dist --pin` spreads its shard children: the parent passes each
-/// child a `--pin <core>` argument and the child pins itself first thing.
+/// `repro work --pin <core>` calls this first thing, so a host can run
+/// one pinned dispatcher worker per core.
 pub fn pin_to_core(core: usize) -> bool {
     pin_impl(core)
 }

@@ -31,11 +31,12 @@
 //! with [`scaling_efficiency`]. This is the scale-out headline metric the
 //! `repro scale` subcommand and the `BENCH_*.json` trajectory report.
 //!
-//! # The multi-process layer
+//! # Sharding
 //!
-//! Thread scaling tops out where the workers start sharing an allocator
-//! and an LLC; process fan-out sidesteps both, and the same wire format
-//! crosses a socket to another machine. The pieces compose:
+//! One host fans a matrix out on threads ([`Campaign::parallelism`]);
+//! work that crosses processes or hosts goes through the
+//! [`crate::dispatch`] fleet, which splits a job into shards. The pieces
+//! compose:
 //!
 //! * [`ShardSpec`] partitions the cell matrix deterministically *by
 //!   stable cell key* ([`shard_of`]): shard membership depends only on
@@ -44,12 +45,12 @@
 //! * [`Campaign::run_shard`] executes one shard's cells (workload-major,
 //!   one reused scratch) into a [`CampaignShard`], which serializes to
 //!   JSON and parses back ([`CampaignShard::from_json`]) with full
-//!   fidelity — the wire format `repro dist` children ship over stdout.
+//!   fidelity — the payload of the dispatcher's `shard_done` frame.
 //! * [`merge`] reassembles a complete shard set into a [`CampaignResult`]
 //!   bit-identical to the single-process run, for any shard count and
 //!   any merge order.
-//! * [`Campaign::pin_workers`] (and the `repro dist --pin` protocol for
-//!   child processes) parks each worker on one core via
+//! * [`Campaign::pin_workers`] (and `repro work --pin` for a dispatcher
+//!   worker process) parks each worker on one core via
 //!   [`crate::affinity`], keeping its workload-major trace stream
 //!   LLC-hot across cells.
 //!
@@ -80,7 +81,6 @@ use std::time::Instant;
 
 use strex_oltp::workload::Workload;
 
-use crate::binwire::{self, BinReader, BinWriter};
 use crate::config::{SchedulerKind, SimConfig};
 use crate::driver::{run_factory, SimScratch};
 use crate::error::ConfigError;
@@ -334,11 +334,11 @@ impl<'w> Campaign<'w> {
         self.run_shard_on(spec, registry::global())
     }
 
-    /// Executes the cells [`spec`](ShardSpec) owns — the multi-process
-    /// half of the executor.
+    /// Executes the cells [`spec`](ShardSpec) owns — the half of the
+    /// executor a dispatcher worker runs.
     ///
     /// The full matrix is enumerated and validated exactly as
-    /// [`run_on`](Campaign::run_on) does (so every process of a fan-out
+    /// [`run_on`](Campaign::run_on) does (so every worker of a fleet
     /// agrees on cell indices), then only the owned cells run, on the
     /// calling thread, in matrix order — workload-major, so consecutive
     /// cells replay the same packed trace pool and the stream stays
@@ -519,7 +519,7 @@ impl ShardSpec {
 }
 
 impl fmt::Display for ShardSpec {
-    /// The `index/count` form the `repro shard` CLI accepts.
+    /// The `index/count` form.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.index, self.count)
     }
@@ -775,52 +775,6 @@ impl CampaignResult {
             },
         })
     }
-
-    /// Serializes the campaign as a binwire document — the binary twin
-    /// of [`to_json`](CampaignResult::to_json), carrying exactly the
-    /// same information (cells only; [`perf`](CampaignResult::perf) is
-    /// excluded for the same worker-count-independence reason).
-    pub fn to_bin(&self) -> Vec<u8> {
-        let mut w = BinWriter::new(binwire::KIND_RESULT);
-        w.len(self.cells.len());
-        for cell in &self.cells {
-            write_cell_bin(&mut w, None, cell);
-        }
-        w.finish()
-    }
-
-    /// Parses a campaign from its [`to_bin`](CampaignResult::to_bin)
-    /// form. Like [`from_json`](CampaignResult::from_json), the
-    /// never-serialized `perf` comes back zeroed with `total_events`
-    /// recomputed, and `workload_idx` is reconstructed from the
-    /// workload-major run structure — so the binary and JSON paths
-    /// decode to identical values.
-    pub fn from_bin(bytes: &[u8]) -> Result<CampaignResult, WireError> {
-        let mut r = BinReader::new(bytes, binwire::KIND_RESULT)?;
-        let n = r.len(1)?;
-        let mut cells: Vec<CampaignCell> = Vec::with_capacity(n);
-        let mut workload_idx = 0usize;
-        for _ in 0..n {
-            let (_, mut cell) = cell_from_bin(&mut r, false)?;
-            if let Some(prev) = cells.last() {
-                if prev.key.workload != cell.key.workload {
-                    workload_idx += 1;
-                }
-            }
-            cell.key.workload_idx = workload_idx;
-            cells.push(cell);
-        }
-        r.finish()?;
-        let total_events = cells.iter().map(|c| report_events(&c.report)).sum();
-        Ok(CampaignResult {
-            cells,
-            perf: CampaignPerf {
-                workers: 0,
-                wall_seconds: 0.0,
-                total_events,
-            },
-        })
-    }
 }
 
 /// Writes one cell as JSON. Without `index` this is exactly the
@@ -886,45 +840,6 @@ fn cell_from_json(v: &JsonValue) -> Result<(usize, CampaignCell), WireError> {
     Ok((index, CampaignCell { key, report }))
 }
 
-/// Writes one cell in binwire form. Mirrors [`write_cell_json`]: with
-/// `index` (the shard wire format) the cell carries its matrix position
-/// and the key carries `workload_idx`; without, neither is shipped (the
-/// campaign layout, where `workload_idx` is reconstructed on parse). No
-/// redundant `id` string — the binary form carries each key field once.
-fn write_cell_bin(w: &mut BinWriter, index: Option<usize>, cell: &CampaignCell) {
-    if let Some(i) = index {
-        w.u64(i as u64);
-        w.u64(cell.key.workload_idx as u64);
-    }
-    w.str(&cell.key.workload);
-    w.str(&cell.key.scheduler);
-    w.u64(cell.key.cores as u64);
-    w.u64(cell.key.team_size as u64);
-    binwire::write_report(w, &cell.report);
-}
-
-/// Parses one cell written by [`write_cell_bin`]; `with_index` selects
-/// the shard layout (matrix index + `workload_idx` present).
-fn cell_from_bin(
-    r: &mut BinReader<'_>,
-    with_index: bool,
-) -> Result<(usize, CampaignCell), WireError> {
-    let (index, workload_idx) = if with_index {
-        (r.u64()? as usize, r.u64()? as usize)
-    } else {
-        (0, 0)
-    };
-    let key = CellKey {
-        workload: r.str()?.to_string(),
-        workload_idx,
-        scheduler: r.str()?.to_string(),
-        cores: r.u64()? as usize,
-        team_size: r.u64()? as usize,
-    };
-    let report = binwire::read_report(r)?;
-    Ok((index, CampaignCell { key, report }))
-}
-
 /// One shard's worth of an executed campaign: the cells a [`ShardSpec`]
 /// owns, each tagged with its matrix index, plus the shard's own
 /// [`CampaignPerf`] measurement. Produced by [`Campaign::run_shard`],
@@ -960,7 +875,7 @@ impl CampaignShard {
     /// its matrix index and full key (including `workload_idx`).
     ///
     /// Unlike [`CampaignResult::to_json`], `perf` *is* serialized here —
-    /// it is the child process's self-measurement and crossing the
+    /// it is the executing worker's self-measurement and crossing the
     /// process boundary is its whole purpose. The bit-identity guarantee
     /// applies to the merged result's cells, never to perf metadata.
     pub fn to_json(&self) -> String {
@@ -1033,47 +948,6 @@ impl CampaignShard {
         spec.validate()?;
         Ok(CampaignShard { spec, cells, perf })
     }
-
-    /// Serializes the shard as a binwire document — the binary twin of
-    /// [`to_json`](CampaignShard::to_json), carrying the same spec, perf
-    /// and indexed cells (`perf` crosses the boundary here too: it is
-    /// the child process's self-measurement).
-    pub fn to_bin(&self) -> Vec<u8> {
-        let mut w = BinWriter::new(binwire::KIND_SHARD);
-        w.u64(self.spec.index as u64);
-        w.u64(self.spec.count as u64);
-        w.u64(self.perf.workers as u64);
-        w.f64(self.perf.wall_seconds);
-        w.u64(self.perf.total_events);
-        w.len(self.cells.len());
-        for (i, cell) in &self.cells {
-            write_cell_bin(&mut w, Some(*i), cell);
-        }
-        w.finish()
-    }
-
-    /// Parses a shard from its [`to_bin`](CampaignShard::to_bin) form,
-    /// with the same spec validation as the JSON path.
-    pub fn from_bin(bytes: &[u8]) -> Result<CampaignShard, WireError> {
-        let mut r = BinReader::new(bytes, binwire::KIND_SHARD)?;
-        let spec = ShardSpec {
-            index: r.u64()? as usize,
-            count: r.u64()? as usize,
-        };
-        spec.validate().map_err(|e| WireError::new(e.to_string()))?;
-        let perf = CampaignPerf {
-            workers: r.u64()? as usize,
-            wall_seconds: r.f64()?,
-            total_events: r.u64()?,
-        };
-        let n = r.len(1)?;
-        let mut cells = Vec::with_capacity(n);
-        for _ in 0..n {
-            cells.push(cell_from_bin(&mut r, true)?);
-        }
-        r.finish()?;
-        Ok(CampaignShard { spec, cells, perf })
-    }
 }
 
 /// A shard's resumable progress: the cells completed so far (with their
@@ -1084,8 +958,8 @@ impl CampaignShard {
 /// by the same entry point to resume after preemption; the dispatcher
 /// ships it in `checkpoint` frames so a reaped worker's shard re-queues
 /// from its last observed boundary instead of from zero. Serializes
-/// through both wire formats ([`to_json`](ShardCheckpoint::to_json) /
-/// [`to_bin`](ShardCheckpoint::to_bin)) with full fidelity.
+/// to JSON ([`to_json`](ShardCheckpoint::to_json) /
+/// [`from_json`](ShardCheckpoint::from_json)) with full fidelity.
 ///
 /// Invariants (enforced on parse and on resume): every completed cell's
 /// index is below `cursor`, indices strictly increase (matrix order),
@@ -1125,7 +999,7 @@ impl ShardCheckpoint {
         self.cursor
     }
 
-    /// Checks the structural invariants shared by both decode paths.
+    /// Checks the structural invariants every decoded checkpoint must hold.
     fn validate(&self) -> Result<(), WireError> {
         self.spec
             .validate()
@@ -1199,44 +1073,6 @@ impl ShardCheckpoint {
                 .iter()
                 .map(cell_from_json)
                 .collect::<Result<Vec<_>, _>>()?,
-        };
-        ckpt.validate()?;
-        Ok(ckpt)
-    }
-
-    /// Serializes the checkpoint as a binwire document — the binary twin
-    /// of [`to_json`](ShardCheckpoint::to_json).
-    pub fn to_bin(&self) -> Vec<u8> {
-        let mut w = BinWriter::new(binwire::KIND_CHECKPOINT);
-        w.u64(self.spec.index as u64);
-        w.u64(self.spec.count as u64);
-        w.u64(self.cursor as u64);
-        w.len(self.cells.len());
-        for (i, cell) in &self.cells {
-            write_cell_bin(&mut w, Some(*i), cell);
-        }
-        w.finish()
-    }
-
-    /// Parses a checkpoint from its [`to_bin`](ShardCheckpoint::to_bin)
-    /// form, with the same invariant checks as the JSON path.
-    pub fn from_bin(bytes: &[u8]) -> Result<ShardCheckpoint, WireError> {
-        let mut r = BinReader::new(bytes, binwire::KIND_CHECKPOINT)?;
-        let spec = ShardSpec {
-            index: r.u64()? as usize,
-            count: r.u64()? as usize,
-        };
-        let cursor = r.u64()? as usize;
-        let n = r.len(1)?;
-        let mut cells = Vec::with_capacity(n);
-        for _ in 0..n {
-            cells.push(cell_from_bin(&mut r, true)?);
-        }
-        r.finish()?;
-        let ckpt = ShardCheckpoint {
-            spec,
-            cells,
-            cursor,
         };
         ckpt.validate()?;
         Ok(ckpt)
@@ -1341,9 +1177,9 @@ impl std::error::Error for MergeError {}
 /// The merged [`CampaignPerf`] describes the fan-out: `workers` is the
 /// shard count, `wall_seconds` the slowest shard (the fan-out's makespan,
 /// as if shards ran concurrently — callers timing a real fan-out should
-/// measure their own wall clock, which also covers spawn and serialization
-/// overhead), and `total_events` is recomputed from the merged cells (wire
-/// perf metadata is never trusted).
+/// measure their own wall clock, which also covers transport and
+/// serialization overhead), and `total_events` is recomputed from the
+/// merged cells (wire perf metadata is never trusted).
 pub fn merge(
     shards: impl IntoIterator<Item = CampaignShard>,
 ) -> Result<CampaignResult, MergeError> {

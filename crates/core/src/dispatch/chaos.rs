@@ -36,16 +36,14 @@
 //! submitter and worker ends alive across the outage so their backoff
 //! and resubmission paths run for real.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::binwire;
-
 use super::net::{self, Acceptor};
-use super::proto::MAX_BINARY_FRAME;
+use super::proto::{is_read_timeout, read_line_bounded, ProtoError, MAX_FRAME};
 
 /// A tiny deterministic RNG (xorshift64\* over a SplitMix64-scrambled
 /// seed) for fault schedules. Self-contained on purpose: fault plans
@@ -282,16 +280,7 @@ fn pump(
         match read_raw_frame(&mut reader, &mut buf) {
             Ok(true) => {}
             Ok(false) => break, // clean EOF
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue
-            }
+            Err(ProtoError::Io(e)) if is_read_timeout(&e) => continue,
             Err(_) => break,
         }
         let n = forwarded.fetch_add(1, Ordering::SeqCst) + 1;
@@ -328,84 +317,25 @@ fn pump(
     let _ = to.shutdown(Shutdown::Both);
 }
 
-/// Reads one raw frame — bytes untouched, boundary found the same way
-/// [`read_message_buffered`](super::proto::read_message_buffered)
-/// finds it (binary magic + length prefix, else newline) — so the proxy
-/// can mangle frames without re-encoding them. `Ok(false)` is EOF.
-fn read_raw_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<bool> {
+/// Reads one raw frame — bytes untouched, boundary found by the
+/// protocol's own bounded line reader — so the proxy can mangle frames
+/// without re-encoding them. `Ok(false)` is EOF. A read timeout before
+/// a frame's first byte surfaces, so the pump can poll its stop flag;
+/// one mid-frame retries until the newline lands.
+fn read_raw_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Result<bool, ProtoError> {
     buf.clear();
-    let first = match reader.fill_buf()?.first() {
-        Some(&b) => b,
-        None => return Ok(false),
-    };
-    if binwire::is_binary(first) {
-        let mut header = [0u8; 5];
-        read_exact_retrying(reader, &mut header)?;
-        let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes")) as usize;
-        if len > MAX_BINARY_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "oversized frame through chaos proxy",
-            ));
-        }
-        buf.extend_from_slice(&header);
-        let start = buf.len();
-        buf.resize(start + len + 1, 0);
-        read_exact_retrying(reader, &mut buf[start..])?;
-        Ok(true)
-    } else {
-        // JSON line; read timeouts mid-line surface as errors from
-        // read_until, so retry until the newline lands.
-        loop {
-            match reader.read_until(b'\n', buf) {
-                Ok(0) => return Ok(!buf.is_empty()),
-                Ok(_) => {
-                    if buf.last() == Some(&b'\n') {
-                        return Ok(true);
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
-                Err(e) => return Err(e),
-            }
+    loop {
+        match read_line_bounded(reader, buf, MAX_FRAME) {
+            Err(ProtoError::Io(e)) if is_read_timeout(&e) && !buf.is_empty() => {}
+            other => return other.map(|ended| ended || !buf.is_empty()),
         }
     }
-}
-
-/// `read_exact` over a socket with a read timeout: timeouts retry,
-/// everything else propagates.
-fn read_exact_retrying(reader: &mut impl Read, out: &mut [u8]) -> io::Result<()> {
-    let mut filled = 0;
-    while filled < out.len() {
-        match reader.read(&mut out[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection died mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     #[test]
     fn rng_is_deterministic_and_seed_sensitive() {
@@ -448,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn benign_proxy_is_transparent_to_both_frame_encodings() {
+    fn benign_proxy_is_byte_transparent() {
         let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
         let upstream_addr = upstream.local_addr().expect("addr");
         let proxy =
@@ -468,20 +398,20 @@ mod tests {
             out.flush().expect("flush");
         });
 
-        let json_frame = b"{\"type\":\"heartbeat\"}\n".to_vec();
-        let payload = b"opaque \n payload bytes"; // embedded newline: length framing must win
-        let mut bin_frame = vec![binwire::MAGIC];
-        bin_frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bin_frame.extend_from_slice(payload);
-        bin_frame.push(b'\n');
+        let heartbeat = b"{\"type\":\"heartbeat\"}\n".to_vec();
+        // Escaped newline and non-ASCII text inside the line: only the
+        // real terminator ends the frame.
+        let reject = "{\"type\":\"reject\",\"reason\":\"protocol\",\"message\":\"a\\nb \u{e9}\"}\n"
+            .as_bytes()
+            .to_vec();
 
         let mut client = TcpStream::connect(proxy.local_addr()).expect("connect via proxy");
-        client.write_all(&json_frame).expect("send json");
-        client.write_all(&bin_frame).expect("send bin");
+        client.write_all(&heartbeat).expect("send heartbeat");
+        client.write_all(&reject).expect("send reject");
         client.flush().expect("flush");
 
-        let mut expected = json_frame;
-        expected.extend_from_slice(&bin_frame);
+        let mut expected = heartbeat;
+        expected.extend_from_slice(&reject);
         let mut echoed = vec![0u8; expected.len()];
         client.read_exact(&mut echoed).expect("read echo");
         assert_eq!(echoed, expected, "benign proxy must be byte-transparent");

@@ -76,13 +76,12 @@ use super::clock::Clock;
 use super::journal::{replay_journal_file, Journal, JournalEntry};
 use super::net::Acceptor;
 use super::proto::{
-    write_message_wire, FrameReader, JobSpec, Message, ProtoError, RejectReason, WorkerCaps,
+    write_message, FrameReader, JobSpec, Message, ProtoError, RejectReason, WorkerCaps,
 };
 use super::status::{
     AssignmentStatus, JobStatus, RateStatus, StatusCounters, StatusReport, WorkerStatus,
 };
 use super::DispatchError;
-use crate::binwire::WireFormat;
 
 /// Identifies one connection for the state machine's lifetime. The shell
 /// allocates these; the state machine never looks inside.
@@ -875,16 +874,12 @@ impl Coordinator {
     }
 }
 
-/// How long a [`Server`] run may keep going, and how it talks.
+/// How long a [`Server`] run may keep going, and where it journals.
 #[derive(Clone, Debug, Default)]
 pub struct ServeOptions {
     /// Stop (cleanly: listener closed, connections dropped) after this
     /// many jobs complete. `None` serves forever.
     pub max_jobs: Option<usize>,
-    /// Encoding for the `result` frames this server emits to submitters.
-    /// Control frames are always JSON; the read side negotiates per
-    /// frame, so workers pick their own `shard_done` encoding.
-    pub wire: WireFormat,
     /// Append-only job journal. When set, every durable frame
     /// (`submit`, `shard_done`, `checkpoint`) is fsync'd here *before*
     /// the state machine sees it, and an existing file is replayed
@@ -1077,7 +1072,7 @@ impl Server {
                     Action::Send(conn, msg) => {
                         let mut writers = writers.lock().expect("writer map");
                         if let Some(stream) = writers.get_mut(&conn) {
-                            if let Err(e) = write_message_wire(stream, &msg, opts.wire) {
+                            if let Err(e) = write_message(stream, &msg) {
                                 eprintln!("dispatch: write to connection {conn} failed: {e}");
                                 writers.remove(&conn);
                                 // The reader thread will report Gone; the

@@ -12,26 +12,26 @@
 //!
 //! # Record format
 //!
-//! One record is a one-line JSON header followed by the frame itself,
-//! re-encoded with the binary wire codec (checkpoint and shard payloads
-//! are bulky; the header stays greppable):
+//! One record is a one-line JSON header followed by the frame itself, as
+//! the same one-line JSON the wire carries:
 //!
 //! ```text
 //! {"type":"journal","now_ms":1234,"conn":7,"peer":"10.0.0.3"}\n
-//! <binary frame: [0xB1][u32 LE len][payload]\n>
+//! {"type":"shard_done","job":"…","shard":{…}}\n
 //! ```
 //!
 //! Appends are fsync'd per record — a journal append that returned `Ok`
 //! survives the process. A crash *mid-append* leaves a partial record at
 //! the tail; [`replay_journal_file`] tolerates exactly that (the frame
 //! was never acted on — write-ahead means the ledger is a superset of
-//! the applied state) and fails loudly on corruption anywhere else.
+//! the applied state) and fails loudly on corruption anywhere else,
+//! including a record in a format this build does not write (a journal
+//! from an older build).
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
-use crate::binwire::WireFormat;
 use crate::json::JsonWriter;
 use crate::jsonval::JsonValue;
 
@@ -98,7 +98,7 @@ impl Journal {
         header.end_object();
         let mut record = header.finish().into_bytes();
         record.push(b'\n');
-        record.extend_from_slice(&msg.to_frame_bytes(WireFormat::Bin));
+        record.extend_from_slice(msg.to_frame().as_bytes());
         // One write, then fsync: the record is on disk in order, and a
         // crash can only ever truncate the final record.
         self.file.write_all(&record)?;
@@ -245,6 +245,33 @@ mod tests {
         corrupted[frame_start] = b'X'; // first record's frame no longer parses
         std::fs::write(&path, &corrupted).unwrap();
         assert!(replay_journal_file(&path).is_err());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_binary_record_from_an_older_build_is_a_typed_corruption() {
+        let path = tmp("old-binary");
+        let _ = std::fs::remove_file(&path);
+        let mut journal = Journal::open_append(&path).expect("open");
+        journal.append(10, 1, "peer", &submit("quick")).unwrap();
+        // An older build wrote payload frames as a 0xB1 magic byte, a
+        // little-endian `u32` length, the payload and a newline.
+        let payload = [0xB1, b'D', 3, 0, 0, 0, b'j', b'o', b'b'];
+        let mut record =
+            b"{\"type\":\"journal\",\"now_ms\":20,\"conn\":1,\"peer\":\"peer\"}\n".to_vec();
+        record.push(0xB1);
+        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        record.extend_from_slice(&payload);
+        record.push(b'\n');
+        journal.file.write_all(&record).unwrap();
+        journal.append(30, 1, "peer", &submit("other")).unwrap();
+
+        let err = replay_journal_file(&path).expect_err("an old record is not a torn tail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("journal corrupt at record 1"),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,11 +1,10 @@
 //! `repro serve` / `repro work` — the TCP campaign dispatcher.
 //!
-//! The multi-process layer in [`crate::campaign`] proved the shard wire
-//! format for local child processes spawned per run; this module is the
-//! next layer up, a long-lived service: a **coordinator** accepting
-//! submissions over TCP — catalog campaigns by name, or full
-//! [`crate::scenario`] documents whose assertions the coordinator
-//! evaluates on the merged result — a fleet of **workers** executing
+//! Anything that crosses processes or hosts goes through this module, a
+//! long-lived service built on [`crate::campaign`]'s shards: a
+//! **coordinator** accepting submissions over TCP — catalog campaigns by
+//! name, or full [`crate::scenario`] documents whose assertions the
+//! coordinator evaluates on the merged result — a fleet of **workers** executing
 //! shards, and the job-lifecycle machinery between them: idempotent
 //! submission keys, per-worker liveness via heartbeats, re-queue of
 //! shards from dead or straggling workers, per-submitter token-bucket
@@ -20,9 +19,8 @@
 //!
 //! The pieces, each its own module:
 //!
-//! * [`proto`] — newline-delimited frames, JSON or length-prefixed
-//!   binary ([`crate::binwire`]) negotiated per frame by first byte;
-//!   typed parse errors, never panics.
+//! * [`proto`] — one JSON object per line, bounded in length; typed
+//!   parse errors, never panics.
 //! * [`clock`] — the deadline clock abstraction; production reads a
 //!   monotonic [`clock::SystemClock`], lifecycle tests drive
 //!   the same coordinator with a hand-advanced
@@ -70,8 +68,8 @@ pub use coordinator::{
 };
 pub use journal::{replay_journal_file, Journal, JournalEntry};
 pub use proto::{
-    read_message, read_message_buffered, write_message, write_message_wire, FrameReader, JobSpec,
-    Message, ProtoError, RejectReason, WorkerCaps,
+    read_message, read_message_buffered, write_message, FrameReader, JobSpec, Message, ProtoError,
+    RejectReason, WorkerCaps,
 };
 pub use status::{
     AssignmentStatus, JobStatus, RateStatus, StatusCounters, StatusReport, WorkerStatus,
@@ -137,32 +135,9 @@ impl From<std::io::Error> for DispatchError {
     }
 }
 
-/// One consistent rendering for "a peer process died under us", shared by
-/// the `repro dist` child-process error path and the dispatcher's
-/// worker-loss logging: what the peer was, how it exited, and whatever it
-/// said on stderr (trimmed; omitted when silent).
-pub fn peer_failure(peer: &str, status: &str, stderr: &str) -> String {
-    let stderr = stderr.trim();
-    if stderr.is_empty() {
-        format!("{peer} exited with {status} (no stderr)")
-    } else {
-        format!("{peer} exited with {status}; stderr:\n{stderr}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn peer_failure_includes_status_and_stderr() {
-        let msg = peer_failure("shard child 2/4", "exit status: 101", "thread panicked\n");
-        assert!(msg.contains("shard child 2/4"));
-        assert!(msg.contains("exit status: 101"));
-        assert!(msg.contains("thread panicked"));
-        let silent = peer_failure("worker", "signal: 9", "  ");
-        assert!(silent.contains("no stderr"), "{silent}");
-    }
 
     #[test]
     fn dispatch_errors_render_their_context() {

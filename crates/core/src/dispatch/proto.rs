@@ -1,43 +1,25 @@
-//! The dispatcher's wire protocol: newline-delimited frames, JSON or
-//! binary, negotiated per frame by first byte.
+//! The dispatcher's wire protocol: one JSON object per line.
 //!
-//! Control messages are one JSON object on one line, terminated by `\n`
-//! — the same dependency-free [`crate::json::JsonWriter`] /
-//! [`crate::jsonval`] stack the `repro dist` shard format uses, so a
-//! worker on another machine needs nothing but a TCP connection and this
-//! module. The object's `"type"` field names the message; the payloads
-//! reuse the campaign wire formats
+//! Every message is one JSON object on one line, terminated by `\n` —
+//! the dependency-free [`crate::json::JsonWriter`] / [`crate::jsonval`]
+//! stack, so a worker on another machine needs nothing but a TCP
+//! connection and this module. The object's `"type"` field names the
+//! message; the payloads embed the campaign documents
 //! ([`CampaignShard::to_json`](crate::campaign::CampaignShard::to_json),
-//! [`CampaignResult::to_json`](crate::campaign::CampaignResult::to_json))
-//! verbatim, so shard bytes that cross the socket are byte-identical to
-//! the ones `repro dist` ships over stdout. A v2 submission may carry a
-//! whole [`Scenario`] document inline (the
-//! [`JobSpec`] half of `submit`/`assign`), embedded with
-//! [`Scenario::to_json`](crate::scenario::Scenario::to_json) verbatim —
-//! scenario documents are small, so they stay on the JSON control plane
-//! even under `--wire bin`.
-//!
-//! The two payload carriers — `shard_done` and `result` — additionally
-//! have a compact binary form (the production default): a
-//! [`binwire::MAGIC`]-opened, length-prefixed frame carrying the
-//! [`crate::binwire`] twin of the same document. Readers never need to
-//! be told which form a peer speaks: [`binwire::MAGIC`] is a UTF-8
-//! continuation byte no JSON line can start with, so [`FrameReader`]
-//! decides per frame from the first byte, and peers may mix formats
-//! freely on one connection.
+//! [`CampaignResult::to_json`](crate::campaign::CampaignResult::to_json),
+//! [`Scenario::to_json`](crate::scenario::Scenario::to_json)) verbatim.
+//! A frame is at most [`MAX_FRAME`] bytes, newline included.
 //!
 //! The read side is a trust boundary: frames come from the network, so
-//! truncated lines, malformed JSON, bad binary framing, unknown message
-//! types and mistyped payloads are all typed [`ProtoError`]s — never
-//! panics (fuzzed in `tests/dispatch_protocol.rs`). See
-//! `docs/PROTOCOL.md` for the message flow, the versioned message table
-//! and the delivery contract.
+//! oversized or truncated lines, malformed JSON, unknown message types
+//! and mistyped payloads are all typed [`ProtoError`]s — never panics
+//! (fuzzed in `tests/dispatch_protocol.rs`). See `docs/PROTOCOL.md` for
+//! the message flow, the message table and the delivery contract.
 
 use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 use std::sync::Arc;
 
-use crate::binwire::{self, BinReader, BinWriter, WireFormat};
 use crate::campaign::{CampaignResult, CampaignShard, ShardCheckpoint, ShardSpec};
 use crate::json::JsonWriter;
 use crate::jsonval::{JsonValue, WireError};
@@ -46,17 +28,10 @@ use crate::scenario::{AssertionOutcome, Scenario};
 use super::clock::Clock;
 use super::status::StatusReport;
 
-/// Payload kind byte of a binary `shard_done` frame.
-pub const KIND_SHARD_DONE: u8 = b'D';
-/// Payload kind byte of a binary `result` frame.
-pub const KIND_RESULT_FRAME: u8 = b'Z';
-/// Payload kind byte of a binary `checkpoint` frame (v2.1).
-pub const KIND_CHECKPOINT_FRAME: u8 = b'P';
-
-/// Cap on one binary frame's declared payload length. A full quick
-/// matrix is a few MiB on the wire; the cap only exists so a corrupt or
-/// hostile length prefix cannot drive an arbitrarily large allocation.
-pub const MAX_BINARY_FRAME: usize = 256 * 1024 * 1024;
+/// Cap on one frame's length, newline included. A full quick matrix is a
+/// few MiB on the wire; the cap only exists so a peer that never sends a
+/// newline cannot grow a reader's buffer without bound.
+pub const MAX_FRAME: usize = 256 * 1024 * 1024;
 
 /// What a submission asks the fleet to run: a campaign from the
 /// coordinator's fixed catalog, by name, or a full
@@ -116,8 +91,7 @@ impl JobSpec {
 
     /// Reads the spec from a message document: `"scenario"` wins when
     /// present (validated through the full scenario parser), otherwise
-    /// `"campaign"` is required — which is exactly the v1 `submit`
-    /// shape, so v1 frames parse unchanged.
+    /// `"campaign"` is required.
     fn from_doc(doc: &JsonValue) -> Result<JobSpec, WireError> {
         if let Some(sdoc) = doc.get("scenario") {
             let scenario = Scenario::from_json_value(sdoc)
@@ -144,13 +118,11 @@ pub struct WorkerCaps {
     /// Whether the worker executes inline scenario documents (vs only
     /// catalog campaigns it has a local runner for).
     pub scenarios: bool,
-    /// Wire formats the worker emits `shard_done` frames in.
-    pub wires: Vec<WireFormat>,
 }
 
 impl WorkerCaps {
-    /// Probes the running host: core count, pinning support, AVX2, both
-    /// wire formats, scenarios on. What `repro work` registers with.
+    /// Probes the running host: core count, pinning support, AVX2,
+    /// scenarios on. What `repro work` registers with.
     pub fn detect() -> WorkerCaps {
         WorkerCaps {
             cores: std::thread::available_parallelism()
@@ -159,20 +131,6 @@ impl WorkerCaps {
             pinning: cfg!(target_os = "linux"),
             avx2: detect_avx2(),
             scenarios: true,
-            wires: vec![WireFormat::Json, WireFormat::Bin],
-        }
-    }
-
-    /// The conservative capabilities assumed for a v1 `register` frame
-    /// that carries no capability fields: one core, no pinning, no
-    /// AVX2, catalog jobs only, JSON `shard_done` frames.
-    pub fn legacy() -> WorkerCaps {
-        WorkerCaps {
-            cores: 1,
-            pinning: false,
-            avx2: false,
-            scenarios: false,
-            wires: vec![WireFormat::Json],
         }
     }
 
@@ -186,52 +144,20 @@ impl WorkerCaps {
         w.boolean(self.avx2);
         w.key("scenarios");
         w.boolean(self.scenarios);
-        w.key("wires");
-        w.begin_array();
-        for wire in &self.wires {
-            w.string(&wire.to_string());
-        }
-        w.end_array();
     }
 
-    /// Reads capabilities from a `register` document. A frame with none
-    /// of the capability fields is a v1 worker: [`WorkerCaps::legacy`].
-    /// A frame with *some* of them is malformed — partial declarations
-    /// would silently under- or over-promise.
+    /// Reads capabilities from a `register` document; every field is
+    /// required.
     fn from_doc(doc: &JsonValue) -> Result<WorkerCaps, WireError> {
-        let fields = ["cores", "pinning", "avx2", "scenarios", "wires"];
-        let present = fields.iter().filter(|f| doc.get(f).is_some()).count();
-        if present == 0 {
-            return Ok(WorkerCaps::legacy());
-        }
-        if present < fields.len() {
-            return Err(WireError::new(
-                "register carries a partial capability declaration \
-                 (all of cores/pinning/avx2/scenarios/wires, or none)",
-            ));
-        }
         let cores = doc.req_u64("cores")? as usize;
         if cores == 0 {
             return Err(WireError::new("register declares zero cores"));
-        }
-        let wires = doc
-            .req_array("wires")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .ok_or_else(|| WireError::new("wires entries must be strings"))
-                    .and_then(|s| WireFormat::parse(s).map_err(WireError::new))
-            })
-            .collect::<Result<Vec<WireFormat>, WireError>>()?;
-        if wires.is_empty() {
-            return Err(WireError::new("register declares no wire formats"));
         }
         Ok(WorkerCaps {
             cores,
             pinning: doc.req_bool("pinning")?,
             avx2: doc.req_bool("avx2")?,
             scenarios: doc.req_bool("scenarios")?,
-            wires,
         })
     }
 }
@@ -349,17 +275,16 @@ pub enum Message {
         /// Which shard of how many.
         spec: ShardSpec,
         /// Progress to resume from, when the coordinator holds a
-        /// checkpoint for this shard (v2.1: a re-queued shard continues
-        /// from its last reported cell boundary). Absent on fresh
-        /// assignments and in every v2 frame; a v2 worker that ignores
-        /// it just re-runs the shard from zero, which stays correct.
+        /// checkpoint for this shard (a re-queued shard continues from
+        /// its last reported cell boundary). Absent on fresh
+        /// assignments.
         checkpoint: Option<ShardCheckpoint>,
     },
-    /// Worker → coordinator (v2.1): resumable progress for the shard
-    /// this connection is executing — sent at cell boundaries so a
-    /// reaped or disconnected worker's shard re-queues from its last
-    /// checkpoint instead of from zero. Purely advisory: a coordinator
-    /// that ignores it (v2) keeps the at-least-once contract.
+    /// Worker → coordinator: resumable progress for the shard this
+    /// connection is executing — sent at cell boundaries so a reaped or
+    /// disconnected worker's shard re-queues from its last checkpoint
+    /// instead of from zero. Purely advisory: a lost checkpoint costs
+    /// re-simulation, never correctness.
     Checkpoint {
         /// The job key from the [`Message::Assign`] this reports on.
         job: String,
@@ -370,7 +295,7 @@ pub enum Message {
     ShardDone {
         /// The job key from the [`Message::Assign`] this answers.
         job: String,
-        /// The executed shard, same wire format as `repro dist`.
+        /// The executed shard.
         shard: CampaignShard,
     },
     /// Coordinator → submitter: the merged campaign, bit-identical to a
@@ -500,90 +425,6 @@ impl Message {
         frame
     }
 
-    /// Serializes the message under `wire`. Control frames are always
-    /// one-line JSON regardless of `wire`; under [`WireFormat::Bin`] the
-    /// two payload carriers ([`Message::ShardDone`], [`Message::Result`])
-    /// become length-prefixed binary frames instead:
-    ///
-    /// ```text
-    /// [MAGIC][payload len: u32 LE][payload][\n]
-    /// shard_done payload = [MAGIC]['D'][job: str][binwire shard]
-    /// result payload     = [MAGIC]['Z'][job: str][outcomes: str (JSON array)][binwire result]
-    /// checkpoint payload = [MAGIC]['P'][job: str][binwire checkpoint]
-    /// ```
-    pub fn to_frame_bytes(&self, wire: WireFormat) -> Vec<u8> {
-        match (wire, self) {
-            (WireFormat::Bin, Message::ShardDone { job, shard }) => {
-                let mut w = BinWriter::new(KIND_SHARD_DONE);
-                w.str(job);
-                w.raw(&shard.to_bin());
-                finish_binary_frame(w)
-            }
-            (WireFormat::Bin, Message::Checkpoint { job, checkpoint }) => {
-                let mut w = BinWriter::new(KIND_CHECKPOINT_FRAME);
-                w.str(job);
-                w.raw(&checkpoint.to_bin());
-                finish_binary_frame(w)
-            }
-            (
-                WireFormat::Bin,
-                Message::Result {
-                    job,
-                    result,
-                    outcomes,
-                },
-            ) => {
-                let mut w = BinWriter::new(KIND_RESULT_FRAME);
-                w.str(job);
-                w.str(&outcomes_json(outcomes));
-                w.raw(&result.to_bin());
-                finish_binary_frame(w)
-            }
-            _ => self.to_frame().into_bytes(),
-        }
-    }
-
-    /// Parses the payload of one binary frame — the bytes between the
-    /// length prefix and the trailing newline.
-    pub fn parse_binary_payload(payload: &[u8]) -> Result<Message, ProtoError> {
-        let kind = *payload.get(1).ok_or_else(|| {
-            ProtoError::Wire(WireError::new(
-                "binary frame payload shorter than its two-byte header",
-            ))
-        })?;
-        match kind {
-            KIND_SHARD_DONE => {
-                let mut r = BinReader::new(payload, KIND_SHARD_DONE).map_err(ProtoError::Wire)?;
-                let job = r.str().map_err(ProtoError::Wire)?.to_string();
-                let shard = CampaignShard::from_bin(r.rest()).map_err(ProtoError::Wire)?;
-                Ok(Message::ShardDone { job, shard })
-            }
-            KIND_CHECKPOINT_FRAME => {
-                let mut r =
-                    BinReader::new(payload, KIND_CHECKPOINT_FRAME).map_err(ProtoError::Wire)?;
-                let job = r.str().map_err(ProtoError::Wire)?.to_string();
-                let checkpoint = ShardCheckpoint::from_bin(r.rest()).map_err(ProtoError::Wire)?;
-                Ok(Message::Checkpoint { job, checkpoint })
-            }
-            KIND_RESULT_FRAME => {
-                let mut r = BinReader::new(payload, KIND_RESULT_FRAME).map_err(ProtoError::Wire)?;
-                let job = r.str().map_err(ProtoError::Wire)?.to_string();
-                let outcomes = parse_outcomes_json(r.str().map_err(ProtoError::Wire)?)
-                    .map_err(ProtoError::Wire)?;
-                let result = CampaignResult::from_bin(r.rest()).map_err(ProtoError::Wire)?;
-                Ok(Message::Result {
-                    job,
-                    result,
-                    outcomes,
-                })
-            }
-            other => Err(ProtoError::Wire(WireError::new(format!(
-                "unknown binary frame kind {:?}",
-                other as char
-            )))),
-        }
-    }
-
     /// Parses a message from a parsed frame document.
     pub fn from_json_value(doc: &JsonValue) -> Result<Message, WireError> {
         let kind = doc.req_str("type")?;
@@ -633,23 +474,10 @@ impl Message {
             "result" => Ok(Message::Result {
                 job: doc.req_str("job")?.to_string(),
                 result: CampaignResult::from_json_value(doc.req("result")?)?,
-                // Absent in v1 `result` frames; an empty diagnostic list
-                // means "nothing was asserted", which is exactly right.
-                outcomes: match doc.get("outcomes") {
-                    Some(v) => outcomes_from_value(v)?,
-                    None => Vec::new(),
-                },
+                outcomes: outcomes_from_value(doc.req("outcomes")?)?,
             }),
             "reject" => Ok(Message::Reject {
-                // V1 frames carried prose only; classify them as the
-                // generic protocol refusal.
-                reason: match doc.get("reason") {
-                    Some(v) => RejectReason::parse(
-                        v.as_str()
-                            .ok_or_else(|| WireError::new("reject reason must be a string"))?,
-                    )?,
-                    None => RejectReason::Protocol,
-                },
+                reason: RejectReason::parse(doc.req_str("reason")?)?,
                 message: doc.req_str("message")?.to_string(),
             }),
             "status" => Ok(Message::StatusRequest),
@@ -680,13 +508,6 @@ fn outcomes_json(outcomes: &[AssertionOutcome]) -> String {
     w.finish()
 }
 
-/// Parses a diagnostic list from its JSON array text (the binary result
-/// frame embeds it as one string field).
-fn parse_outcomes_json(text: &str) -> Result<Vec<AssertionOutcome>, WireError> {
-    let doc = JsonValue::parse(text).map_err(|e| WireError::new(e.to_string()))?;
-    outcomes_from_value(&doc)
-}
-
 /// Parses a diagnostic list from an already-parsed array value.
 fn outcomes_from_value(doc: &JsonValue) -> Result<Vec<AssertionOutcome>, WireError> {
     doc.as_array()
@@ -708,7 +529,8 @@ pub enum ProtoError {
         /// How many bytes of the unterminated frame arrived.
         bytes: usize,
     },
-    /// The line is not valid JSON.
+    /// The line is not valid JSON (or not UTF-8), or ran past
+    /// [`MAX_FRAME`] without a newline.
     Malformed(String),
     /// The document is valid JSON but not a valid message (missing or
     /// mistyped field, unknown `"type"`).
@@ -753,26 +575,11 @@ impl From<io::Error> for ProtoError {
     }
 }
 
-/// Wraps one finished binwire payload into a length-prefixed frame.
-fn finish_binary_frame(w: BinWriter) -> Vec<u8> {
-    let payload = w.finish();
-    let mut frame = Vec::with_capacity(payload.len() + 6);
-    frame.push(binwire::MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame.push(b'\n');
-    frame
-}
-
 /// Incremental frame reader over one connection: owns the transport's
 /// buffered reader plus a single frame buffer that is cleared and reused
 /// across calls, so a long-lived peer (worker loop, coordinator reader
 /// thread, submitter) decodes every frame without a fresh allocation per
 /// message.
-///
-/// Format negotiation is per frame, by first byte: [`binwire::MAGIC`]
-/// opens a length-prefixed binary frame, anything else is a
-/// newline-terminated JSON line.
 pub struct FrameReader<R> {
     reader: R,
     buf: Vec<u8>,
@@ -864,9 +671,9 @@ fn is_stall(e: &io::Error) -> bool {
 }
 
 /// `true` for the error kinds a timed-out socket read reports; the
-/// deadline reader absorbs these and re-checks the clock instead of
-/// surfacing them.
-fn is_read_timeout(e: &io::Error) -> bool {
+/// deadline reader absorbs these and re-checks the clock, and the chaos
+/// proxy retries on them, instead of surfacing them.
+pub(crate) fn is_read_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
@@ -952,79 +759,66 @@ impl<R: BufRead> BufRead for DeadlineReader<'_, R> {
     }
 }
 
-/// Reads exactly `buf.len()` bytes, reporting EOF mid-read as
-/// [`ProtoError::Truncated`] counting `already` bytes consumed before
-/// this read plus however many arrived during it.
-fn read_exact_or_truncated(
-    reader: &mut impl Read,
-    buf: &mut [u8],
-    already: usize,
-) -> Result<(), ProtoError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..])? {
-            0 => {
-                return Err(ProtoError::Truncated {
-                    bytes: already + filled,
-                })
-            }
-            n => filled += n,
+/// Appends one line — through its `\n` — from `reader` to `buf`,
+/// refusing to grow `buf` past `cap` bytes: past the cap the read stops
+/// with [`ProtoError::Malformed`], having buffered at most `cap` plus
+/// one read's worth of bytes. This is the framing rule, in one place:
+/// the protocol reader and the chaos proxy both split streams with it.
+///
+/// `Ok(true)` means `buf` now ends with a newline; `Ok(false)` means the
+/// stream ended first. A transport error — a socket read timeout
+/// included — leaves the bytes read so far in `buf`, so a caller may
+/// call again to continue the line.
+pub(crate) fn read_line_bounded(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> Result<bool, ProtoError> {
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(ProtoError::Io(e)),
+        };
+        if chunk.is_empty() {
+            return Ok(false);
+        }
+        let (used, ended) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (chunk.len(), false),
+        };
+        buf.extend_from_slice(&chunk[..used]);
+        reader.consume(used);
+        if buf.len() > cap {
+            return Err(ProtoError::Malformed(format!(
+                "frame runs past the {cap}-byte cap"
+            )));
+        }
+        if ended {
+            return Ok(true);
         }
     }
-    Ok(())
 }
 
-/// Reads one frame into `buf` (cleared first, capacity reused),
-/// negotiating JSON vs binary by the frame's first byte. `Ok(None)` is a
-/// clean end of stream; a partial frame is [`ProtoError::Truncated`].
-/// [`FrameReader`] wraps this with a persistent buffer; the free
-/// [`read_message`] is the one-shot convenience form.
+/// Reads one frame into `buf` (cleared first, capacity reused).
+/// `Ok(None)` is a clean end of stream; a partial frame is
+/// [`ProtoError::Truncated`]. [`FrameReader`] wraps this with a
+/// persistent buffer; the free [`read_message`] is the one-shot
+/// convenience form.
 pub fn read_message_buffered(
     reader: &mut impl BufRead,
     buf: &mut Vec<u8>,
 ) -> Result<Option<Message>, ProtoError> {
     buf.clear();
-    let first = match reader.fill_buf()?.first() {
-        Some(&b) => b,
-        None => return Ok(None),
-    };
-    if binwire::is_binary(first) {
-        reader.consume(1);
-        let mut len = [0u8; 4];
-        read_exact_or_truncated(reader, &mut len, 1)?;
-        let len = u32::from_le_bytes(len) as usize;
-        if len > MAX_BINARY_FRAME {
-            return Err(ProtoError::Malformed(format!(
-                "binary frame declares a {len}-byte payload (cap {MAX_BINARY_FRAME})"
-            )));
-        }
-        // Grow with bytes actually received, never with the declared
-        // length: a lying prefix on a short stream must not allocate
-        // the cap up front.
-        let got = (&mut *reader).take(len as u64).read_to_end(buf)?;
-        if got < len {
-            return Err(ProtoError::Truncated { bytes: 5 + got });
-        }
-        let mut newline = [0u8; 1];
-        read_exact_or_truncated(reader, &mut newline, 5 + len)?;
-        if newline[0] != b'\n' {
-            return Err(ProtoError::Malformed(
-                "binary frame is not newline-terminated".to_string(),
-            ));
-        }
-        Message::parse_binary_payload(buf).map(Some)
-    } else {
-        let n = reader.read_until(b'\n', buf)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        if buf.last() != Some(&b'\n') {
-            return Err(ProtoError::Truncated { bytes: n });
-        }
-        let line = std::str::from_utf8(buf)
-            .map_err(|e| ProtoError::Io(io::Error::new(io::ErrorKind::InvalidData, e)))?;
-        Message::parse_frame(line).map(Some)
+    if !read_line_bounded(reader, buf, MAX_FRAME)? {
+        return match buf.len() {
+            0 => Ok(None),
+            bytes => Err(ProtoError::Truncated { bytes }),
+        };
     }
+    let line = std::str::from_utf8(buf)
+        .map_err(|e| ProtoError::Malformed(format!("frame is not UTF-8: {e}")))?;
+    Message::parse_frame(line).map(Some)
 }
 
 /// One-shot [`read_message_buffered`] with a throwaway buffer. Loops
@@ -1034,22 +828,11 @@ pub fn read_message(reader: &mut impl BufRead) -> Result<Option<Message>, ProtoE
     read_message_buffered(reader, &mut buf)
 }
 
-/// Writes one frame to `writer` under `wire` and flushes it, so a
-/// message is either fully on the wire or not sent at all from the
-/// peer's perspective.
-pub fn write_message_wire(
-    writer: &mut impl Write,
-    msg: &Message,
-    wire: WireFormat,
-) -> io::Result<()> {
-    writer.write_all(&msg.to_frame_bytes(wire))?;
-    writer.flush()
-}
-
-/// Writes one JSON frame — the debug/interop form. Payload-heavy paths
-/// take [`write_message_wire`] with a caller-chosen [`WireFormat`].
+/// Writes one frame to `writer` and flushes it, so a message is either
+/// fully on the wire or not sent at all from the peer's perspective.
 pub fn write_message(writer: &mut impl Write, msg: &Message) -> io::Result<()> {
-    write_message_wire(writer, msg, WireFormat::Json)
+    writer.write_all(msg.to_frame().as_bytes())?;
+    writer.flush()
 }
 
 #[cfg(test)]
@@ -1099,8 +882,13 @@ mod tests {
                 caps: WorkerCaps::detect(),
             },
             Message::Register {
-                name: "v1".into(),
-                caps: WorkerCaps::legacy(),
+                name: "catalog-only".into(),
+                caps: WorkerCaps {
+                    cores: 1,
+                    pinning: false,
+                    avx2: false,
+                    scenarios: false,
+                },
             },
             Message::Heartbeat,
             Message::Assign {
@@ -1131,11 +919,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_parse() {
-        // A v1 submit names a catalog campaign with no scenario key.
+    fn v1_frames_are_refused() {
+        // A catalog submit names a campaign with no scenario key; that
+        // shape is current and still parses.
         let msg =
             Message::parse_frame("{\"type\":\"submit\",\"campaign\":\"quick\",\"shards\":4}\n")
-                .expect("v1 submit");
+                .expect("catalog submit");
         match msg {
             Message::Submit {
                 work: JobSpec::Catalog(name),
@@ -1143,20 +932,30 @@ mod tests {
             } => assert_eq!(name, "quick"),
             other => panic!("unexpected {other:?}"),
         }
-        // A v1 register carries no capability fields: conservative caps.
-        let msg = Message::parse_frame("{\"type\":\"register\",\"name\":\"w\"}\n").expect("v1");
-        match msg {
-            Message::Register { caps, .. } => assert_eq!(caps, WorkerCaps::legacy()),
+        // A register without capabilities, a reject without a reason tag
+        // and a result without diagnostics only ever came from v1 peers.
+        let result = match tiny_result() {
+            Message::Result { result, .. } => result.to_json(),
             other => panic!("unexpected {other:?}"),
-        }
-        // A v1 reject has prose but no reason tag.
-        let msg = Message::parse_frame("{\"type\":\"reject\",\"message\":\"nope\"}\n").expect("v1");
-        match msg {
-            Message::Reject { reason, message } => {
-                assert_eq!(reason, RejectReason::Protocol);
-                assert_eq!(message, "nope");
+        };
+        for (frame, missing) in [
+            (
+                "{\"type\":\"register\",\"name\":\"w\"}\n".to_string(),
+                "cores",
+            ),
+            (
+                "{\"type\":\"reject\",\"message\":\"nope\"}\n".to_string(),
+                "reason",
+            ),
+            (
+                format!("{{\"type\":\"result\",\"job\":\"j\",\"result\":{result}}}\n"),
+                "outcomes",
+            ),
+        ] {
+            match Message::parse_frame(&frame) {
+                Err(ProtoError::Wire(e)) => assert!(e.to_string().contains(missing), "{e}"),
+                other => panic!("{frame}: expected a wire error, got {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -1166,7 +965,7 @@ mod tests {
             "{\"type\":\"register\",\"name\":\"w\",\"cores\":4,\"pinning\":true}\n",
         )
         .unwrap_err();
-        assert!(err.to_string().contains("partial"), "{err}");
+        assert!(err.to_string().contains("avx2"), "{err}");
     }
 
     #[test]
@@ -1184,7 +983,7 @@ mod tests {
             Message::Heartbeat.to_frame(),
             Message::Register {
                 name: "w".into(),
-                caps: WorkerCaps::legacy(),
+                caps: WorkerCaps::detect(),
             }
             .to_frame()
         );
@@ -1274,83 +1073,53 @@ mod tests {
     }
 
     #[test]
-    fn binary_payload_frames_round_trip_through_the_reader() {
+    fn payload_frames_round_trip_through_the_reader() {
         for msg in [tiny_shard_done(), tiny_result()] {
-            let frame = msg.to_frame_bytes(WireFormat::Bin);
-            assert_eq!(frame[0], binwire::MAGIC);
-            assert_eq!(*frame.last().unwrap(), b'\n');
-
-            let mut r = FrameReader::new(BufReader::new(&frame[..]));
+            let frame = msg.to_frame();
+            let mut r = FrameReader::new(BufReader::new(frame.as_bytes()));
             let parsed = r.next_message().expect("parse").expect("one frame");
-            assert_eq!(
-                parsed.to_frame_bytes(WireFormat::Bin),
-                frame,
-                "byte-identical re-emission"
-            );
-            // The decoded message's JSON twin matches the original's, so both
-            // forms carry exactly the same document.
-            assert_eq!(parsed.to_frame(), msg.to_frame());
+            assert_eq!(parsed.to_frame(), frame, "byte-identical re-emission");
             assert!(r.next_message().expect("eof").is_none(), "clean EOF");
         }
     }
 
     #[test]
-    fn result_diagnostics_survive_both_framings() {
-        let msg = tiny_result();
-        for frame in [
-            msg.to_frame().into_bytes(),
-            msg.to_frame_bytes(WireFormat::Bin),
-        ] {
-            let mut r = FrameReader::new(BufReader::new(&frame[..]));
-            let Some(Message::Result { outcomes, .. }) = r.next_message().expect("parse") else {
-                panic!("expected a result frame");
-            };
-            assert_eq!(outcomes.len(), 2);
-            assert!(outcomes[0].passed && !outcomes[1].passed);
-            assert_eq!(outcomes[1].cell, "TPC-E/strex/c4/t8");
-        }
+    fn result_diagnostics_survive_the_frame() {
+        let frame = tiny_result().to_frame();
+        let mut r = FrameReader::new(BufReader::new(frame.as_bytes()));
+        let Some(Message::Result { outcomes, .. }) = r.next_message().expect("parse") else {
+            panic!("expected a result frame");
+        };
+        assert_eq!(outcomes.len(), 2);
+        assert!(outcomes[0].passed && !outcomes[1].passed);
+        assert_eq!(outcomes[1].cell, "TPC-E/strex/c4/t8");
     }
 
-    #[test]
-    fn json_and_binary_frames_interleave_on_one_stream() {
-        let mut bytes = Message::Heartbeat.to_frame().into_bytes();
-        bytes.extend_from_slice(&tiny_shard_done().to_frame_bytes(WireFormat::Bin));
-        bytes.extend_from_slice(
-            Message::Register {
-                name: "w".into(),
-                caps: WorkerCaps::legacy(),
-            }
-            .to_frame()
-            .as_bytes(),
-        );
+    /// The start of an older build's binary `shard_done` payload: magic,
+    /// kind byte and the job string (no byte of it, or of its length, is
+    /// a newline).
+    const OLD_SHARD_DONE: [u8; 9] = [0xB1, b'D', 3, 0, 0, 0, b'j', b'o', b'b'];
 
-        let mut r = FrameReader::new(BufReader::new(&bytes[..]));
-        assert!(matches!(
-            r.next_message().unwrap(),
-            Some(Message::Heartbeat)
-        ));
-        assert!(matches!(
-            r.next_message().unwrap(),
-            Some(Message::ShardDone { .. })
-        ));
-        assert!(matches!(
-            r.next_message().unwrap(),
-            Some(Message::Register { .. })
-        ));
-        assert!(r.next_message().unwrap().is_none());
+    /// The layout an older build wrote `shard_done`, `checkpoint` and
+    /// `result` frames in: a 0xB1 magic byte, a little-endian `u32`
+    /// payload length, the payload and a newline.
+    fn old_binary_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = vec![0xB1];
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame.push(b'\n');
+        frame
     }
 
     #[test]
     fn truncated_binary_frames_are_typed_errors() {
-        let frame = tiny_shard_done().to_frame_bytes(WireFormat::Bin);
-        // Cut everywhere interesting: after the magic, mid-length-prefix,
-        // mid-payload, and right before the trailing newline.
-        for cut in [1, 3, frame.len() - 10, frame.len() - 1] {
+        let frame = old_binary_frame(&OLD_SHARD_DONE);
+        // Cut after the magic, mid-length-prefix, mid-payload and right
+        // before the trailing newline: the stream ends mid-line.
+        for cut in [1, 3, frame.len() - 4, frame.len() - 1] {
             let mut r = FrameReader::new(BufReader::new(&frame[..cut]));
             match r.next_message() {
-                Err(ProtoError::Truncated { bytes }) => {
-                    assert_eq!(bytes, cut, "cut at {cut}");
-                }
+                Err(ProtoError::Truncated { bytes }) => assert_eq!(bytes, cut, "cut at {cut}"),
                 other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
             }
         }
@@ -1358,30 +1127,47 @@ mod tests {
 
     #[test]
     fn corrupt_binary_frames_are_typed_errors_never_panics() {
-        // A length prefix past the cap is refused before allocating.
-        let mut huge = vec![binwire::MAGIC];
-        huge.extend_from_slice(&(u32::MAX).to_le_bytes());
-        let mut r = FrameReader::new(BufReader::new(&huge[..]));
-        assert!(matches!(r.next_message(), Err(ProtoError::Malformed(_))));
-
-        // An unknown payload kind is a wire error.
-        let mut bad_kind = vec![binwire::MAGIC];
-        let payload = [binwire::MAGIC, b'?'];
-        bad_kind.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bad_kind.extend_from_slice(&payload);
-        bad_kind.push(b'\n');
-        let mut r = FrameReader::new(BufReader::new(&bad_kind[..]));
-        match r.next_message() {
-            Err(ProtoError::Wire(e)) => assert!(e.to_string().contains("kind"), "{e}"),
-            other => panic!("expected a wire error, got {other:?}"),
+        // Frames from an older build that spoke a binary framing: 0xB1 is
+        // a UTF-8 continuation byte, so no JSON line starts with it, and
+        // whatever length prefix and payload follow, the frame is refused
+        // as malformed — a huge declared length allocates nothing.
+        for frame in [
+            old_binary_frame(&OLD_SHARD_DONE),
+            old_binary_frame(&[0xB1, b'?']),
+            vec![0xB1, 0xFF, 0xFF, 0xFF, 0xFF, b'\n'],
+        ] {
+            let mut r = FrameReader::new(BufReader::new(&frame[..]));
+            match r.next_message() {
+                Err(ProtoError::Malformed(e)) => assert!(e.contains("UTF-8"), "{e}"),
+                other => panic!("expected Malformed, got {other:?}"),
+            }
         }
+    }
 
-        // A frame whose payload is not followed by a newline is malformed.
-        let good = tiny_shard_done().to_frame_bytes(WireFormat::Bin);
-        let mut no_newline = good.clone();
-        *no_newline.last_mut().unwrap() = b'X';
-        let mut r = FrameReader::new(BufReader::new(&no_newline[..]));
-        assert!(matches!(r.next_message(), Err(ProtoError::Malformed(_))));
+    #[test]
+    fn the_line_reader_stops_one_read_past_its_cap() {
+        assert_eq!(MAX_FRAME, 256 * 1024 * 1024);
+        const CAP: usize = 64;
+        const READ: usize = 16;
+        // A peer that never sends a newline: a typed error once the line
+        // passes the cap, with no more than one read buffered beyond it.
+        let mut endless = BufReader::with_capacity(READ, io::repeat(b'x'));
+        let mut buf = Vec::new();
+        assert!(matches!(
+            read_line_bounded(&mut endless, &mut buf, CAP),
+            Err(ProtoError::Malformed(_))
+        ));
+        assert!(buf.len() > CAP && buf.len() <= CAP + READ, "{}", buf.len());
+
+        // A line of exactly the cap, newline included, is accepted whole.
+        let line = [vec![b'x'; CAP - 1], vec![b'\n']].concat();
+        let mut r = BufReader::with_capacity(READ, &line[..]);
+        buf.clear();
+        assert!(read_line_bounded(&mut r, &mut buf, CAP).expect("fits"));
+        assert_eq!(buf, line);
+        buf.clear();
+        assert!(!read_line_bounded(&mut r, &mut buf, CAP).expect("clean EOF"));
+        assert!(buf.is_empty());
     }
 
     #[test]

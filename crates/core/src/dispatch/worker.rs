@@ -14,10 +14,10 @@
 //! another worker already completed; it runs it anyway and the
 //! coordinator drops the duplicate.
 //!
-//! Registration declares [`WorkerCaps`] — cores, pinning, AVX2, wire
-//! formats, scenario support — which the coordinator's assignment
-//! respects: a worker registered with `scenarios: false` is never handed
-//! a scenario shard.
+//! Registration declares [`WorkerCaps`] — cores, pinning, AVX2,
+//! scenario support — which the coordinator's assignment respects: a
+//! worker registered with `scenarios: false` is never handed a scenario
+//! shard.
 //!
 //! Heartbeats are sent from a separate thread on a fixed cadence so they
 //! keep flowing *while a shard executes* — the whole point: a worker
@@ -31,12 +31,11 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::binwire::WireFormat;
 use crate::campaign::{CampaignShard, ShardCheckpoint, ShardSpec};
 use crate::error::ConfigError;
 
 use super::net;
-use super::proto::{write_message, write_message_wire, FrameReader, JobSpec, Message, WorkerCaps};
+use super::proto::{write_message, FrameReader, JobSpec, Message, WorkerCaps};
 use super::DispatchError;
 
 /// Executes one shard of a named catalog campaign. The `Err` string
@@ -88,14 +87,9 @@ pub struct WorkerOptions {
     /// Heartbeat cadence. Keep well below the coordinator's
     /// `worker_timeout_ms` (the serve CLI uses timeout / 4).
     pub heartbeat_interval_ms: u64,
-    /// Encoding for the `shard_done` frames this worker emits. Control
-    /// frames are always JSON; the read side negotiates per frame, so
-    /// this only picks the emit path.
-    pub wire: WireFormat,
-    /// Send an advisory `checkpoint` frame (protocol v2.1) after every
-    /// this many completed cells, so the coordinator can resume this
-    /// shard elsewhere if the worker dies. `0` disables checkpointing —
-    /// a v2 coordinator never sees the frame.
+    /// Send an advisory `checkpoint` frame after every this many
+    /// completed cells, so the coordinator can resume this shard
+    /// elsewhere if the worker dies. `0` disables checkpointing.
     pub checkpoint_every_cells: usize,
 }
 
@@ -105,7 +99,6 @@ impl Default for WorkerOptions {
             name: format!("worker:{}", std::process::id()),
             caps: WorkerCaps::detect(),
             heartbeat_interval_ms: 1_000,
-            wire: WireFormat::default(),
             checkpoint_every_cells: 1,
         }
     }
@@ -215,7 +208,6 @@ fn worker_loop(
     runner: &mut dyn ShardRunner,
     opts: &WorkerOptions,
 ) -> Result<WorkerSummary, DispatchError> {
-    let wire = opts.wire;
     let mut reader = FrameReader::new(BufReader::new(reader));
     let mut shards_run = 0usize;
     loop {
@@ -247,11 +239,11 @@ fn worker_loop(
                         checkpoint: ckpt.clone(),
                     };
                     let mut w = writer.lock().expect("frame writer");
-                    let _ = write_message_wire(&mut *w, &frame, wire);
+                    let _ = write_message(&mut *w, &frame);
                 };
                 let shard = execute(runner, &work, spec, checkpoint, &mut on_cell)?;
                 let mut w = writer.lock().expect("frame writer");
-                write_message_wire(&mut *w, &Message::ShardDone { job, shard }, wire)?;
+                write_message(&mut *w, &Message::ShardDone { job, shard })?;
                 shards_run += 1;
             }
             Some(Message::Reject { reason, message }) => {

@@ -2,12 +2,11 @@
 //! format.
 //!
 //! The workspace is offline (no serde), so [`crate::json::JsonWriter`]
-//! emits JSON and this module parses it back. Originally a perf-gate
-//! helper in `strex-bench`, the parser moved here when campaign shards
-//! started crossing process boundaries: `repro dist` children serialize a
-//! [`CampaignShard`](crate::campaign::CampaignShard) over stdout and the
-//! parent reassembles it through this module, so parse fidelity is now a
-//! correctness requirement, not a tooling convenience.
+//! emits JSON and this module parses it back. Every dispatcher frame is
+//! JSON: a worker serializes its
+//! [`CampaignShard`](crate::campaign::CampaignShard) into a `shard_done`
+//! frame and the coordinator reassembles it through this module, so parse
+//! fidelity is a correctness requirement, not a tooling convenience.
 //!
 //! The parser is a strict recursive-descent over a complete document:
 //! trailing garbage, malformed escapes and lone surrogates are loud

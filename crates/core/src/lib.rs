@@ -73,7 +73,6 @@
 //! hard-coded list.
 
 pub mod affinity;
-pub mod binwire;
 pub mod campaign;
 pub mod config;
 pub mod cost;
@@ -88,7 +87,6 @@ pub mod sched;
 pub mod team;
 pub mod thread;
 
-pub use binwire::WireFormat;
 pub use campaign::{
     fnv64, merge, scaling_efficiency, Campaign, CampaignCell, CampaignPerf, CampaignResult,
     CampaignShard, CellKey, MergeError, ShardCheckpoint, ShardSpec,

@@ -169,7 +169,7 @@ impl Report {
     }
 
     /// Parses a report back from its [`to_json`](Report::to_json) form —
-    /// the wire format `repro dist` shard children ship their results in.
+    /// the form every cell crosses the dispatcher's wire in.
     ///
     /// Only the raw measurement fields are read; the derived `metrics`
     /// and `stats.aggregate` sections are ignored and recomputed on

@@ -1,7 +1,7 @@
 //! The checkpoint/resume determinism guarantee, property-tested
 //! differentially: a shard interrupted at *any* cell boundary and
 //! resumed from the checkpoint observed there — after the checkpoint
-//! round-trips through either wire format — merges into a
+//! round-trips through its JSON wire form — merges into a
 //! `CampaignResult` byte-identical to the uninterrupted run. Plus the
 //! typed-rejection surface: a checkpoint from the wrong shard, the
 //! wrong matrix, or with a tampered cell must fail loudly with
@@ -13,7 +13,6 @@ use std::sync::OnceLock;
 use strex::campaign::{merge, Campaign, CampaignShard, ShardCheckpoint, ShardSpec};
 use strex::config::{SchedulerKind, SimConfig};
 use strex::error::ConfigError;
-use strex::WireFormat;
 use strex_oltp::workload::{Workload, WorkloadKind};
 
 fn workloads() -> Vec<Workload> {
@@ -52,17 +51,10 @@ fn run_shards(count: usize) -> Vec<CampaignShard> {
         .collect()
 }
 
-/// Ships a checkpoint across a process boundary through the chosen
-/// encoding, exactly as the dispatcher's `checkpoint` frames do.
-fn round_trip(ckpt: &ShardCheckpoint, wire: WireFormat) -> ShardCheckpoint {
-    match wire {
-        WireFormat::Json => {
-            ShardCheckpoint::from_json(&ckpt.to_json()).expect("own JSON parses back")
-        }
-        WireFormat::Bin => {
-            ShardCheckpoint::from_bin(&ckpt.to_bin()).expect("own binwire parses back")
-        }
-    }
+/// Ships a checkpoint across a process boundary as JSON, exactly as the
+/// dispatcher's `checkpoint` frames do.
+fn round_trip(ckpt: &ShardCheckpoint) -> ShardCheckpoint {
+    ShardCheckpoint::from_json(&ckpt.to_json()).expect("own JSON parses back")
 }
 
 /// Runs shard `spec` to completion while recording the checkpoint at
@@ -80,23 +72,20 @@ fn boundaries(spec: ShardSpec) -> Vec<ShardCheckpoint> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tentpole property. For a drawn shard layout and wire format,
-    /// interrupt every shard at *every* cell boundary (including "before
-    /// the first cell"), ship the checkpoint through the wire, resume,
-    /// and require the merge of resumed + untouched peers to be
-    /// byte-identical to the sequential run.
+    /// The tentpole property. For a drawn shard layout, interrupt every
+    /// shard at *every* cell boundary (including "before the first
+    /// cell"), ship the checkpoint through the wire, resume, and require
+    /// the merge of resumed + untouched peers to be byte-identical to the
+    /// sequential run.
     #[test]
-    fn resume_from_any_boundary_is_bit_identical_through_both_wires(
-        count in 1usize..=3,
-        wire in prop_oneof![Just(WireFormat::Json), Just(WireFormat::Bin)],
-    ) {
+    fn resume_from_any_boundary_is_bit_identical_through_the_wire(count in 1usize..=3) {
         let w = workloads();
         let c = campaign(&w);
         let baseline = run_shards(count);
         for index in 0..count {
             let spec = ShardSpec { index, count };
             for ckpt in boundaries(spec) {
-                let shipped = round_trip(&ckpt, wire);
+                let shipped = round_trip(&ckpt);
                 prop_assert_eq!(shipped.cursor(), ckpt.cursor());
                 prop_assert_eq!(shipped.cells().len(), ckpt.cells().len());
                 let resumed = c
@@ -196,9 +185,8 @@ fn tampered_checkpoints_fail_at_decode_or_resume() {
         "{err}"
     );
 
-    // Flipping the binwire kind byte must fail the decode, not produce a
-    // half-parsed checkpoint.
-    let mut bytes = ckpt.to_bin();
-    bytes[1] ^= 0xFF;
-    assert!(ShardCheckpoint::from_bin(&bytes).is_err());
+    // Renaming the checkpoint's header object must fail the decode, not
+    // produce a half-parsed checkpoint.
+    let renamed = ckpt.to_json().replacen("\"checkpoint\"", "\"progress\"", 1);
+    assert!(ShardCheckpoint::from_json(&renamed).is_err());
 }

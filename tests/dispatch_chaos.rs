@@ -21,7 +21,7 @@ use strex::dispatch::{
     submit_with_retry, ChaosProxy, DispatchConfig, FaultPlan, ServeOptions, Server, ShardRunner,
     SystemClock, WorkerOptions,
 };
-use strex::{ConfigError, WireFormat};
+use strex::ConfigError;
 use strex_oltp::workload::{Workload, WorkloadKind};
 
 const CAMPAIGN: &str = "tiny";
@@ -114,7 +114,6 @@ fn spawn_server(
         server
             .run(ServeOptions {
                 max_jobs: None,
-                wire: WireFormat::default(),
                 journal,
                 stop: Some(flag),
             })

@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use strex::binwire::WireFormat;
 use strex::campaign::{Campaign, CampaignResult, CampaignShard, ShardSpec};
 use strex::config::{SchedulerKind, SimConfig};
 use strex::dispatch::{
@@ -92,7 +91,6 @@ fn able_caps() -> WorkerCaps {
         pinning: false,
         avx2: false,
         scenarios: true,
-        wires: vec![WireFormat::Json],
     }
 }
 
@@ -514,9 +512,13 @@ fn a_full_queue_refuses_new_jobs_but_admits_attaches() {
 fn scenario_jobs_only_go_to_workers_that_declared_the_capability() {
     let clock = Arc::new(FakeClock::new());
     let mut c = coordinator();
-    // A v1-era worker (legacy caps: no scenario support) is connected and
-    // idle, but a scenario submission must not be handed to it.
-    register_with(&mut c, &clock, WORKER_A, "legacy", WorkerCaps::legacy());
+    // A catalog-only worker (no scenario support) is connected and idle,
+    // but a scenario submission must not be handed to it.
+    let catalog_only = WorkerCaps {
+        scenarios: false,
+        ..able_caps()
+    };
+    register_with(&mut c, &clock, WORKER_A, "catalog-only", catalog_only);
     let scenario = tiny_scenario();
     let submitted = step(
         &mut c,
@@ -536,13 +538,13 @@ fn scenario_jobs_only_go_to_workers_that_declared_the_capability() {
     assert_eq!(c.open_jobs(), 1, "the job waits rather than misassigning");
 
     // A capable worker registers: the queued scenario shard goes to it,
-    // and the legacy worker can still serve catalog work meanwhile.
+    // and the catalog-only worker can still serve catalog work meanwhile.
     let able = register(&mut c, &clock, WORKER_B, "able");
     let (job, spec) = assignment_to(&able, WORKER_B).expect("scenario shard assigned");
     let catalog = submit_from(&mut c, &clock, 9, 1);
     assert!(
         assignment_to(&catalog, WORKER_A).is_some(),
-        "catalog work still flows to the legacy worker: {catalog:?}"
+        "catalog work still flows to the catalog-only worker: {catalog:?}"
     );
 
     // Completing the scenario shard merges the matrix and evaluates the

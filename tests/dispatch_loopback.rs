@@ -20,7 +20,6 @@ use strex::dispatch::{
     ServeOptions, Server, SystemClock, WorkerCaps, WorkerOptions,
 };
 use strex::scenario::{EvaluatorRegistry, Scenario};
-use strex::WireFormat;
 use strex_oltp::workload::{Workload, WorkloadKind};
 
 const CAMPAIGN: &str = "tiny";
@@ -58,14 +57,6 @@ fn spawn_server(
     cfg: DispatchConfig,
     max_jobs: usize,
 ) -> (SocketAddr, std::thread::JoinHandle<usize>) {
-    spawn_server_wire(cfg, max_jobs, WireFormat::default())
-}
-
-fn spawn_server_wire(
-    cfg: DispatchConfig,
-    max_jobs: usize,
-    wire: WireFormat,
-) -> (SocketAddr, std::thread::JoinHandle<usize>) {
     let server = Server::bind(
         "127.0.0.1:0",
         cfg,
@@ -78,7 +69,6 @@ fn spawn_server_wire(
         server
             .run(ServeOptions {
                 max_jobs: Some(max_jobs),
-                wire,
                 journal: None,
                 stop: None,
             })
@@ -89,18 +79,9 @@ fn spawn_server_wire(
 }
 
 fn spawn_worker(addr: SocketAddr, name: &str) -> std::thread::JoinHandle<usize> {
-    spawn_worker_wire(addr, name, WireFormat::default())
-}
-
-fn spawn_worker_wire(
-    addr: SocketAddr,
-    name: &str,
-    wire: WireFormat,
-) -> std::thread::JoinHandle<usize> {
     let opts = WorkerOptions {
         name: name.to_string(),
         heartbeat_interval_ms: 50,
-        wire,
         ..WorkerOptions::default()
     };
     std::thread::spawn(move || {
@@ -146,7 +127,7 @@ fn worker_killed_mid_shard_requeues_and_the_job_still_merges_identically() {
         &mut faulty,
         &Message::Register {
             name: "faulty".into(),
-            caps: WorkerCaps::legacy(),
+            caps: WorkerCaps::detect(),
         },
     )
     .expect("register");
@@ -205,27 +186,6 @@ fn garbage_speaking_peer_does_not_take_the_coordinator_down() {
     assert_eq!(result.to_json(), tiny_sequential().to_json());
     assert_eq!(server.join().expect("server"), 1);
     assert_eq!(worker.join().expect("worker"), 2);
-}
-
-#[test]
-fn mixed_wire_formats_on_one_coordinator_stay_bit_identical() {
-    // One worker ships shards as JSON, the other as binary, and the
-    // coordinator answers the submitter in JSON — the reader negotiates
-    // every frame by first byte, so the merge must not notice.
-    let (addr, server) = spawn_server_wire(DispatchConfig::default(), 1, WireFormat::Json);
-    let w1 = spawn_worker_wire(addr, "w-json", WireFormat::Json);
-    let w2 = spawn_worker_wire(addr, "w-bin", WireFormat::Bin);
-
-    let result = submit(addr, CAMPAIGN, 3).expect("dispatched campaign");
-    assert_eq!(
-        result.to_json(),
-        tiny_sequential().to_json(),
-        "mixing wire formats must not perturb the merged result"
-    );
-
-    assert_eq!(server.join().expect("server thread"), 1);
-    let ran = w1.join().expect("w1") + w2.join().expect("w2");
-    assert_eq!(ran, 3);
 }
 
 #[test]

@@ -3,16 +3,13 @@
 //! come back as typed [`ProtoError`]s — never a panic — and every
 //! well-formed frame must survive a parse → re-emit round trip
 //! byte-identically (what the coordinator's idempotency cache and the
-//! bit-identical-merge guarantee lean on). Both framings are covered:
-//! JSON lines and the length-prefixed binary frames that carry
-//! `ShardDone`/`Result` under `--wire bin`.
+//! bit-identical-merge guarantee lean on).
 
 use std::io::BufReader;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use strex::binwire::WireFormat;
 use strex::campaign::{CampaignShard, ShardSpec};
 use strex::dispatch::{read_message, JobSpec, Message, ProtoError, RejectReason, WorkerCaps};
 use strex::scenario::Scenario;
@@ -73,24 +70,14 @@ fn job_specs() -> impl Strategy<Value = JobSpec> {
 }
 
 fn worker_caps() -> impl Strategy<Value = WorkerCaps> {
-    (
-        1usize..256,
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        0usize..3,
-    )
-        .prop_map(|(cores, pinning, avx2, scenarios, wires_pick)| WorkerCaps {
+    (1usize..256, any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
+        |(cores, pinning, avx2, scenarios)| WorkerCaps {
             cores,
             pinning,
             avx2,
             scenarios,
-            wires: match wires_pick {
-                0 => vec![WireFormat::Json],
-                1 => vec![WireFormat::Bin],
-                _ => vec![WireFormat::Json, WireFormat::Bin],
-            },
-        })
+        },
+    )
 }
 
 fn control_messages() -> impl Strategy<Value = Message> {
@@ -157,20 +144,16 @@ proptest! {
     fn arbitrary_bytes_behind_a_binary_magic_never_panic(
         bytes in prop::collection::vec(any::<u8>(), 0..256),
     ) {
-        // Force the binary framing path: magic byte, then hostile bytes
-        // standing in for length prefix, payload and terminator.
+        // The magic byte an older build opened its binary frames with,
+        // then hostile bytes standing in for length prefix, payload and
+        // terminator: no JSON line starts with 0xB1, so this is a typed
+        // error whatever follows.
         let mut framed = vec![0xB1u8];
         framed.extend_from_slice(&bytes);
         let mut reader = BufReader::new(framed.as_slice());
         match read_message(&mut reader) {
-            Ok(_) => {}
-            Err(
-                ProtoError::Io(_)
-                | ProtoError::Truncated { .. }
-                | ProtoError::Malformed(_)
-                | ProtoError::Wire(_)
-                | ProtoError::Stalled { .. },
-            ) => {}
+            Err(ProtoError::Truncated { .. } | ProtoError::Malformed(_)) => {}
+            other => prop_assert!(false, "expected Truncated or Malformed, got {:?}", other),
         }
     }
 
@@ -179,7 +162,7 @@ proptest! {
         let frame = msg.to_frame();
         // Cut strictly inside the frame (losing at least the newline), on
         // a char boundary so the slice stays valid UTF-8 (invalid UTF-8 is
-        // the Io arm, covered by the arbitrary-bytes case above).
+        // the Malformed arm, covered by the arbitrary-bytes case above).
         let mut cut = cut.min(frame.len().saturating_sub(1));
         while !frame.is_char_boundary(cut) {
             cut -= 1;
@@ -262,14 +245,13 @@ fn tiny_shard_done() -> Message {
 }
 
 #[test]
-fn a_binary_frame_split_across_reads_still_parses_once_whole() {
-    // The binary analogue, through the reusable-buffer reader the serve
-    // loops hold: one frame delivered byte by byte (the worst split TCP
-    // can produce) must parse exactly once, then EOF cleanly, with the
-    // buffer reused across both calls.
+fn a_payload_frame_trickled_byte_by_byte_parses_once_whole() {
+    // Through the reusable-buffer reader the serve loops hold: one frame
+    // delivered byte by byte (the worst split TCP can produce) must parse
+    // exactly once, then EOF cleanly, with the buffer reused across both
+    // calls.
     let msg = tiny_shard_done();
-    let frame = msg.to_frame_bytes(WireFormat::Bin);
-    assert!(strex::binwire::is_binary(frame[0]));
+    let frame = msg.to_frame().into_bytes();
     struct TrickleReader<'a> {
         bytes: &'a [u8],
     }
@@ -286,8 +268,7 @@ fn a_binary_frame_split_across_reads_still_parses_once_whole() {
     let parsed = strex::dispatch::read_message_buffered(&mut reader, &mut buf)
         .expect("parses")
         .expect("one frame in");
-    assert_eq!(parsed.to_frame_bytes(WireFormat::Bin), frame);
-    assert_eq!(parsed.to_frame(), msg.to_frame(), "JSON twin agrees");
+    assert_eq!(parsed.to_frame().into_bytes(), frame);
     assert!(
         strex::dispatch::read_message_buffered(&mut reader, &mut buf)
             .expect("clean EOF")
@@ -295,10 +276,9 @@ fn a_binary_frame_split_across_reads_still_parses_once_whole() {
     );
 }
 
-/// Protocol v2.1 `checkpoint` frames and the `Assign` resume field, both
-/// framings: a parse → re-emit round trip must be byte-identical (cells
-/// and cursor fidelity is covered by `tests/checkpoint_resume.rs`; this
-/// is the frame layer).
+/// `checkpoint` frames and the `Assign` resume field: a parse → re-emit
+/// round trip must be byte-identical (cells and cursor fidelity is
+/// covered by `tests/checkpoint_resume.rs`; this is the frame layer).
 mod checkpoint_frames {
     use super::*;
     use strex::campaign::ShardCheckpoint;
@@ -320,30 +300,21 @@ mod checkpoint_frames {
     }
 
     #[test]
-    fn checkpoint_frames_round_trip_byte_identically_in_both_wires() {
+    fn checkpoint_frames_round_trip_byte_identically() {
         for msg in [checkpoint_msg(), assign_with_checkpoint()] {
             let json = msg.to_frame();
             let parsed = Message::parse_frame(&json).expect("own JSON parses");
             assert_eq!(parsed.to_frame(), json);
-
-            let bin = msg.to_frame_bytes(WireFormat::Bin);
-            let mut buf = Vec::new();
-            let mut reader = BufReader::new(bin.as_slice());
-            let parsed = strex::dispatch::read_message_buffered(&mut reader, &mut buf)
-                .expect("own binwire parses")
-                .expect("one frame");
-            assert_eq!(parsed.to_frame_bytes(WireFormat::Bin), bin);
-            assert_eq!(parsed.to_frame(), json, "JSON twin agrees");
         }
     }
 
     #[test]
     fn a_v2_assign_without_the_checkpoint_field_still_parses() {
-        // v2 coordinators never send `checkpoint`; a v2.1 worker must
-        // accept their frames unchanged (absent field == fresh start).
+        // A fresh assignment carries no `checkpoint`; the absent field
+        // means "start from the first cell".
         let frame =
             "{\"type\":\"assign\",\"job\":\"j\",\"campaign\":\"tiny\",\"index\":0,\"count\":2}\n";
-        match Message::parse_frame(frame).expect("v2 frame parses") {
+        match Message::parse_frame(frame).expect("fresh assign parses") {
             Message::Assign { checkpoint, .. } => assert!(checkpoint.is_none()),
             other => panic!("expected Assign, got {other:?}"),
         }

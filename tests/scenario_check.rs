@@ -178,9 +178,9 @@ fn mixed_outcomes_keep_declaration_order_and_pass_state() {
 fn fan_out_shards_merge_to_the_in_process_result() {
     use strex::campaign::{merge, ShardSpec};
 
-    // The same property `repro check --procs` rests on, without spawning
-    // processes: sharding a scenario's matrix and merging reproduces the
-    // in-process run bit for bit.
+    // The property `repro check --connect` rests on, without a fleet:
+    // sharding a scenario's matrix and merging reproduces the in-process
+    // run bit for bit.
     let scenario = tiny_scenario(
         r#"{"kind": "throughput_at_least",
             "cell": {"workload": "TPC-C-1", "scheduler": "strex", "cores": 2},
