@@ -258,6 +258,17 @@ impl SimConfig {
         if self.system.l2_bytes_per_core == 0 || self.system.l2_assoc == 0 {
             return Err(ConfigError::ZeroCacheGeometry { cache: "L2" });
         }
+        // The replacement state keeps one byte per way, so an LRU stack
+        // deeper than a byte can count is unrepresentable.
+        for (cache, assoc) in [
+            ("L1-I", l1i.assoc()),
+            ("L1-D", l1d.assoc()),
+            ("L2", self.system.l2_assoc),
+        ] {
+            if assoc > strex_sim::replacement::MAX_ASSOC {
+                return Err(ConfigError::AssociativityTooWide { cache, assoc });
+            }
+        }
         // The single-probe cache lookup indexes sets with a mask, so every
         // level needs a power-of-two set count (all Table 2 shapes qualify).
         for (cache, geom) in [("L1-I", l1i), ("L1-D", l1d)] {
@@ -472,6 +483,22 @@ mod tests {
             SimConfig::builder().system(uneven).build(),
             Err(ConfigError::UnevenCacheCapacity { cache: "L2" })
         );
+        // A 256-way level cannot be ordered by one replacement byte per
+        // way: a typed error naming the cache, not a panic at build time.
+        let mut wide = SystemConfig::with_cores(2);
+        wide.l1d_geometry = strex_sim::cache::CacheGeometry::new(256 * 64, 256);
+        assert_eq!(
+            SimConfig::builder().system(wide).build(),
+            Err(ConfigError::AssociativityTooWide {
+                cache: "L1-D",
+                assoc: 256
+            })
+        );
+        // 255 ways is the widest accepted; 64 is a wide but valid L2.
+        let mut widest = SystemConfig::with_cores(2);
+        widest.l1d_geometry = strex_sim::cache::CacheGeometry::new(255 * 64, 255);
+        widest.l2_assoc = 64;
+        assert!(SimConfig::builder().system(widest).build().is_ok());
         // A divisible but non-power-of-two L2 set count is also an error.
         let mut non_pow2 = SystemConfig::with_cores(2);
         non_pow2.l2_bytes_per_core = 3 * 16 * 64; // 3 sets at 16 ways

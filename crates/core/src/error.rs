@@ -45,6 +45,14 @@ pub enum ConfigError {
         /// Which cache: `"L1-I"`, `"L1-D"`, or `"L2"`.
         cache: &'static str,
     },
+    /// A cache level has more ways than its one-byte-per-way replacement
+    /// state can order ([`MAX_ASSOC`](strex_sim::replacement::MAX_ASSOC)).
+    AssociativityTooWide {
+        /// Which cache: `"L1-I"`, `"L1-D"`, or `"L2"`.
+        cache: &'static str,
+        /// The rejected associativity.
+        assoc: usize,
+    },
     /// A cache level's set count is not a power of two, which the
     /// single-probe (mask-indexed) cache lookup requires. All of the
     /// paper's geometries (Table 2) qualify.
@@ -99,6 +107,11 @@ impl fmt::Display for ConfigError {
             ConfigError::UnevenCacheCapacity { cache } => {
                 write!(f, "{cache} cache capacity does not divide evenly into sets")
             }
+            ConfigError::AssociativityTooWide { cache, assoc } => write!(
+                f,
+                "{cache} cache is {assoc}-way; at most {} ways are supported",
+                strex_sim::replacement::MAX_ASSOC
+            ),
             ConfigError::NonPowerOfTwoSets { cache, sets } => write!(
                 f,
                 "{cache} cache has {sets} sets; set counts must be powers of two"
@@ -146,6 +159,12 @@ mod tests {
         }
         .to_string()
         .contains("3 sets"));
+        assert!(ConfigError::AssociativityTooWide {
+            cache: "L1-D",
+            assoc: 256
+        }
+        .to_string()
+        .contains("L1-D cache is 256-way"));
         assert!(ConfigError::UnevenCacheCapacity { cache: "L2" }
             .to_string()
             .contains("divide evenly"));

@@ -607,25 +607,34 @@ impl SetAssocCache {
         let base = self.set_base(set);
         let shorts = &self.short[base..base + self.assoc];
         let sneedle = short_of(needle);
+        // Lossless mode: every resident block and the needle fit the
+        // 31-bit short payload, so a short match *is* a full match — the
+        // cold full-tag line is never touched on this path.
+        let lossless = self.short_exact && fits_short(needle);
         let (mut cand, invalid) = match self.assoc {
             4 => Self::scan_masks_short::<4>(shorts, sneedle),
             8 => Self::scan_masks_short::<8>(shorts, sneedle),
             16 => Self::scan_masks_short::<16>(shorts, sneedle),
             _ => {
-                let mut cand = 0u32;
-                let mut invalid = 0u32;
+                // Any width: verify each candidate in way order, as the
+                // mask path below does.
+                let mut hit = None;
+                let mut invalid = None;
                 for (way, &s) in shorts.iter().enumerate() {
-                    cand |= ((s == sneedle) as u32) << way;
-                    invalid |= ((s == 0) as u32) << way;
+                    if s == sneedle
+                        && hit.is_none()
+                        && (lossless || self.tags[base + way] == needle)
+                    {
+                        hit = Some(way);
+                    } else if s == 0 && invalid.is_none() {
+                        invalid = Some(way);
+                    }
                 }
-                (cand, invalid)
+                return (hit, invalid);
             }
         };
         let mut hit = None;
-        if cand != 0 && self.short_exact && fits_short(needle) {
-            // Lossless mode: every resident block and the needle fit the
-            // 31-bit short payload, so a short match *is* a full match —
-            // the cold full-tag line is never touched on this path.
+        if cand != 0 && lossless {
             hit = Some(cand.trailing_zeros() as usize);
         } else {
             while cand != 0 {
@@ -1332,29 +1341,36 @@ mod tests {
     fn short_tag_scan_is_bit_identical_to_plain() {
         // Same adversarial stream (hits, misses, evictions, peeks,
         // invalidations, writes) through a plain and a short-tag cache of
-        // every replacement kind; every outcome must agree.
+        // every replacement kind; every outcome must agree. The 64-way
+        // shape takes the width-independent generic scans.
+        let geoms = [
+            CacheGeometry::new(2048, 16), // 2 sets x 16 ways
+            CacheGeometry::new(8192, 64), // 2 sets x 64 ways
+        ];
         for kind in ReplacementKind::ALL {
-            let geom = CacheGeometry::new(2048, 16); // 2 sets x 16 ways
-            let mut plain = SetAssocCache::new(geom, kind);
-            let mut short = SetAssocCache::new(geom, kind).with_short_tag_scan();
-            for i in 0..4096u64 {
-                let b = BlockAddr::new((i * 7) % 96 + ((i % 5) << 31));
-                let p = plain.access_write(b, (i % 256) as u8);
-                let s = short.access_write(b, (i % 256) as u8);
-                assert_eq!(p.hit, s.hit, "{kind} i={i}");
-                assert_eq!((p.set, p.way), (s.set, s.way), "{kind} i={i}");
-                assert_eq!(p.evicted, s.evicted, "{kind} i={i}");
-                let probe = BlockAddr::new((i * 13) % 128);
-                assert_eq!(
-                    plain.peek_victim(probe),
-                    short.peek_victim(probe),
-                    "{kind} i={i}"
-                );
-                if i % 97 == 0 {
-                    assert_eq!(plain.invalidate(probe), short.invalidate(probe));
+            for geom in geoms {
+                let ways = geom.assoc();
+                let mut plain = SetAssocCache::new(geom, kind);
+                let mut short = SetAssocCache::new(geom, kind).with_short_tag_scan();
+                for i in 0..4096u64 {
+                    let b = BlockAddr::new((i * 7) % 96 + ((i % 5) << 31));
+                    let p = plain.access_write(b, (i % 256) as u8);
+                    let s = short.access_write(b, (i % 256) as u8);
+                    assert_eq!(p.hit, s.hit, "{kind} {ways}-way i={i}");
+                    assert_eq!((p.set, p.way), (s.set, s.way), "{kind} {ways}-way i={i}");
+                    assert_eq!(p.evicted, s.evicted, "{kind} {ways}-way i={i}");
+                    let probe = BlockAddr::new((i * 13) % 128);
+                    assert_eq!(
+                        plain.peek_victim(probe),
+                        short.peek_victim(probe),
+                        "{kind} {ways}-way i={i}"
+                    );
+                    if i % 97 == 0 {
+                        assert_eq!(plain.invalidate(probe), short.invalidate(probe));
+                    }
                 }
+                assert_eq!(plain.occupancy(), short.occupancy(), "{kind} {ways}-way");
             }
-            assert_eq!(plain.occupancy(), short.occupancy(), "{kind}");
         }
     }
 

@@ -22,6 +22,34 @@
 //! All decision logic is deterministic so that a *peek* at the next victim
 //! (needed by STREX's victim monitor) always agrees with the subsequent
 //! eviction.
+//!
+//! # Branch-free set updates
+//!
+//! Every L1 and L2 probe updates one of these sets, so no per-way decision
+//! is a branch (a data-dependent branch per way mispredicts on most
+//! updates of a thrashing cache):
+//!
+//! * **Promote / demote** (LRU, LIP, BIP) is one unconditional
+//!   compare-and-add over the set: `*m += (*m < old) as u8` moves every
+//!   shallower way one level deeper (`*m -= (*m > old) as u8` the other
+//!   way), then the touched way takes depth 0 (or `assoc - 1`). A way
+//!   already at the target depth leaves the set unchanged.
+//! * **Victim selection** (all five policies) is the set's maximum, one
+//!   equality mask against it and `trailing_zeros`: the way with the
+//!   largest value, and **the lowest index on ties**. RRIP's aging loop
+//!   picks exactly that way (the first to reach `RRPV_MAX`), and the LRU
+//!   stack is a permutation, so ties arise only under RRIP. Peek
+//!   ([`Replacement::victim_way`]) and eviction ([`Replacement::evict`])
+//!   share the one selection, which is what the victim monitor's
+//!   peek-equals-evict contract rests on.
+//!
+//! The kernels are written once over a set slice and run with the length
+//! a compile-time constant for the Table 2 associativities (8-way L1s,
+//! 16-way L2): LLVM turns the compare-and-add and the maximum into a few
+//! SSE2 instructions, and the equality mask is built eight ways to a
+//! `u64` word. Every other associativity up to [`MAX_ASSOC`] runs the same
+//! updates over a runtime-length slice and finds the victim by a linear
+//! search for the first maximal way.
 
 use std::fmt;
 
@@ -31,6 +59,10 @@ const RRPV_MAX: u8 = 3;
 const RRPV_LONG: u8 = RRPV_MAX - 1;
 /// Bimodal throttle period for BIP/BRRIP (1-in-32 insertions are favored).
 const BIMODAL_PERIOD: u32 = 32;
+
+/// Largest associativity the one-byte-per-way state can represent: an LRU
+/// stack depth must fit a `u8`.
+pub const MAX_ASSOC: usize = u8::MAX as usize;
 
 /// The replacement policy family to use for a cache.
 ///
@@ -101,9 +133,12 @@ impl Replacement {
     ///
     /// # Panics
     ///
-    /// Panics if `assoc` is 0 or greater than 255.
+    /// Panics if `assoc` is 0 or greater than [`MAX_ASSOC`].
     pub fn new(kind: ReplacementKind, sets: usize, assoc: usize) -> Self {
-        assert!(assoc > 0 && assoc <= 255, "associativity out of range");
+        assert!(
+            assoc > 0 && assoc <= MAX_ASSOC,
+            "associativity out of range"
+        );
         let meta = match kind {
             // The LRU stack must be a permutation of 0..assoc per set even
             // before any access, so initialize each set as the identity
@@ -131,12 +166,12 @@ impl Replacement {
         self.assoc
     }
 
-    /// Raw pointer to the metadata byte at flat frame index `idx`
-    /// (prefetch hints only).
+    /// Address of the metadata byte at flat frame index `idx`, for
+    /// prefetch hints only. Never dereferenced, so an out-of-range `idx`
+    /// yields a dangling but harmless address.
     #[inline]
     pub(crate) fn meta_ptr(&self, idx: usize) -> *const u8 {
-        debug_assert!(idx < self.meta.len());
-        unsafe { self.meta.as_ptr().add(idx) }
+        self.meta.as_ptr().wrapping_add(idx)
     }
 
     #[inline]
@@ -196,21 +231,14 @@ impl Replacement {
     ///
     /// This is the *peek* operation STREX's victim monitor relies on: the way
     /// returned here is exactly the way [`evict`](Replacement::evict) will
-    /// select next (assuming no intervening hits or fills in the set).
+    /// select next (assuming no intervening hits or fills in the set). Under
+    /// every policy it is the way holding the set's largest value — the
+    /// deepest LRU stack position, or the largest RRPV (the first way RRIP
+    /// aging would bring to `RRPV_MAX`) — with ties going to the lowest
+    /// index.
     #[inline]
     pub fn victim_way(&self, set: usize) -> usize {
-        let meta = self.set_meta_ref(set);
-        match self.kind {
-            ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip => {
-                // Deepest stack position = LRU.
-                Self::argmax(meta)
-            }
-            ReplacementKind::Srrip | ReplacementKind::Brrip => {
-                // RRIP aging selects the first way to reach RRPV_MAX, which
-                // is the way with the largest RRPV (lowest index on ties).
-                Self::argmax(meta)
-            }
-        }
+        fixed(self.set_meta_ref(set), victim)
     }
 
     /// Chooses and returns the victim way of `set`, applying any policy
@@ -219,15 +247,12 @@ impl Replacement {
     pub fn evict(&mut self, set: usize) -> usize {
         let way = self.victim_way(set);
         if matches!(self.kind, ReplacementKind::Srrip | ReplacementKind::Brrip) {
-            // Age every other way by the amount needed for `way` to reach
-            // RRPV_MAX, mirroring the iterative increment loop in hardware.
+            // Age every way by the amount needed for `way` to reach
+            // RRPV_MAX, mirroring the iterative increment loop in hardware
+            // (a zero delta leaves the set unchanged).
             let meta = self.set_meta(set);
             let delta = RRPV_MAX - meta[way];
-            if delta > 0 {
-                for m in meta.iter_mut() {
-                    *m = (*m + delta).min(RRPV_MAX);
-                }
-            }
+            fixed_mut(meta, |meta| age(meta, delta));
         }
         way
     }
@@ -235,73 +260,323 @@ impl Replacement {
     /// Clears the metadata of `way` in `set` after an invalidation so the
     /// way is preferred for the next fill.
     pub fn on_invalidate(&mut self, set: usize, way: usize) {
-        let init = match self.kind {
+        match self.kind {
+            // A demotion to LRU keeps the stack a permutation.
             ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip => {
-                (self.assoc - 1) as u8
+                self.demote_to_lru(set, way);
             }
-            ReplacementKind::Srrip | ReplacementKind::Brrip => RRPV_MAX,
-        };
-        // Keep the LRU stack consistent: treat as a demotion to LRU first.
-        if matches!(
-            self.kind,
-            ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip
-        ) {
-            self.demote_to_lru(set, way);
+            ReplacementKind::Srrip | ReplacementKind::Brrip => self.set_meta(set)[way] = RRPV_MAX,
         }
-        self.set_meta(set)[way] = init;
-    }
-
-    #[inline]
-    fn argmax(meta: &[u8]) -> usize {
-        let mut best = 0;
-        for (i, &m) in meta.iter().enumerate() {
-            if m > meta[best] {
-                best = i;
-            }
-        }
-        best
     }
 
     /// Moves `way` to stack depth 0 and pushes shallower entries down.
     #[inline]
     fn promote_to_mru(&mut self, set: usize, way: usize) {
-        let meta = self.set_meta(set);
-        let old = meta[way];
-        if old == 0 {
-            return; // already MRU: the pass below would change nothing
-        }
-        for m in meta.iter_mut() {
-            if *m < old {
-                *m += 1;
-            }
-        }
-        meta[way] = 0;
+        fixed_mut(self.set_meta(set), |meta| promote(meta, way));
     }
 
     /// Moves `way` to the deepest stack position, pulling deeper entries up.
     #[inline]
     fn demote_to_lru(&mut self, set: usize, way: usize) {
-        let assoc = self.assoc as u8;
-        let meta = self.set_meta(set);
-        let old = meta[way];
-        if old == assoc - 1 {
-            return; // already LRU: the pass below would change nothing
-        }
-        for m in meta.iter_mut() {
-            if *m > old {
-                *m -= 1;
-            }
-        }
-        meta[way] = assoc - 1;
+        fixed_mut(self.set_meta(set), |meta| demote(meta, way));
+    }
+}
+
+/// Runs `kernel` over one set, with the set length a compile-time constant
+/// for the Table 2 associativities (8-way L1s, 16-way L2) — the same
+/// dispatch as the cache's way scan — and a runtime length otherwise.
+#[inline(always)]
+fn fixed<R>(meta: &[u8], kernel: impl FnOnce(&[u8]) -> R) -> R {
+    match meta.len() {
+        8 => kernel(<&[u8; 8]>::try_from(meta).expect("length checked")),
+        16 => kernel(<&[u8; 16]>::try_from(meta).expect("length checked")),
+        _ => kernel(meta),
+    }
+}
+
+/// [`fixed`] for kernels that update the set.
+#[inline(always)]
+fn fixed_mut(meta: &mut [u8], kernel: impl FnOnce(&mut [u8])) {
+    match meta.len() {
+        8 => kernel(<&mut [u8; 8]>::try_from(meta).expect("length checked")),
+        16 => kernel(<&mut [u8; 16]>::try_from(meta).expect("length checked")),
+        _ => kernel(meta),
+    }
+}
+
+/// Moves `way` to stack depth 0: every way shallower than it sinks one
+/// level. One compare-and-add per way, no branch; a way already at depth
+/// 0 leaves the set unchanged.
+#[inline(always)]
+fn promote(meta: &mut [u8], way: usize) {
+    let old = meta[way];
+    for m in meta.iter_mut() {
+        *m += (*m < old) as u8;
+    }
+    meta[way] = 0;
+}
+
+/// Moves `way` to the deepest stack position: every way deeper than it
+/// rises one level. The mirror image of [`promote`].
+#[inline(always)]
+fn demote(meta: &mut [u8], way: usize) {
+    let old = meta[way];
+    for m in meta.iter_mut() {
+        *m -= (*m > old) as u8;
+    }
+    meta[way] = (meta.len() - 1) as u8;
+}
+
+/// The way holding the set's largest value, lowest index on ties: the
+/// maximum, an equality mask against it and `trailing_zeros`.
+#[inline(always)]
+fn victim(meta: &[u8]) -> usize {
+    let max = meta.iter().fold(0, |acc, &m| acc.max(m));
+    if !matches!(meta.len(), 8 | 16) {
+        // Not a Table 2 shape: the first equal way, by a linear search.
+        return meta
+            .iter()
+            .position(|&m| m == max)
+            .expect("the maximum is in the set");
+    }
+    // Eight ways to a `u64` word: bit 7 of byte `w` of the mask is set iff
+    // way `w` holds the maximum.
+    let mut mask = 0u128;
+    for (i, word) in meta.chunks_exact(8).enumerate() {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        mask |= u128::from(zero_bytes(word ^ (BYTE_ONES * u64::from(max)))) << (64 * i);
+    }
+    (mask.trailing_zeros() / 8) as usize
+}
+
+/// `0x01` in every byte of a `u64`.
+const BYTE_ONES: u64 = u64::from_le_bytes([0x01; 8]);
+
+/// Bit 7 of every byte of `word` that is zero, and no other bit. The
+/// per-byte sum `(b & 0x7f) + 0x7f` cannot carry into the next byte, so
+/// the mask is exact.
+#[inline(always)]
+fn zero_bytes(word: u64) -> u64 {
+    let low7 = BYTE_ONES * 0x7f;
+    !(((word & low7) + low7) | word | low7)
+}
+
+/// RRIP aging: adds `delta` to every RRPV. The caller's `delta` brings the
+/// set's largest RRPV to `RRPV_MAX`, so no RRPV passes it.
+#[inline(always)]
+fn age(meta: &mut [u8], delta: u8) {
+    for m in meta.iter_mut() {
+        *m += delta;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn stack_positions(r: &Replacement, set: usize) -> Vec<u8> {
         r.set_meta_ref(set).to_vec()
+    }
+
+    /// The replacement state as the branchy per-way loops kept it before
+    /// the kernels became branch-free: the differential reference. The
+    /// three loops are kept verbatim.
+    struct Reference {
+        kind: ReplacementKind,
+        assoc: usize,
+        meta: Vec<u8>,
+        bimodal_ctr: u32,
+    }
+
+    impl Reference {
+        fn new(kind: ReplacementKind, sets: usize, assoc: usize) -> Self {
+            Reference {
+                kind,
+                assoc,
+                meta: Replacement::new(kind, sets, assoc).meta,
+                bimodal_ctr: 0,
+            }
+        }
+
+        fn set_meta(&mut self, set: usize) -> &mut [u8] {
+            let base = set * self.assoc;
+            &mut self.meta[base..base + self.assoc]
+        }
+
+        fn lru_family(&self) -> bool {
+            matches!(
+                self.kind,
+                ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip
+            )
+        }
+
+        fn on_hit(&mut self, set: usize, way: usize) {
+            if self.lru_family() {
+                self.promote_to_mru(set, way);
+            } else {
+                self.set_meta(set)[way] = 0;
+            }
+        }
+
+        fn on_fill(&mut self, set: usize, way: usize) {
+            if matches!(self.kind, ReplacementKind::Bip | ReplacementKind::Brrip) {
+                self.bimodal_ctr = (self.bimodal_ctr + 1) % BIMODAL_PERIOD;
+            }
+            let favored = self.bimodal_ctr == 0;
+            match self.kind {
+                ReplacementKind::Lru => self.promote_to_mru(set, way),
+                ReplacementKind::Lip => self.demote_to_lru(set, way),
+                ReplacementKind::Bip if favored => self.promote_to_mru(set, way),
+                ReplacementKind::Bip => self.demote_to_lru(set, way),
+                ReplacementKind::Srrip => self.set_meta(set)[way] = RRPV_LONG,
+                ReplacementKind::Brrip if favored => self.set_meta(set)[way] = RRPV_LONG,
+                ReplacementKind::Brrip => self.set_meta(set)[way] = RRPV_MAX,
+            }
+        }
+
+        fn victim_way(&self, set: usize) -> usize {
+            let base = set * self.assoc;
+            Self::argmax(&self.meta[base..base + self.assoc])
+        }
+
+        fn evict(&mut self, set: usize) -> usize {
+            let way = self.victim_way(set);
+            if !self.lru_family() {
+                let meta = self.set_meta(set);
+                let delta = RRPV_MAX - meta[way];
+                if delta > 0 {
+                    for m in meta.iter_mut() {
+                        *m = (*m + delta).min(RRPV_MAX);
+                    }
+                }
+            }
+            way
+        }
+
+        fn on_invalidate(&mut self, set: usize, way: usize) {
+            let init = if self.lru_family() {
+                self.demote_to_lru(set, way);
+                (self.assoc - 1) as u8
+            } else {
+                RRPV_MAX
+            };
+            self.set_meta(set)[way] = init;
+        }
+
+        #[inline]
+        fn argmax(meta: &[u8]) -> usize {
+            let mut best = 0;
+            for (i, &m) in meta.iter().enumerate() {
+                if m > meta[best] {
+                    best = i;
+                }
+            }
+            best
+        }
+
+        /// Moves `way` to stack depth 0 and pushes shallower entries down.
+        #[inline]
+        fn promote_to_mru(&mut self, set: usize, way: usize) {
+            let meta = self.set_meta(set);
+            let old = meta[way];
+            if old == 0 {
+                return; // already MRU: the pass below would change nothing
+            }
+            for m in meta.iter_mut() {
+                if *m < old {
+                    *m += 1;
+                }
+            }
+            meta[way] = 0;
+        }
+
+        /// Moves `way` to the deepest stack position, pulling deeper entries up.
+        #[inline]
+        fn demote_to_lru(&mut self, set: usize, way: usize) {
+            let assoc = self.assoc as u8;
+            let meta = self.set_meta(set);
+            let old = meta[way];
+            if old == assoc - 1 {
+                return; // already LRU: the pass below would change nothing
+            }
+            for m in meta.iter_mut() {
+                if *m > old {
+                    *m -= 1;
+                }
+            }
+            meta[way] = assoc - 1;
+        }
+    }
+
+    const DIFF_SETS: usize = 3;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The branch-free kernels against the branchy reference loops,
+        /// for every policy and the Table 2 associativities, the odd ones
+        /// the generic path serves, and the widest one allowed. After every
+        /// operation the full metadata, the bimodal counter and the touched
+        /// set's victim must agree.
+        #[test]
+        fn kernels_match_reference_loops(
+            ops in prop::collection::vec((0u8..4, 0..DIFF_SETS, 0..MAX_ASSOC), 1..200),
+        ) {
+            for kind in ReplacementKind::ALL {
+                for assoc in [1, 2, 3, 4, 8, 12, 16, 64, MAX_ASSOC] {
+                    let mut fast = Replacement::new(kind, DIFF_SETS, assoc);
+                    let mut slow = Reference::new(kind, DIFF_SETS, assoc);
+                    for &(op, set, way) in &ops {
+                        let way = way % assoc;
+                        match op {
+                            0 => {
+                                fast.on_hit(set, way);
+                                slow.on_hit(set, way);
+                            }
+                            1 => {
+                                fast.on_fill(set, way);
+                                slow.on_fill(set, way);
+                            }
+                            2 => prop_assert_eq!(
+                                fast.evict(set),
+                                slow.evict(set),
+                                "{} {}-way evict",
+                                kind,
+                                assoc
+                            ),
+                            _ => {
+                                fast.on_invalidate(set, way);
+                                slow.on_invalidate(set, way);
+                            }
+                        }
+                        prop_assert_eq!(&fast.meta, &slow.meta, "{} {}-way op {}", kind, assoc, op);
+                        prop_assert_eq!(fast.bimodal_ctr, slow.bimodal_ctr);
+                        prop_assert_eq!(
+                            fast.victim_way(set),
+                            slow.victim_way(set),
+                            "{} {}-way victim",
+                            kind,
+                            assoc
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_bytes_marks_exactly_the_zero_bytes() {
+        for word in [0u64, u64::MAX, 0x0100_ff00_0080_7f00, 0x8000_0000_0000_0001] {
+            let expect = word
+                .to_le_bytes()
+                .iter()
+                .enumerate()
+                .fold(0u64, |mask, (i, &b)| {
+                    mask | u64::from(b == 0) << (8 * i + 7)
+                });
+            assert_eq!(zero_bytes(word), expect, "{word:#x}");
+        }
     }
 
     #[test]
@@ -419,5 +694,11 @@ mod tests {
     #[should_panic(expected = "associativity out of range")]
     fn zero_assoc_panics() {
         let _ = Replacement::new(ReplacementKind::Lru, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity out of range")]
+    fn assoc_beyond_a_byte_panics() {
+        let _ = Replacement::new(ReplacementKind::Lru, 1, MAX_ASSOC + 1);
     }
 }
