@@ -1071,16 +1071,13 @@ fn bench_json_mode(check_path: Option<&str>) -> ExitCode {
         );
     }
     println!(
-        "same-run: cache {:.1} vs {:.1} ns/op ({:.2}x) — trace {:.2} vs {:.2} ns/ev ({:.2}x) — driver {:.1} vs {:.1} ns/ev ({:.2}x)",
+        "same-run: cache {:.1} vs {:.1} ns/op ({:.2}x) — trace {:.2} vs {:.2} ns/ev ({:.2}x)",
         micros.cache.reference_ns_per_op,
         micros.cache.soa_ns_per_op,
         micros.cache.speedup(),
         micros.trace.legacy_ns_per_event,
         micros.trace.packed_ns_per_event,
         micros.trace.speedup(),
-        micros.driver.generic_ns_per_event,
-        micros.driver.passive_ns_per_event,
-        micros.driver.speedup(),
     );
     println!("wrote {path}");
     match committed {

@@ -17,7 +17,7 @@
 //! carries the sharded-executor scale-out section ([`campaign_scaling`]:
 //! aggregate events/sec, events/sec-per-core, scaling efficiency), the
 //! measuring host's core count, the PGO-vs-plain ratio when CI provides one
-//! ([`PgoComparison`]), and three *same-run* microbenches timing each
+//! ([`PgoComparison`]), and two *same-run* microbenches timing each
 //! optimized hot path against its in-tree reference implementation inside
 //! the producing process — those ratios are portable across machines by
 //! construction.
@@ -27,10 +27,8 @@ use std::time::Instant;
 
 use strex::campaign::{scaling_efficiency, Campaign, CampaignShard, ShardSpec};
 use strex::config::SchedulerKind;
-use strex::driver::{run, run_with, run_with_generic_loop};
+use strex::driver::run;
 use strex::json::JsonWriter;
-use strex::report::Report;
-use strex::sched::BaselineSched;
 use strex_oltp::trace::{MemRef, PackedRef};
 use strex_oltp::workload::{Workload, WorkloadKind};
 use strex_sim::addr::BlockAddr;
@@ -396,76 +394,6 @@ pub fn trace_microbench() -> TraceMicrobench {
     }
 }
 
-/// Same-run microbenchmark of the driver dispatch: one baseline-scheduler
-/// cell simulated through the generic (per-event virtual dispatch) loop
-/// and through the monomorphized passive fast path.
-#[derive(Copy, Clone, Debug)]
-pub struct DriverMicrobench {
-    /// Memory-reference events simulated per run.
-    pub events: u64,
-    /// Nanoseconds per event through the generic loop.
-    pub generic_ns_per_event: f64,
-    /// Nanoseconds per event through the passive fast path.
-    pub passive_ns_per_event: f64,
-}
-
-impl DriverMicrobench {
-    /// Generic-loop time over fast-path time.
-    pub fn speedup(&self) -> f64 {
-        if self.passive_ns_per_event > 0.0 {
-            self.generic_ns_per_event / self.passive_ns_per_event
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Runs the driver-dispatch microbenchmark (TPC-C-1 quick cell, baseline
-/// scheduler, 4 cores; best of three alternating runs per path). Panics if
-/// the two paths ever produce different results — it doubles as a
-/// differential test of the fast path.
-pub fn driver_microbench() -> DriverMicrobench {
-    let w = Workload::preset_small(WorkloadKind::TpccW1, MATRIX_POOL / 8, SEED);
-    let cfg = strex::config::SimConfig::builder()
-        .cores(4)
-        .scheduler(SchedulerKind::Baseline)
-        .build()
-        .expect("bench configuration is valid");
-
-    fn timed(run_once: &mut dyn FnMut() -> Report) -> (Report, f64) {
-        let t0 = Instant::now();
-        let r = run_once();
-        (r, t0.elapsed().as_secs_f64())
-    }
-
-    let mut generic_best = f64::INFINITY;
-    let mut passive_best = f64::INFINITY;
-    let mut reference: Option<Report> = None;
-    for _ in 0..3 {
-        let (rg, tg) = timed(&mut || run_with_generic_loop(&w, &cfg, &mut BaselineSched::new()));
-        let (rp, tp) = timed(&mut || run_with(&w, &cfg, &mut BaselineSched::new()));
-        assert_eq!(rg.makespan, rp.makespan, "fast path diverged from generic");
-        assert_eq!(
-            rg.latencies, rp.latencies,
-            "fast path diverged from generic"
-        );
-        if let Some(reference) = &reference {
-            assert_eq!(reference.makespan, rg.makespan, "nondeterministic run");
-        }
-        reference = Some(rg);
-        generic_best = generic_best.min(tg);
-        passive_best = passive_best.min(tp);
-    }
-    let r = reference.expect("three rounds ran");
-    let agg = r.stats.aggregate();
-    let events = agg.i_accesses + agg.d_accesses;
-    DriverMicrobench {
-        events,
-        generic_ns_per_event: generic_best * 1e9 / events as f64,
-        passive_ns_per_event: passive_best * 1e9 / events as f64,
-    }
-}
-
 /// Scale-out measurement of the sharded campaign executor over the quick
 /// matrix: the same cells as [`quick_suite`], run sequentially (1 worker)
 /// and on `workers` workers in the same interleaved rounds, with every
@@ -714,23 +642,20 @@ impl PgoComparison {
     }
 }
 
-/// The three same-run microbenches bundled for [`bench_json`].
+/// The two same-run microbenches bundled for [`bench_json`].
 #[derive(Copy, Clone, Debug)]
 pub struct SameRunMicros {
     /// Reference-vs-SoA cache hot path.
     pub cache: CacheMicrobench,
     /// Legacy-vs-packed trace stream.
     pub trace: TraceMicrobench,
-    /// Generic-vs-passive driver loop.
-    pub driver: DriverMicrobench,
 }
 
-/// Measures all three same-run microbenches.
+/// Measures both same-run microbenches.
 pub fn same_run_micros() -> SameRunMicros {
     SameRunMicros {
         cache: cache_microbench(),
         trace: trace_microbench(),
-        driver: driver_microbench(),
     }
 }
 
@@ -739,7 +664,7 @@ pub fn same_run_micros() -> SameRunMicros {
 /// trajectory ratios between them, the sharded-executor scale-out section
 /// (aggregate events/sec, events/sec-per-core, scaling efficiency), the
 /// measuring host's core count, the CI-recorded
-/// PGO-vs-plain ratio when available, and the three same-run hot-path
+/// PGO-vs-plain ratio when available, and the two same-run hot-path
 /// microbenchmarks (each timing the optimized path against its in-tree
 /// reference inside this very run, so those ratios are portable across
 /// machines).
@@ -866,19 +791,6 @@ pub fn bench_json(
     w.key("speedup");
     w.float(micros.trace.speedup());
     w.end_object();
-    w.key("passive_driver");
-    w.begin_object();
-    w.key("description");
-    w.string("baseline-scheduler cell simulated through the generic per-event-dyn-dispatch loop vs the monomorphized passive fast path, both in this run");
-    w.key("events");
-    w.number_u64(micros.driver.events);
-    w.key("generic_ns_per_event");
-    w.float(micros.driver.generic_ns_per_event);
-    w.key("passive_ns_per_event");
-    w.float(micros.driver.passive_ns_per_event);
-    w.key("speedup");
-    w.float(micros.driver.speedup());
-    w.end_object();
     w.end_object();
     w.end_object();
     w.finish()
@@ -922,11 +834,6 @@ mod tests {
                 legacy_ns_per_event: 3.0,
                 packed_ns_per_event: 2.0,
             },
-            driver: DriverMicrobench {
-                events: 100,
-                generic_ns_per_event: 90.0,
-                passive_ns_per_event: 60.0,
-            },
         }
     }
 
@@ -949,7 +856,6 @@ mod tests {
         let micros = tiny_micros();
         assert!((micros.cache.speedup() - 2.0).abs() < 1e-9);
         assert!((micros.trace.speedup() - 1.5).abs() < 1e-9);
-        assert!((micros.driver.speedup() - 1.5).abs() < 1e-9);
         let scaling = tiny_scaling();
         assert!((scaling.events_per_sec_per_core() - 800.0).abs() < 1e-9);
         assert!((scaling.efficiency() - 0.8).abs() < 1e-9);
@@ -972,7 +878,6 @@ mod tests {
         assert!(merged.contains(r#""same_run""#));
         assert!(merged.contains(r#""cache_hot_path""#));
         assert!(merged.contains(r#""packed_trace""#));
-        assert!(merged.contains(r#""passive_driver""#));
         assert!(merged.contains(r#""speedup":2"#), "microbench speedup");
         // The document parses back through the in-tree reader (the gate's
         // path) and records the measuring host.
@@ -1033,8 +938,5 @@ mod tests {
         let t = trace_microbench();
         assert!(t.events > 10_000);
         assert!(t.legacy_ns_per_event > 0.0 && t.packed_ns_per_event > 0.0);
-        let d = driver_microbench();
-        assert!(d.events > 100_000);
-        assert!(d.generic_ns_per_event > 0.0 && d.passive_ns_per_event > 0.0);
     }
 }

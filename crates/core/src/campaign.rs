@@ -183,8 +183,8 @@ impl<'w> Campaign<'w> {
     /// `SimConfig`'s `scheduler` field mirrors the key only for built-in
     /// kinds; for custom registry names (which `SchedulerKind` cannot
     /// represent) it keeps the base value — replay a custom-policy cell
-    /// through [`run_registered`](crate::driver::run_registered)-style
-    /// name resolution, not through the config field.
+    /// by resolving the cell key's scheduler name in the registry, not
+    /// through the config field.
     pub fn cells(&self, reg: &SchedulerRegistry) -> Result<Vec<(CellKey, SimConfig)>, ConfigError> {
         let schedulers: Vec<String> = match &self.schedulers {
             Some(s) => s.clone(),
@@ -247,8 +247,8 @@ impl<'w> Campaign<'w> {
     ///
     /// Every cell is validated before anything runs, so a bad matrix
     /// costs nothing. Each worker claims cells from a shared cursor, runs
-    /// them through the factory's monomorphized typed loop with its own
-    /// reused [`SimScratch`], and keeps its results in a private shard;
+    /// them through the factory's typed run with its own reused
+    /// [`SimScratch`], and keeps its results in a private shard;
     /// the shards are reassembled in matrix order afterwards, so the
     /// outcome is independent of worker interleaving — and, because each
     /// simulation is itself deterministic, bit-identical to sequential

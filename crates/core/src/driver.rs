@@ -7,49 +7,17 @@
 //! global cycle order through a priority queue, with shared-resource timing
 //! (L2 slices, DRAM banks) keyed by each request's arrival cycle. The same
 //! 1-IPC model underlies the paper's own motivation analysis (Section 2.2).
-//!
-//! # Monomorphized loops
-//!
-//! The inner event loop (`sim_loop`) is generic over the scheduler type
-//! (`S: Scheduler + ?Sized`) and two `const` switches:
-//!
-//! * **Typed instantiation.** Through [`run_typed`] (reached from
-//!   [`run`]/[`run_registered`]/campaigns via
-//!   [`SchedulerFactory::run_typed`])
-//!   the loop is instantiated *per concrete scheduler type* — every
-//!   per-event scheduler call (`pre_fetch_probed`, `phase_tag`,
-//!   `on_fetch`) is a static, inlinable call instead of a vtable load.
-//!   [`run_with`] keeps the `dyn Scheduler` instantiation for
-//!   caller-provided policies.
-//! * **`PASSIVE`**: for schedulers that declare [`Scheduler::is_passive`]
-//!   (they never interpose on individual events — no victim monitoring, no
-//!   switch/migrate decisions, phase tag always zero), the per-event calls
-//!   and the `Decision` handling compile away entirely.
-//!   Scheduling-boundary calls (`next_thread`, `on_sched_in`, `on_done`)
-//!   still reach the scheduler, so queue policy is preserved.
-//! * **`FUSED`**: active schedulers take the fused-probe fetch path — one
-//!   L1-I tag scan ([`MemorySystem::probe_fetch`]) serves both the victim
-//!   monitor ([`Scheduler::pre_fetch_probed`]) and the demand access
-//!   ([`MemorySystem::fetch_inst_probed`]), where the unfused path scans
-//!   the same set twice (STREX's `peek_victim` + `fetch_inst`).
-//!
-//! Every instantiation replays the same packed event stream with the same
-//! core batching and the same cycle-ordered heap, so results are
-//! bit-identical across all of them — pinned by
-//! `passive_fast_path_matches_generic` and `typed_loop_matches_generic`
-//! below, and by the golden snapshot.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use strex_oltp::trace::{MemRef, PackedRef};
 use strex_oltp::workload::Workload;
-use strex_sim::addr::BlockAddr;
 use strex_sim::hierarchy::MemorySystem;
 use strex_sim::ids::{CoreId, Cycle, ThreadId};
 
 use crate::report::Report;
-use crate::sched::registry::{self, SchedulerFactory, SchedulerRegistry};
+use crate::sched::registry::{self, SchedulerFactory};
 use crate::sched::{Decision, Scheduler};
 use crate::thread::TxnThread;
 
@@ -73,10 +41,9 @@ struct Core {
 /// Reusable per-run buffers: the thread table, per-core state and the
 /// cycle-ordered heap. A campaign worker keeps one `SimScratch` and runs
 /// every cell of its shard through it, so those allocations happen once
-/// per worker instead of once per cell; all entry points that don't take a
-/// scratch create a fresh one. Contents are fully reset at the start of
-/// each run — reuse is invisible to results (the sharded-vs-sequential
-/// campaign tests pin this).
+/// per worker instead of once per cell; [`run`] creates a fresh one.
+/// Contents are fully reset at the start of each run — reuse is invisible
+/// to results (the sharded-vs-sequential campaign tests pin this).
 #[derive(Debug, Default)]
 pub struct SimScratch {
     threads: Vec<TxnThread>,
@@ -95,9 +62,9 @@ impl SimScratch {
 ///
 /// The scheduler is resolved from the [global scheduler
 /// registry](crate::sched::registry::global) by the configuration's
-/// [`SchedulerKind::key`](crate::config::SchedulerKind::key); this is the
-/// single-run compatibility wrapper over [`run_registered`]. For matrices
-/// of runs, see [`Campaign`](crate::campaign::Campaign).
+/// [`SchedulerKind::key`](crate::config::SchedulerKind::key). For matrices
+/// of runs, or a registry with custom policies, see
+/// [`Campaign`](crate::campaign::Campaign).
 ///
 /// # Examples
 ///
@@ -116,30 +83,17 @@ impl SimScratch {
 /// println!("I-MPKI: {:.1}", report.i_mpki());
 /// ```
 pub fn run(workload: &Workload, config: &SimConfig) -> Report {
-    run_registered(workload, config, registry::global())
-}
-
-/// Runs with the scheduler resolved by name from `reg` — the hook through
-/// which custom [`SchedulerFactory`]
-/// policies reach the driver.
-///
-/// # Panics
-///
-/// Panics if `config.scheduler.key()` is not registered in `reg`.
-pub fn run_registered(workload: &Workload, config: &SimConfig, reg: &SchedulerRegistry) -> Report {
-    let key = config.scheduler.key();
-    let factory = reg
-        .get(key)
-        .unwrap_or_else(|| panic!("scheduler {key:?} is not registered"));
+    let factory = registry::global()
+        .get(config.scheduler.key())
+        .expect("every SchedulerKind is a built-in registry entry");
     run_factory(factory, workload, config, &mut SimScratch::new())
 }
 
-/// Runs one simulation through `factory`, preferring its monomorphized
-/// typed loop ([`SchedulerFactory::run_typed`]) and falling back to the
-/// `dyn Scheduler` loop for factories that don't provide one. `scratch` is
-/// reused across calls — this is the campaign executor's per-cell entry
-/// point.
-pub fn run_factory(
+/// Runs one simulation through `factory`: its typed run
+/// ([`SchedulerFactory::run_typed`]) if it has one, else the scheduler
+/// its [`create`](SchedulerFactory::create) returns. `scratch` is reused
+/// across calls — this is the campaign executor's per-cell entry point.
+pub(crate) fn run_factory(
     factory: &dyn SchedulerFactory,
     workload: &Workload,
     config: &SimConfig,
@@ -147,45 +101,16 @@ pub fn run_factory(
 ) -> Report {
     match factory.run_typed(workload, config, scratch) {
         Some(report) => report,
-        None => {
-            let mut scheduler = factory.create(config);
-            run_dispatch(workload, config, scheduler.as_mut(), true, true, scratch)
-        }
+        None => run_with(workload, config, factory.create(config).as_mut(), scratch),
     }
 }
 
-/// Runs with a concrete scheduler type: the whole event loop is
-/// monomorphized for `S`, so the per-event scheduler interactions are
-/// static calls LLVM can inline — this is the loop the built-in factories
-/// route [`run`] and campaign cells through. Results are bit-identical to
-/// [`run_with`] on the same scheduler (pinned by
-/// `typed_loop_matches_generic`).
-pub fn run_typed<S: Scheduler>(
-    workload: &Workload,
-    config: &SimConfig,
-    scheduler: &mut S,
-) -> Report {
-    run_typed_scratch(workload, config, scheduler, &mut SimScratch::new())
-}
-
-/// [`run_typed`] reusing caller-owned [`SimScratch`] buffers.
-pub fn run_typed_scratch<S: Scheduler>(
-    workload: &Workload,
-    config: &SimConfig,
-    scheduler: &mut S,
-    scratch: &mut SimScratch,
-) -> Report {
-    run_dispatch(workload, config, scheduler, true, true, scratch)
-}
-
-/// Runs with a caller-provided scheduler (ablations, custom policies).
+/// Runs with a caller-provided scheduler (ablations, custom policies),
+/// reusing `scratch`'s buffers.
 ///
-/// This is the `dyn Scheduler` instantiation of the loop: it still takes
-/// the passive fast path when the scheduler (after `init`) declares
-/// [`Scheduler::is_passive`] and the fused fetch path when it declares
-/// [`Scheduler::uses_victim_monitor`], but per-event scheduler calls go
-/// through the vtable. All instantiations are bit-identical in results;
-/// concrete types get the statically dispatched loop via [`run_typed`].
+/// The loop is compiled once per scheduler type: a concrete `S` gets
+/// static, inlinable per-event calls, and `&mut dyn Scheduler` works too,
+/// through the vtable. Both give bit-identical results.
 ///
 /// # Panics
 ///
@@ -194,44 +119,10 @@ pub fn run_typed_scratch<S: Scheduler>(
 /// re-checked here, the chokepoint every run funnels through, so e.g. a
 /// core count beyond the `u16` `CoreId` space fails loudly instead of
 /// silently aliasing cores.
-pub fn run_with(workload: &Workload, config: &SimConfig, scheduler: &mut dyn Scheduler) -> Report {
-    run_dispatch(
-        workload,
-        config,
-        scheduler,
-        true,
-        true,
-        &mut SimScratch::new(),
-    )
-}
-
-/// Like [`run_with`] but always takes the generic loop — per-event virtual
-/// dispatch for passive schedulers, and the *unfused* fetch path (separate
-/// victim peek and demand probe) for active ones. Exists so differential
-/// tests and the same-run driver benchmark can compare the optimized paths
-/// against it on identical inputs; results are bit-identical with
-/// [`run_with`] and [`run_typed`].
-pub fn run_with_generic_loop(
-    workload: &Workload,
-    config: &SimConfig,
-    scheduler: &mut dyn Scheduler,
-) -> Report {
-    run_dispatch(
-        workload,
-        config,
-        scheduler,
-        false,
-        false,
-        &mut SimScratch::new(),
-    )
-}
-
-fn run_dispatch<S: Scheduler + ?Sized>(
+pub fn run_with<S: Scheduler + ?Sized>(
     workload: &Workload,
     config: &SimConfig,
     scheduler: &mut S,
-    allow_passive: bool,
-    fused: bool,
     scratch: &mut SimScratch,
 ) -> Report {
     if let Err(e) = config.validate() {
@@ -247,29 +138,13 @@ fn run_dispatch<S: Scheduler + ?Sized>(
             .map(|(i, t)| TxnThread::new(ThreadId::new(i as u32), i, t.txn_type(), 0)),
     );
     scheduler.init(&scratch.threads, traces, n_cores);
-    // `is_passive`/`uses_victim_monitor` are meaningful only after `init`
-    // (the hybrid picks its delegate there), so the dispatch happens here,
-    // not at the call site. The passive loop never consults `pre_fetch`,
-    // so FUSED is moot there; and fusing for a scheduler that never peeks
-    // victims would thread probe state through the fetch for nothing, so
-    // the fused loop runs exactly for the policies that monitor victims.
-    match (
-        allow_passive && scheduler.is_passive(),
-        fused && scheduler.uses_victim_monitor(),
-    ) {
-        (true, _) => sim_loop::<S, true, true>(workload, config, scheduler, scratch),
-        (false, true) => sim_loop::<S, false, true>(workload, config, scheduler, scratch),
-        (false, false) => sim_loop::<S, false, false>(workload, config, scheduler, scratch),
-    }
+    sim_loop(workload, config, scheduler, scratch)
 }
 
-/// The simulation loop, monomorphized over the scheduler type and the two
-/// fast-path switches. With `PASSIVE = true` the per-event scheduler
-/// interactions are compile-time constants (`pre_fetch`/`on_fetch` →
-/// [`Decision::Continue`], `phase_tag` → 0) and every `Decision` branch
-/// folds away. With `FUSED = true` (active schedulers) the victim peek and
-/// the demand fetch share one L1-I tag scan.
-fn sim_loop<S: Scheduler + ?Sized, const PASSIVE: bool, const FUSED: bool>(
+/// The simulation loop: every instruction fetch consults the scheduler's
+/// victim monitor ([`Scheduler::pre_fetch`]), runs the demand fetch, then
+/// reports it ([`Scheduler::on_fetch`]).
+fn sim_loop<S: Scheduler + ?Sized>(
     workload: &Workload,
     config: &SimConfig,
     scheduler: &mut S,
@@ -306,10 +181,8 @@ fn sim_loop<S: Scheduler + ?Sized, const PASSIVE: bool, const FUSED: bool>(
                     scheduler.on_sched_in(core_id, tid);
                 }
                 None => {
-                    // No runnable work: poll again later if work may appear.
-                    if scheduler.has_pending_work() || completed < n_threads {
-                        heap.push(Reverse((cores[c].cycle + IDLE_POLL, c)));
-                    }
+                    // No runnable work yet: poll again later.
+                    heap.push(Reverse((cores[c].cycle + IDLE_POLL, c)));
                     continue;
                 }
             }
@@ -333,14 +206,6 @@ fn sim_loop<S: Scheduler + ?Sized, const PASSIVE: bool, const FUSED: bool>(
 
         while budget > 0 {
             budget -= 1;
-            // Pipeline the memory model one event ahead: start pulling in
-            // the L2-slice lines the *next* instruction fetch will probe
-            // while the current event is simulated. Pure prefetch hint.
-            if let Some(next) = refs.get(pos + 1) {
-                if next.is_fetch() {
-                    mem.prefetch_fetch(BlockAddr::new(next.payload()));
-                }
-            }
             match refs.get(pos).map(|r| r.decode()) {
                 None => {
                     thread.mark_completed(cycle);
@@ -351,63 +216,42 @@ fn sim_loop<S: Scheduler + ?Sized, const PASSIVE: bool, const FUSED: bool>(
                     break;
                 }
                 Some(MemRef::IFetch { block, instrs }) => {
-                    // Fused path: one read-only scan of the target L1-I set
-                    // answers both the victim monitor and the demand probe.
-                    let probe = if !PASSIVE && FUSED {
-                        Some(mem.probe_fetch(core_id, block))
-                    } else {
-                        None
-                    };
                     // Victim monitor: a thread stops *before* a fill that
                     // would destroy the team's current-phase segment; the
                     // abandoned fetch re-executes when it is next scheduled.
-                    if !PASSIVE {
-                        let decision = match &probe {
-                            Some(p) => scheduler.pre_fetch_probed(core_id, tid, block, p, &mem),
-                            None => scheduler.pre_fetch(core_id, tid, block, &mem),
-                        };
-                        if decision == Decision::Switch {
+                    if scheduler.pre_fetch(core_id, tid, block, &mem) == Decision::Switch {
+                        cycle += mem.context_transfer(core_id, config.strex.ctx_state_blocks);
+                        scheduler.on_switch(core_id, tid);
+                        cores[c].current = None;
+                        reinsert_at = Some(cycle);
+                        break;
+                    }
+                    let tag = scheduler.phase_tag(core_id);
+                    let fetch = mem.fetch_inst(core_id, block, tag, cycle);
+                    mem.add_instructions(core_id, instrs as u64);
+                    cycle += instrs as u64 + fetch.stall;
+                    pos += 1;
+                    match scheduler.on_fetch(core_id, tid, block, &fetch, &mem) {
+                        Decision::Continue => {}
+                        Decision::Switch => {
+                            // Save the outgoing context to the L2.
                             cycle += mem.context_transfer(core_id, config.strex.ctx_state_blocks);
                             scheduler.on_switch(core_id, tid);
                             cores[c].current = None;
                             reinsert_at = Some(cycle);
                             break;
                         }
-                    }
-                    let tag = if PASSIVE {
-                        0
-                    } else {
-                        scheduler.phase_tag(core_id)
-                    };
-                    let fetch = match probe {
-                        Some(p) => mem.fetch_inst_probed(core_id, p, tag, cycle),
-                        None => mem.fetch_inst(core_id, block, tag, cycle),
-                    };
-                    mem.add_instructions(core_id, instrs as u64);
-                    cycle += instrs as u64 + fetch.stall;
-                    pos += 1;
-                    if !PASSIVE {
-                        match scheduler.on_fetch(core_id, tid, block, &fetch, &mem) {
-                            Decision::Continue => {}
-                            Decision::Switch => {
-                                // Save the outgoing context to the L2.
-                                cycle +=
-                                    mem.context_transfer(core_id, config.strex.ctx_state_blocks);
-                                scheduler.on_switch(core_id, tid);
-                                cores[c].current = None;
-                                reinsert_at = Some(cycle);
-                                break;
-                            }
-                            Decision::Migrate(dst) => {
-                                cycle +=
-                                    mem.context_transfer(core_id, config.strex.ctx_state_blocks);
-                                scheduler.on_migrate(tid, dst);
-                                cores[c].current = None;
-                                reinsert_at = Some(cycle);
-                                // Wake the destination core if it went idle.
-                                heap.push(Reverse((cycle, dst.as_usize())));
-                                break;
-                            }
+                        Decision::Migrate(dst) => {
+                            cycle += mem.context_transfer(core_id, config.strex.ctx_state_blocks);
+                            scheduler.on_migrate(tid, dst);
+                            cores[c].current = None;
+                            reinsert_at = Some(cycle);
+                            // Wake the destination core. The push is
+                            // unconditional, so a destination that was not
+                            // idle keeps a second heap entry; the golden
+                            // snapshot pins the resulting SLICC schedules.
+                            heap.push(Reverse((cycle, dst.as_usize())));
+                            break;
                         }
                     }
                 }
@@ -459,7 +303,6 @@ fn sim_loop<S: Scheduler + ?Sized, const PASSIVE: bool, const FUSED: bool>(
 mod tests {
     use super::*;
     use crate::config::SchedulerKind;
-    use crate::sched::BaselineSched;
     use strex_oltp::workload::WorkloadKind;
 
     fn small_workload() -> Workload {
@@ -533,27 +376,5 @@ mod tests {
         let b = run(&w, &cfg);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.latencies, b.latencies);
-    }
-
-    /// The monomorphized passive loop and the generic loop must produce
-    /// bit-identical results for a passive scheduler.
-    #[test]
-    fn passive_fast_path_matches_generic() {
-        for (pool, seed, cores) in [(6usize, 11u64, 2usize), (8, 3, 4)] {
-            let w = Workload::preset_small(WorkloadKind::TpccW1, pool, seed);
-            let cfg = cfg(cores, SchedulerKind::Baseline);
-            let mut fast_sched = BaselineSched::new();
-            let mut slow_sched = BaselineSched::new();
-            assert!(fast_sched.is_passive());
-            let fast = run_with(&w, &cfg, &mut fast_sched);
-            let slow = run_with_generic_loop(&w, &cfg, &mut slow_sched);
-            assert_eq!(fast.makespan, slow.makespan);
-            assert_eq!(fast.latencies, slow.latencies);
-            assert_eq!(
-                fast.stats.aggregate().i_misses,
-                slow.stats.aggregate().i_misses
-            );
-            assert_eq!(fast.stats.shared, slow.stats.shared);
-        }
     }
 }

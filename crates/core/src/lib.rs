@@ -93,7 +93,7 @@ pub use campaign::{
 };
 pub use config::{SchedulerKind, SimConfig, SimConfigBuilder, SliccParams, StrexParams};
 pub use dispatch::DispatchError;
-pub use driver::{run, run_registered, run_typed, run_with, SimScratch};
+pub use driver::{run, run_with, SimScratch};
 pub use error::ConfigError;
 pub use jsonval::{JsonValue, WireError};
 pub use report::Report;

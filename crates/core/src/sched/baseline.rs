@@ -77,16 +77,6 @@ impl Scheduler for BaselineSched {
     }
 
     fn on_done(&mut self, _core: CoreId, _thread: ThreadId, _now: Cycle) {}
-
-    fn has_pending_work(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
-    // Run-to-completion: never switches, never migrates, never tags — the
-    // driver may run its monomorphized fast path.
-    fn is_passive(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -106,9 +96,7 @@ mod tests {
         s.init(&threads(3), &[], 2);
         assert_eq!(s.next_thread(CoreId::new(0), 0), Some(ThreadId::new(0)));
         assert_eq!(s.next_thread(CoreId::new(1), 0), Some(ThreadId::new(1)));
-        assert!(s.has_pending_work());
         assert_eq!(s.next_thread(CoreId::new(0), 0), Some(ThreadId::new(2)));
-        assert!(!s.has_pending_work());
         assert_eq!(s.next_thread(CoreId::new(0), 0), None);
     }
 

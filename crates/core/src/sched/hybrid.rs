@@ -110,20 +110,16 @@ enum Inner {
 }
 
 /// Forwards one call to the selected delegate with *static* dispatch: each
-/// `Inner` arm names the concrete scheduler type, so when the driver's
-/// monomorphized loop is instantiated for `HybridSched`, the per-event
-/// forwarding is one enum discriminant branch plus an inlinable call — no
-/// vtable on the path (the previous `&mut dyn Scheduler` accessor put one
-/// back on every delegated call).
+/// `Inner` arm names the concrete scheduler type, so when the driver's loop
+/// is instantiated for `HybridSched`, the per-event forwarding is one enum
+/// discriminant branch plus an inlinable call — no vtable on the path.
 ///
-/// Deliberately **not** forwarded: `pre_fetch`, `pre_fetch_probed` and
-/// `uses_victim_monitor` stay at their trait defaults, so a
-/// hybrid-selected STREX delegate runs *without* the rule-3 victim
-/// monitor. That has been the hybrid's behavior since the seed (the old
-/// `dyn` accessor never forwarded `pre_fetch` either) and it is pinned by
-/// the golden report snapshot; forwarding it now would change every
-/// hybrid cell's results. Revisit only together with a deliberate golden
-/// re-baseline.
+/// Only `pre_fetch` stays deliberately **unforwarded**: it keeps the trait
+/// default, so a hybrid-selected STREX delegate runs *without* the rule-3
+/// victim monitor. That has been the hybrid's behavior since the seed and
+/// it is pinned by the golden report snapshot; forwarding it now would
+/// change every STREX-delegated hybrid cell's results. Revisit only
+/// together with a deliberate golden re-baseline.
 macro_rules! delegate {
     ($self:ident, $s:ident => $call:expr) => {
         match &mut $self.inner {
@@ -223,10 +219,6 @@ impl Scheduler for HybridSched {
         delegate!(self, s => s.on_done(core, thread, now));
     }
 
-    fn has_pending_work(&self) -> bool {
-        delegate_ref!(self, s => s.has_pending_work())
-    }
-
     fn context_switches(&self) -> u64 {
         delegate_ref!(self, s => s.context_switches())
     }
@@ -240,16 +232,6 @@ impl Scheduler for HybridSched {
             Inner::Unset(_) => None,
             Inner::Strex(_) => Some("STREX"),
             Inner::Slicc(_) => Some("SLICC"),
-        }
-    }
-
-    fn is_passive(&self) -> bool {
-        // Forward the delegate's answer once one is chosen; before `init`
-        // the placeholder must not claim the fast path.
-        match &self.inner {
-            Inner::Unset(_) => false,
-            Inner::Strex(s) => s.is_passive(),
-            Inner::Slicc(s) => s.is_passive(),
         }
     }
 }

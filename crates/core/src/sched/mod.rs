@@ -20,7 +20,6 @@ pub use strex::StrexSched;
 
 use strex_oltp::trace::TxnTrace;
 use strex_sim::addr::BlockAddr;
-use strex_sim::cache::FetchProbe;
 use strex_sim::hierarchy::{InstFetch, MemorySystem};
 use strex_sim::ids::{CoreId, Cycle, ThreadId};
 
@@ -72,32 +71,6 @@ pub trait Scheduler {
         Decision::Continue
     }
 
-    /// The fused-probe form of [`pre_fetch`](Scheduler::pre_fetch), used by
-    /// the driver's fused loop: `probe` is the *same single L1-I tag scan*
-    /// the subsequent fetch will commit, so a policy that needs the
-    /// imminent fill's victim (STREX's victim monitor) reads it through
-    /// [`MemorySystem::l1i_probe_victim`] without a second scan of the set
-    /// — and a policy that never asks pays nothing beyond the scan the
-    /// fetch needed anyway.
-    ///
-    /// The default forwards to [`pre_fetch`](Scheduler::pre_fetch),
-    /// ignoring `probe` — always correct for custom policies (at the cost
-    /// of whatever probing their `pre_fetch` does itself). Overrides must
-    /// return exactly what `pre_fetch` would for the same state; the
-    /// driver's fused and unfused loops are differentially tested to be
-    /// bit-identical.
-    fn pre_fetch_probed(
-        &mut self,
-        core: CoreId,
-        thread: ThreadId,
-        block: BlockAddr,
-        probe: &FetchProbe,
-        mem: &MemorySystem,
-    ) -> Decision {
-        let _ = probe;
-        self.pre_fetch(core, thread, block, mem)
-    }
-
     /// Reacts to one instruction fetch of `block` by `thread` on `core`.
     fn on_fetch(
         &mut self,
@@ -118,42 +91,6 @@ pub trait Scheduler {
 
     /// Called when `thread` finishes on `core`.
     fn on_done(&mut self, core: CoreId, thread: ThreadId, now: Cycle);
-
-    /// `true` if any scheduler queue still holds runnable work (used by the
-    /// driver to decide whether idle cores should poll again).
-    fn has_pending_work(&self) -> bool;
-
-    /// `true` if this policy's [`pre_fetch`](Scheduler::pre_fetch) may
-    /// consult the imminent fill's victim (STREX's victim monitor). The
-    /// driver fuses the monitor's peek with the demand fetch into one
-    /// L1-I tag scan only for such schedulers; for everyone else the
-    /// straight fetch path is used, with nothing threaded between the
-    /// scheduler calls and the fetch. Like
-    /// [`is_passive`](Scheduler::is_passive), the answer is consulted once
-    /// per run, after [`init`](Scheduler::init) — and the default (`false`)
-    /// is always *correct*, since the fused and unfused paths are
-    /// bit-identical; declaring `true` only changes which loop runs.
-    fn uses_victim_monitor(&self) -> bool {
-        false
-    }
-
-    /// `true` if this policy never interposes on individual events, letting
-    /// the driver take its monomorphized fast path (no per-event virtual
-    /// dispatch, no `Decision` handling).
-    ///
-    /// Contract — a scheduler may return `true` only if, for every possible
-    /// input, [`pre_fetch`](Scheduler::pre_fetch) and
-    /// [`on_fetch`](Scheduler::on_fetch) always return
-    /// [`Decision::Continue`], [`phase_tag`](Scheduler::phase_tag) is
-    /// always `0`, and none of the three has side effects. The driver then
-    /// skips those calls entirely; scheduling-boundary callbacks
-    /// (`next_thread`, `on_sched_in`, `on_done`) are still delivered. The
-    /// answer is only consulted *after* [`init`](Scheduler::init), so
-    /// policies that pick a delegate at init time (the hybrid) can forward
-    /// to it. Defaults to `false`, which is always safe.
-    fn is_passive(&self) -> bool {
-        false
-    }
 
     /// Context switches performed (STREX; 0 for others).
     fn context_switches(&self) -> u64 {

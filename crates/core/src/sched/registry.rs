@@ -5,9 +5,9 @@
 //! [`SchedulerRegistry`] to build one from the configuration's registry
 //! key ([`SchedulerKind::key`]). Custom policies — ablations, paper
 //! extensions — implement [`SchedulerFactory`], register under a fresh
-//! name, and immediately work with [`driver::run`](crate::driver),
-//! [`Campaign`](crate::campaign::Campaign) matrices and the `repro`
-//! harness, without touching the driver.
+//! name, and immediately work with
+//! [`Campaign::run_on`](crate::campaign::Campaign::run_on) matrices,
+//! without touching the driver.
 //!
 //! ```
 //! use strex::config::SimConfig;
@@ -49,18 +49,16 @@ pub trait SchedulerFactory: Send + Sync {
     /// Creates a fresh scheduler for one simulation run.
     fn create(&self, config: &SimConfig) -> Box<dyn Scheduler>;
 
-    /// Runs one simulation through the driver loop *monomorphized for this
-    /// factory's concrete scheduler type*
-    /// ([`driver::run_typed_scratch`]), or `None` to let the caller fall
-    /// back to the `dyn Scheduler` loop via
+    /// Runs one simulation through the driver loop instantiated for this
+    /// factory's concrete scheduler type ([`driver::run_with`]), or `None`
+    /// to let the caller fall back to the `dyn Scheduler` loop via
     /// [`create`](SchedulerFactory::create).
     ///
-    /// The default returns `None`, which is always correct — the typed and
-    /// dyn loops are bit-identical — so custom policies only override this
+    /// The default returns `None`, which is always correct — both loops
+    /// give bit-identical results — so custom policies only override this
     /// when they want the per-event virtual calls compiled out. Every
-    /// built-in factory overrides it; [`driver::run`],
-    /// [`driver::run_registered`] and campaign cells all reach the typed
-    /// loop through here.
+    /// built-in policy overrides it; [`driver::run`] and campaign cells
+    /// reach the typed loop through here.
     fn run_typed(
         &self,
         workload: &Workload,
@@ -89,10 +87,22 @@ impl SchedulerRegistry {
     /// `"baseline"`, `"strex"`, `"slicc"` and `"hybrid"`.
     pub fn with_defaults() -> Self {
         let mut reg = SchedulerRegistry::empty();
-        reg.register(Box::new(BaselineFactory));
-        reg.register(Box::new(StrexFactory));
-        reg.register(Box::new(SliccFactory));
-        reg.register(Box::new(HybridFactory));
+        reg.register(Box::new(BuiltIn {
+            kind: SchedulerKind::Baseline,
+            build: |_| BaselineSched::new(),
+        }));
+        reg.register(Box::new(BuiltIn {
+            kind: SchedulerKind::Strex,
+            build: |c| StrexSched::new(c.strex),
+        }));
+        reg.register(Box::new(BuiltIn {
+            kind: SchedulerKind::Slicc,
+            build: |c| SliccSched::new(c.slicc),
+        }));
+        reg.register(Box::new(BuiltIn {
+            kind: SchedulerKind::Hybrid,
+            build: |c| HybridSched::new(c.strex, c.slicc, c.system.l1i_geometry.size_bytes()),
+        }));
         reg
     }
 
@@ -130,32 +140,28 @@ impl Default for SchedulerRegistry {
 /// The process-wide registry [`driver::run`](crate::driver::run()) consults:
 /// the built-in policies. Callers needing custom entries build their own
 /// [`SchedulerRegistry`] and go through
-/// [`driver::run_registered`](crate::driver::run_registered()) or
 /// [`Campaign::run_on`](crate::campaign::Campaign::run_on).
 pub fn global() -> &'static SchedulerRegistry {
     static GLOBAL: OnceLock<SchedulerRegistry> = OnceLock::new();
     GLOBAL.get_or_init(SchedulerRegistry::with_defaults)
 }
 
-/// Factory for the conventional run-to-completion baseline.
-pub struct BaselineFactory;
-
-impl BaselineFactory {
-    /// The one place this factory constructs its scheduler — both the
-    /// boxed `create` and the monomorphized `run_typed` go through it, so
-    /// the two driver paths cannot drift apart on construction.
-    fn build(_config: &SimConfig) -> BaselineSched {
-        BaselineSched::new()
-    }
+/// A built-in policy: its registry key and the one function that
+/// constructs its scheduler. Both [`create`](SchedulerFactory::create) and
+/// the typed run go through `build`, so the two driver paths cannot drift
+/// apart on construction.
+struct BuiltIn<S> {
+    kind: SchedulerKind,
+    build: fn(&SimConfig) -> S,
 }
 
-impl SchedulerFactory for BaselineFactory {
+impl<S: Scheduler + 'static> SchedulerFactory for BuiltIn<S> {
     fn name(&self) -> &'static str {
-        SchedulerKind::Baseline.key()
+        self.kind.key()
     }
 
     fn create(&self, config: &SimConfig) -> Box<dyn Scheduler> {
-        Box::new(Self::build(config))
+        Box::new((self.build)(config))
     }
 
     fn run_typed(
@@ -164,112 +170,8 @@ impl SchedulerFactory for BaselineFactory {
         config: &SimConfig,
         scratch: &mut SimScratch,
     ) -> Option<Report> {
-        let mut sched = Self::build(config);
-        Some(driver::run_typed_scratch(
-            workload, config, &mut sched, scratch,
-        ))
-    }
-}
-
-/// Factory for STREX stratified execution.
-pub struct StrexFactory;
-
-impl StrexFactory {
-    /// Single construction point shared by `create` and `run_typed`.
-    fn build(config: &SimConfig) -> StrexSched {
-        StrexSched::new(config.strex)
-    }
-}
-
-impl SchedulerFactory for StrexFactory {
-    fn name(&self) -> &'static str {
-        SchedulerKind::Strex.key()
-    }
-
-    fn create(&self, config: &SimConfig) -> Box<dyn Scheduler> {
-        Box::new(Self::build(config))
-    }
-
-    fn run_typed(
-        &self,
-        workload: &Workload,
-        config: &SimConfig,
-        scratch: &mut SimScratch,
-    ) -> Option<Report> {
-        let mut sched = Self::build(config);
-        Some(driver::run_typed_scratch(
-            workload, config, &mut sched, scratch,
-        ))
-    }
-}
-
-/// Factory for SLICC thread migration.
-pub struct SliccFactory;
-
-impl SliccFactory {
-    /// Single construction point shared by `create` and `run_typed`.
-    fn build(config: &SimConfig) -> SliccSched {
-        SliccSched::new(config.slicc)
-    }
-}
-
-impl SchedulerFactory for SliccFactory {
-    fn name(&self) -> &'static str {
-        SchedulerKind::Slicc.key()
-    }
-
-    fn create(&self, config: &SimConfig) -> Box<dyn Scheduler> {
-        Box::new(Self::build(config))
-    }
-
-    fn run_typed(
-        &self,
-        workload: &Workload,
-        config: &SimConfig,
-        scratch: &mut SimScratch,
-    ) -> Option<Report> {
-        let mut sched = Self::build(config);
-        Some(driver::run_typed_scratch(
-            workload, config, &mut sched, scratch,
-        ))
-    }
-}
-
-/// Factory for the Section 5.5 footprint-profiled hybrid.
-pub struct HybridFactory;
-
-impl HybridFactory {
-    /// Single construction point shared by `create` and `run_typed` — the
-    /// three-argument constructor (and in particular the L1-I size source)
-    /// lives here once.
-    fn build(config: &SimConfig) -> HybridSched {
-        HybridSched::new(
-            config.strex,
-            config.slicc,
-            config.system.l1i_geometry.size_bytes(),
-        )
-    }
-}
-
-impl SchedulerFactory for HybridFactory {
-    fn name(&self) -> &'static str {
-        SchedulerKind::Hybrid.key()
-    }
-
-    fn create(&self, config: &SimConfig) -> Box<dyn Scheduler> {
-        Box::new(Self::build(config))
-    }
-
-    fn run_typed(
-        &self,
-        workload: &Workload,
-        config: &SimConfig,
-        scratch: &mut SimScratch,
-    ) -> Option<Report> {
-        let mut sched = Self::build(config);
-        Some(driver::run_typed_scratch(
-            workload, config, &mut sched, scratch,
-        ))
+        let mut sched = (self.build)(config);
+        Some(driver::run_with(workload, config, &mut sched, scratch))
     }
 }
 

@@ -322,14 +322,6 @@ impl Scheduler for SliccSched {
         self.refill_from_backlog();
     }
 
-    fn has_pending_work(&self) -> bool {
-        !self.backlog.is_empty()
-            || self
-                .cores
-                .iter()
-                .any(|c| !c.queue.is_empty() || c.running.is_some())
-    }
-
     fn migrations(&self) -> u64 {
         self.migrations
     }
@@ -406,16 +398,5 @@ mod tests {
             s.on_fetch(CoreId::new(0), t, BlockAddr::new(5), &fetch, &mem),
             Decision::Continue
         );
-    }
-
-    #[test]
-    fn has_pending_work_tracks_all_queues() {
-        let mut s = SliccSched::new(SliccParams::default());
-        s.init(&threads(1), &[], 1);
-        assert!(s.has_pending_work());
-        let t = s.next_thread(CoreId::new(0), 0).unwrap();
-        assert!(s.has_pending_work(), "running thread counts");
-        s.on_done(CoreId::new(0), t, 5);
-        assert!(!s.has_pending_work());
     }
 }

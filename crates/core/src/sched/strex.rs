@@ -21,7 +21,6 @@ use std::collections::VecDeque;
 
 use strex_oltp::trace::TxnTrace;
 use strex_sim::addr::BlockAddr;
-use strex_sim::cache::{FetchProbe, Victim};
 use strex_sim::hierarchy::{InstFetch, MemorySystem};
 use strex_sim::ids::{CoreId, Cycle, PhaseId, ThreadId};
 
@@ -92,29 +91,6 @@ impl StrexSched {
             state.lead = state.queue.front().copied();
         }
     }
-
-    /// `true` when the victim monitor is live on `core`: there is a thread
-    /// to yield to and the minimum-progress guard (Section 4.4.2) has been
-    /// satisfied this quantum. Checked before any victim is consulted, in
-    /// both the fused and unfused monitor paths.
-    #[inline]
-    fn monitor_armed(&self, core: CoreId) -> bool {
-        let state = &self.cores[core.as_usize()];
-        !state.queue.is_empty() && state.quantum_fetches >= self.params.min_quantum_fetches
-    }
-
-    /// Rule 3's decision given the would-be victim of the imminent fill:
-    /// switch iff it would destroy a block tagged with the current phase.
-    /// Shared by [`Scheduler::pre_fetch`] (which peeks the victim itself)
-    /// and [`Scheduler::pre_fetch_probed`] (which receives it from the
-    /// driver's fused scan) so the two paths cannot drift.
-    #[inline]
-    fn victim_decision(&self, core: CoreId, victim: Option<&Victim>) -> Decision {
-        match victim {
-            Some(v) if v.aux == self.cores[core.as_usize()].phase.value() => Decision::Switch,
-            _ => Decision::Continue,
-        }
-    }
 }
 
 impl Scheduler for StrexSched {
@@ -170,29 +146,18 @@ impl Scheduler for StrexSched {
         // Rule 3: the victim monitor stops a thread at the point where the
         // pending fill would evict a block tagged with the current phase —
         // *before* the eviction happens, so the team's shared segment stays
-        // intact for the threads still replaying it (Section 4.1).
-        if !self.monitor_armed(core) {
+        // intact for the threads still replaying it (Section 4.1). It is
+        // live only while there is a thread to yield to and the
+        // minimum-progress guard (Section 4.4.2) has been satisfied this
+        // quantum; only then is the victim peeked.
+        let state = &self.cores[core.as_usize()];
+        if state.queue.is_empty() || state.quantum_fetches < self.params.min_quantum_fetches {
             return Decision::Continue;
         }
-        self.victim_decision(core, mem.l1i_peek_victim(core, block).as_ref())
-    }
-
-    fn pre_fetch_probed(
-        &mut self,
-        core: CoreId,
-        _thread: ThreadId,
-        _block: BlockAddr,
-        probe: &FetchProbe,
-        mem: &MemorySystem,
-    ) -> Decision {
-        // Fused form of the victim monitor: the driver already scanned the
-        // set for the imminent fetch; the would-be victim is derived from
-        // that scan, so the monitor costs no probe of its own — and
-        // nothing at all while the guard holds it off.
-        if !self.monitor_armed(core) {
-            return Decision::Continue;
+        match mem.l1i_peek_victim(core, block) {
+            Some(v) if v.aux == state.phase.value() => Decision::Switch,
+            _ => Decision::Continue,
         }
-        self.victim_decision(core, mem.l1i_probe_victim(core, probe).as_ref())
     }
 
     fn on_fetch(
@@ -226,20 +191,6 @@ impl Scheduler for StrexSched {
         if state.lead == Some(thread) {
             state.lead = state.queue.front().copied();
         }
-    }
-
-    fn has_pending_work(&self) -> bool {
-        !self.waiting_teams.is_empty()
-            || self
-                .cores
-                .iter()
-                .any(|c| !c.queue.is_empty() || c.running.is_some())
-    }
-
-    // The victim monitor is the mechanism (Section 4.1): the driver fuses
-    // its peek with the demand fetch.
-    fn uses_victim_monitor(&self) -> bool {
-        true
     }
 
     fn context_switches(&self) -> u64 {
@@ -318,57 +269,16 @@ mod tests {
             Decision::Switch,
             "pending fill would evict a current-phase block"
         );
-        // A resident block never triggers the monitor.
+        // Neither a resident block nor a fill into a free way triggers the
+        // monitor.
         let geom = mem.config().l1i_geometry;
-        assert_eq!(
-            s.pre_fetch(
-                CoreId::new(0),
-                lead,
-                BlockAddr::new(geom.sets() as u64),
-                &mem
-            ),
-            Decision::Continue
-        );
-    }
-
-    #[test]
-    fn probed_monitor_agrees_with_peeking_monitor() {
-        // pre_fetch_probed fed the hierarchy's own peek answer must decide
-        // exactly as pre_fetch, which peeks internally — for the triggering
-        // block, a resident block, and a fill into a free way.
-        let params = StrexParams {
-            min_quantum_fetches: 0,
-            ..StrexParams::default()
-        };
-        let mut s = StrexSched::new(params);
-        s.init(&threads(&[0, 0]), &[], 1);
-        let lead = s.next_thread(CoreId::new(0), 0).unwrap();
-        s.on_sched_in(CoreId::new(0), lead);
-        let mut mem = MemorySystem::new(SystemConfig::with_cores(1));
-        let conflicting = fill_conflicting_set(&s, &mut mem);
-        let geom = mem.config().l1i_geometry;
-        for block in [
-            conflicting,
-            BlockAddr::new(geom.sets() as u64), // resident
-            BlockAddr::new(1),                  // different set, free way
-        ] {
-            let probe = mem.probe_fetch(CoreId::new(0), block);
-            assert_eq!(
-                mem.l1i_probe_victim(CoreId::new(0), &probe),
-                mem.l1i_peek_victim(CoreId::new(0), block),
-                "probe-derived victim must equal the peeked one"
-            );
+        for block in [BlockAddr::new(geom.sets() as u64), BlockAddr::new(1)] {
             assert_eq!(
                 s.pre_fetch(CoreId::new(0), lead, block, &mem),
-                s.pre_fetch_probed(CoreId::new(0), lead, block, &probe, &mem),
+                Decision::Continue,
                 "block {block:?}"
             );
         }
-        let probe = mem.probe_fetch(CoreId::new(0), conflicting);
-        assert_eq!(
-            s.pre_fetch_probed(CoreId::new(0), lead, conflicting, &probe, &mem),
-            Decision::Switch
-        );
     }
 
     #[test]
@@ -449,7 +359,6 @@ mod tests {
         // First team exhausted; second team starts.
         let c = s.next_thread(CoreId::new(0), 0).unwrap();
         assert_eq!(c, ThreadId::new(2));
-        assert!(s.has_pending_work());
     }
 
     #[test]

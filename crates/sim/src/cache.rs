@@ -259,53 +259,6 @@ impl Probe {
     }
 }
 
-/// One completed tag scan for an imminent instruction fetch, shared by two
-/// consumers: STREX's victim monitor asks
-/// [`SetAssocCache::probe_victim`] what the fill would displace, and — if
-/// the fetch proceeds — [`SetAssocCache::commit_fetch`] finishes the
-/// access without scanning the set again. Produced by
-/// [`SetAssocCache::probe_fetch`].
-///
-/// The probe carries only the scan's way information; the victim itself is
-/// materialized *lazily* by `probe_victim`, so policies that never consult
-/// it (the baseline, SLICC, the hybrid's delegates) pay nothing beyond the
-/// scan they needed anyway — eagerly reading the replacement state and the
-/// victim's tag/metadata on every thrashing fill measurably taxes exactly
-/// the schedulers that ignore it.
-///
-/// The probe is a pure snapshot: taking one has no architectural effect,
-/// so an abandoned fetch (STREX's `Decision::Switch`) costs nothing to the
-/// cache state, exactly like the unfused `peek_victim` path. It is only
-/// valid as long as the cache is not mutated between `probe_fetch` and
-/// `commit_fetch`; the driver upholds this by committing within the same
-/// event, and `commit_fetch` re-checks the invariant in debug builds.
-#[derive(Copy, Clone, Debug)]
-pub struct FetchProbe {
-    block: BlockAddr,
-    set: usize,
-    needle: u64,
-    hit: Option<usize>,
-    invalid: Option<usize>,
-}
-
-impl FetchProbe {
-    /// The block the probe was taken for.
-    pub fn block(&self) -> BlockAddr {
-        self.block
-    }
-
-    /// Whether the block is resident.
-    pub fn is_hit(&self) -> bool {
-        self.hit.is_some()
-    }
-
-    /// Whether committing this probe would evict a resident block (the
-    /// block is absent and no invalid way can absorb the fill).
-    pub fn would_evict(&self) -> bool {
-        self.hit.is_none() && self.invalid.is_none()
-    }
-}
-
 /// Dirty flag folded into bit 8 of a frame's packed sidecar word
 /// (bits 0..8 hold the aux tag).
 const META_DIRTY: u16 = 1 << 8;
@@ -734,42 +687,6 @@ impl SetAssocCache {
         (way, victim)
     }
 
-    /// Hints the hardware to start pulling in the tag and replacement
-    /// lines `block` would probe. Pure prefetch: no architectural effect,
-    /// used to overlap an upcoming L2-slice probe with L1 work.
-    #[inline]
-    pub fn prefetch_probe(&self, block: BlockAddr) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let base = self.set_base(self.set_of(block));
-            // SAFETY: `base` indexes into live allocations; prefetching any
-            // address is side-effect-free.
-            unsafe {
-                if self.short.is_empty() {
-                    let tags = self.tags.as_ptr().add(base);
-                    _mm_prefetch(tags as *const i8, _MM_HINT_T0);
-                    // A wider-than-8-way set's tags span a second line.
-                    if self.assoc > 8 {
-                        _mm_prefetch((tags as *const i8).add(64), _MM_HINT_T0);
-                    }
-                } else {
-                    // Short-tag scan: the first pass touches only the u32
-                    // sidecar (a 16-way set is exactly one line); the full
-                    // tag line is pulled on demand by the hit verify.
-                    let shorts = self.short.as_ptr().add(base);
-                    _mm_prefetch(shorts as *const i8, _MM_HINT_T0);
-                    if self.assoc > 16 {
-                        _mm_prefetch((shorts as *const i8).add(64), _MM_HINT_T0);
-                    }
-                }
-                _mm_prefetch(self.repl.meta_ptr(base) as *const i8, _MM_HINT_T0);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = block;
-    }
-
     /// Returns `true` if `block` is resident, without touching policy state.
     pub fn contains(&self, block: BlockAddr) -> bool {
         self.find(block).is_some()
@@ -814,95 +731,6 @@ impl SetAssocCache {
             aux: meta as u8,
             dirty: meta & META_DIRTY != 0,
         })
-    }
-
-    /// One read-only tag scan answering everything an imminent fetch of
-    /// `block` needs: residency, the way a fill would use, and the victim a
-    /// fill would displace ([`peek_victim`](SetAssocCache::peek_victim)
-    /// semantics). The returned [`FetchProbe`] is consumed by
-    /// [`commit_fetch`](SetAssocCache::commit_fetch), which completes the
-    /// access without a second scan — fusing STREX's victim peek with the
-    /// demand probe that previously re-scanned the same set.
-    #[inline]
-    pub fn probe_fetch(&self, block: BlockAddr) -> FetchProbe {
-        let set = self.set_of(block);
-        let needle = pack(block);
-        let (hit, invalid) = self.scan(set, needle);
-        FetchProbe {
-            block,
-            set,
-            needle,
-            hit,
-            invalid,
-        }
-    }
-
-    /// The block that committing `probe` would displace — exactly what
-    /// [`peek_victim`](SetAssocCache::peek_victim) answers for the probed
-    /// block, but derived from the probe's already-completed scan: no tag
-    /// scan happens here, only the replacement peek and the victim frame's
-    /// tag/metadata reads, and only when the fill would actually evict.
-    #[inline]
-    pub fn probe_victim(&self, probe: &FetchProbe) -> Option<Victim> {
-        if !probe.would_evict() {
-            return None;
-        }
-        let way = self.repl.victim_way(probe.set);
-        let idx = self.set_base(probe.set) + way;
-        let meta = self.meta[idx];
-        Some(Victim {
-            block: unpack(self.tags[idx]),
-            aux: meta as u8,
-            dirty: meta & META_DIRTY != 0,
-        })
-    }
-
-    /// Completes the access a [`probe_fetch`](SetAssocCache::probe_fetch)
-    /// scanned for, with [`access`](SetAssocCache::access) semantics (the
-    /// frame is tagged with `aux` on hit and miss alike) but **no** second
-    /// tag scan. Bit-identical to `access(probe.block(), aux)` provided
-    /// the cache was not mutated since the probe; any eviction selects the
-    /// same way an intervening
-    /// [`probe_victim`](SetAssocCache::probe_victim) reported, which
-    /// [`Replacement::victim_way`](crate::replacement::Replacement::victim_way)
-    /// guarantees agrees with
-    /// [`evict`](crate::replacement::Replacement::evict).
-    #[inline]
-    pub fn commit_fetch(&mut self, probe: FetchProbe, aux: u8) -> Probe {
-        let FetchProbe {
-            set,
-            needle,
-            hit,
-            invalid,
-            ..
-        } = probe;
-        match hit {
-            Some(way) => {
-                let idx = self.set_base(set) + way;
-                debug_assert_eq!(self.tags[idx], needle, "stale FetchProbe committed");
-                self.repl.on_hit(set, way);
-                self.meta[idx] = (self.meta[idx] & META_DIRTY) | aux as u16;
-                Probe {
-                    hit: true,
-                    set,
-                    way,
-                    evicted: None,
-                }
-            }
-            None => {
-                debug_assert!(
-                    invalid.is_none_or(|way| self.tags[self.set_base(set) + way] == TAG_INVALID),
-                    "stale FetchProbe committed"
-                );
-                let (way, evicted) = self.install(set, invalid, needle, aux);
-                Probe {
-                    hit: false,
-                    set,
-                    way,
-                    evicted,
-                }
-            }
-        }
     }
 
     /// Accesses `block`, tagging the frame with `aux` whether the access hits
@@ -1381,49 +1209,6 @@ mod tests {
             let s = short_of(pack(BlockAddr::new(idx)));
             assert_ne!(s, 0, "valid short tag collides with the free marker");
             assert_eq!(s & SHORT_VALID, SHORT_VALID);
-        }
-    }
-
-    #[test]
-    fn fused_probe_matches_peek_then_access() {
-        // The fused probe_fetch/commit_fetch pair must be bit-identical to
-        // the unfused peek_victim + access sequence: same hit/way/victim
-        // outcomes, same replacement and metadata state afterwards — under
-        // every replacement kind, with and without the short-tag scan.
-        for kind in ReplacementKind::ALL {
-            for short in [false, true] {
-                let geom = CacheGeometry::new(2048, 4); // 8 sets x 4 ways
-                let mk = |short: bool| {
-                    let c = SetAssocCache::new(geom, kind);
-                    if short {
-                        c.with_short_tag_scan()
-                    } else {
-                        c
-                    }
-                };
-                let mut unfused = mk(short);
-                let mut fused = mk(short);
-                for i in 0..4096u64 {
-                    let b = BlockAddr::new((i * 11) % 96 + ((i % 3) << 31));
-                    let aux = (i % 256) as u8;
-                    let peek = unfused.peek_victim(b);
-                    let u = unfused.access(b, aux);
-                    let probe = fused.probe_fetch(b);
-                    assert_eq!(probe.block(), b);
-                    assert_eq!(
-                        fused.probe_victim(&probe),
-                        peek,
-                        "{kind} short={short} i={i}"
-                    );
-                    assert_eq!(probe.would_evict(), peek.is_some());
-                    let f = fused.commit_fetch(probe, aux);
-                    assert_eq!(probe.is_hit(), f.hit);
-                    assert_eq!(u.hit, f.hit, "{kind} short={short} i={i}");
-                    assert_eq!((u.set, u.way), (f.set, f.way), "{kind} short={short} i={i}");
-                    assert_eq!(u.evicted, f.evicted, "{kind} short={short} i={i}");
-                }
-                assert_eq!(unfused.occupancy(), fused.occupancy());
-            }
         }
     }
 

@@ -14,7 +14,7 @@
 //!   ([`MemorySystem::l1i_holder_count`]).
 
 use crate::addr::{Addr, BlockAddr};
-use crate::cache::{FetchProbe, SetAssocCache, Victim};
+use crate::cache::{SetAssocCache, Victim};
 use crate::coherence::Directory;
 use crate::config::SystemConfig;
 use crate::ids::{CoreId, Cycle};
@@ -146,63 +146,6 @@ impl MemorySystem {
         // Single probe: hit bookkeeping (replacement update + phase retag)
         // or miss fill, and the fill's victim, all from one tag scan.
         let probe = self.l1i[c].access(block, phase_tag);
-        self.finish_fetch(core, block, phase_tag, now, probe)
-    }
-
-    /// One read-only L1-I scan for an imminent fetch of `block` on `core`,
-    /// answering both what STREX's victim monitor asks (lazily, through
-    /// [`l1i_probe_victim`](MemorySystem::l1i_probe_victim)) and what the
-    /// demand access needs. Feed it to
-    /// [`fetch_inst_probed`](MemorySystem::fetch_inst_probed) — or drop it,
-    /// at zero architectural cost, if the monitor abandons the fetch.
-    #[inline]
-    pub fn probe_fetch(&self, core: CoreId, block: BlockAddr) -> FetchProbe {
-        self.l1i[core.as_usize()].probe_fetch(block)
-    }
-
-    /// The victim a commit of `probe` on `core`'s L1-I would evict — the
-    /// [`l1i_peek_victim`](MemorySystem::l1i_peek_victim) answer derived
-    /// from the probe's already-completed scan instead of a fresh one.
-    /// Policies that never ask (every non-STREX scheduler) pay nothing.
-    #[inline]
-    pub fn l1i_probe_victim(&self, core: CoreId, probe: &FetchProbe) -> Option<Victim> {
-        self.l1i[core.as_usize()].probe_victim(probe)
-    }
-
-    /// Completes the instruction fetch a
-    /// [`probe_fetch`](MemorySystem::probe_fetch) scanned for. Bit-identical
-    /// to [`fetch_inst`](MemorySystem::fetch_inst) of the probed block —
-    /// same stats, same L2 traffic, same prefetches — minus the second tag
-    /// scan of the same L1-I set. The probe must be committed before any
-    /// other mutation of this core's L1-I (the driver commits within the
-    /// same event).
-    pub fn fetch_inst_probed(
-        &mut self,
-        core: CoreId,
-        probe: FetchProbe,
-        phase_tag: u8,
-        now: Cycle,
-    ) -> InstFetch {
-        let c = core.as_usize();
-        self.stats.cores[c].i_accesses += 1;
-        let block = probe.block();
-        let committed = self.l1i[c].commit_fetch(probe, phase_tag);
-        self.finish_fetch(core, block, phase_tag, now, committed)
-    }
-
-    /// The shared post-probe tail of [`fetch_inst`](MemorySystem::fetch_inst)
-    /// and [`fetch_inst_probed`](MemorySystem::fetch_inst_probed): hit
-    /// early-out, else the demand-miss path (L2 access, signature upkeep,
-    /// sequential prefetch, stall accounting).
-    fn finish_fetch(
-        &mut self,
-        core: CoreId,
-        block: BlockAddr,
-        phase_tag: u8,
-        now: Cycle,
-        probe: crate::cache::Probe,
-    ) -> InstFetch {
-        let c = core.as_usize();
         if probe.hit {
             return InstFetch {
                 stall: 0,
@@ -239,17 +182,6 @@ impl MemorySystem {
             hit: false,
             evicted,
         }
-    }
-
-    /// Prefetch hint for an upcoming [`fetch_inst`](MemorySystem::fetch_inst)
-    /// of `block`: starts pulling in the L2-slice tag lines a demand miss
-    /// would probe. The driver calls this one trace event ahead, so the
-    /// (L3-resident) slice metadata loads overlap with simulating the
-    /// current event instead of serializing behind it. No architectural
-    /// effect whatsoever.
-    #[inline]
-    pub fn prefetch_fetch(&self, block: BlockAddr) {
-        self.l2.prefetch(block);
     }
 
     fn note_l1i_fill(&mut self, core: CoreId, block: BlockAddr, evicted: Option<&Victim>) {
@@ -409,33 +341,6 @@ mod tests {
         assert_eq!(m.l1i_aux(CoreId::new(0), b), Some(6), "retagged on hit");
         assert_eq!(m.stats().cores[0].i_misses, 1);
         assert_eq!(m.stats().cores[0].i_accesses, 2);
-    }
-
-    #[test]
-    fn probed_fetch_matches_unfused_fetch() {
-        // Two identical hierarchies driven by the same conflicting fetch
-        // stream: one through peek_victim + fetch_inst (unfused), one
-        // through probe_fetch + fetch_inst_probed (fused). Every outcome
-        // and every counter must agree.
-        let mut unfused = sys(2);
-        let mut fused = sys(2);
-        for i in 0..20_000u64 {
-            let core = CoreId::new((i % 2) as u16);
-            let b = BlockAddr::new((i * 17) % 700);
-            let tag = (i % 5) as u8;
-            let peek = unfused.l1i_peek_victim(core, b);
-            let u = unfused.fetch_inst(core, b, tag, i);
-            let probe = fused.probe_fetch(core, b);
-            assert_eq!(fused.l1i_probe_victim(core, &probe), peek, "i={i}");
-            let f = fused.fetch_inst_probed(core, probe, tag, i);
-            assert_eq!(
-                (u.hit, u.stall, u.evicted),
-                (f.hit, f.stall, f.evicted),
-                "i={i}"
-            );
-        }
-        assert_eq!(unfused.stats().aggregate(), fused.stats().aggregate());
-        assert_eq!(unfused.shared_stats(), fused.shared_stats());
     }
 
     #[test]

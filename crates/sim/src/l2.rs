@@ -107,16 +107,6 @@ impl SharedL2 {
         CoreId::new(idx as u16)
     }
 
-    /// Prefetch hint: start pulling in the tag/metadata lines a demand
-    /// [`access`](SharedL2::access) of `block` would probe. No
-    /// architectural effect; lets the caller overlap the slice probe's
-    /// memory latency with its own L1 work.
-    #[inline]
-    pub fn prefetch(&self, block: BlockAddr) {
-        let slice = self.slice_of(block);
-        self.slices[slice.as_usize()].prefetch_probe(block);
-    }
-
     /// Serves a demand access from `core` arriving at `now`; returns the
     /// total latency (network + slice hit or memory fill).
     pub fn access(&mut self, core: CoreId, block: BlockAddr, now: Cycle) -> u64 {

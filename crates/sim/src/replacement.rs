@@ -166,14 +166,6 @@ impl Replacement {
         self.assoc
     }
 
-    /// Address of the metadata byte at flat frame index `idx`, for
-    /// prefetch hints only. Never dereferenced, so an out-of-range `idx`
-    /// yields a dangling but harmless address.
-    #[inline]
-    pub(crate) fn meta_ptr(&self, idx: usize) -> *const u8 {
-        self.meta.as_ptr().wrapping_add(idx)
-    }
-
     #[inline]
     fn set_meta(&mut self, set: usize) -> &mut [u8] {
         let base = set * self.assoc;

@@ -4,7 +4,7 @@
 
 use strex::campaign::Campaign;
 use strex::config::{SchedulerKind, SimConfig, MAX_CORES};
-use strex::driver::{run, run_registered};
+use strex::driver::{run, run_with, SimScratch};
 use strex::error::ConfigError;
 use strex::sched::registry::{self, SchedulerFactory, SchedulerRegistry};
 use strex::sched::{BaselineSched, Scheduler};
@@ -420,12 +420,16 @@ fn custom_factory_plugs_into_driver_and_campaign() {
         .expect("valid campaign");
     assert_eq!(result.len(), 1);
 
-    // Identical to the built-in baseline resolved through the same
-    // registry (the policy is the same machine under a new name).
-    let builtin = run_registered(&w, &cfg, &reg);
-    assert_eq!(result.cells()[0].report.to_json(), builtin.to_json());
-    // And the global-registry path still answers for built-ins.
-    assert_eq!(run(&w, &cfg).to_json(), builtin.to_json());
+    // A single run, by name: the factory's scheduler through `run_with`.
+    let mut sched = reg
+        .create("renamed-baseline", &cfg)
+        .expect("registered above");
+    let single = run_with(&w, &cfg, sched.as_mut(), &mut SimScratch::new());
+    assert_eq!(result.cells()[0].report.to_json(), single.to_json());
+    // Identical to the built-in baseline through the global registry (the
+    // policy is the same machine under a new name), which does not see
+    // the custom entry.
+    assert_eq!(run(&w, &cfg).to_json(), single.to_json());
     assert!(registry::global().get("renamed-baseline").is_none());
 }
 

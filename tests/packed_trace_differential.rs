@@ -11,14 +11,12 @@
 //! 3. **Differential run** — a workload whose traces went through the
 //!    legacy representation (decode, rebuild) produces a bit-identical
 //!    [`Report`](strex::report::Report) to the original under every
-//!    scheduler, on both the fast-path and the generic driver loop. (The
-//!    committed golden snapshot separately pins today's reports to the
-//!    pre-packing engine's.)
+//!    scheduler. (The committed golden snapshot separately pins today's
+//!    reports to the pre-packing engine's.)
 
 use proptest::prelude::*;
 use strex::config::{SchedulerKind, SimConfig};
-use strex::driver::{run, run_with_generic_loop};
-use strex::sched::BaselineSched;
+use strex::driver::run;
 use strex_oltp::trace::{MemRef, PackedRef, TxnTrace};
 use strex_oltp::workload::{Workload, WorkloadKind};
 use strex_sim::addr::{Addr, BlockAddr};
@@ -110,20 +108,4 @@ fn packed_and_legacy_streams_simulate_identically() {
         assert_eq!(a.context_switches, b.context_switches, "{sched}");
         assert_eq!(a.migrations, b.migrations, "{sched}");
     }
-}
-
-/// Belt and suspenders for the driver dispatch: the passive fast path and
-/// the generic loop agree on the legacy-rebuilt workload too.
-#[test]
-fn fast_path_agrees_on_legacy_rebuilt_workload() {
-    let w = through_legacy(&Workload::preset_small(WorkloadKind::TpccW1, 6, 3));
-    let cfg = SimConfig::builder()
-        .cores(2)
-        .scheduler(SchedulerKind::Baseline)
-        .build()
-        .expect("valid configuration");
-    let fast = run(&w, &cfg);
-    let slow = run_with_generic_loop(&w, &cfg, &mut BaselineSched::new());
-    assert_eq!(fast.makespan, slow.makespan);
-    assert_eq!(fast.latencies, slow.latencies);
 }

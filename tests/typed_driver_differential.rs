@@ -1,8 +1,9 @@
-//! Differential tests for the PR 4 throughput layer: the per-scheduler
-//! *monomorphized* driver loop (reached through the registry's
-//! `SchedulerFactory::run_typed`) and the *fused* victim-peek/demand-probe
-//! fetch path must both be bit-identical to the generic loop — per-event
-//! virtual dispatch, separate peek and probe scans — on identical inputs.
+//! Differential tests for the driver's two instantiations: the loop
+//! compiled for each built-in scheduler type (reached through the
+//! registry's `SchedulerFactory::run_typed` hook, which `run` and campaign
+//! cells use) must be bit-identical to the `dyn Scheduler` loop that
+//! custom policies get (`run_with` on a boxed scheduler from the
+//! registry's `create`), on identical inputs.
 //!
 //! The comparison is on serialized reports, which cover the makespan,
 //! every latency, every per-core hierarchy counter and the shared-L2
@@ -10,9 +11,9 @@
 //! timing shows up.
 
 use strex::config::{SchedulerKind, SimConfig};
-use strex::driver::{run, run_registered, run_typed, run_with, run_with_generic_loop};
+use strex::driver::{run, run_with, SimScratch};
+use strex::report::Report;
 use strex::sched::registry;
-use strex::sched::{BaselineSched, HybridSched, SliccSched, StrexSched};
 use strex_oltp::workload::{Workload, WorkloadKind};
 
 fn workloads() -> Vec<Workload> {
@@ -31,23 +32,29 @@ fn cfg(cores: usize, kind: SchedulerKind) -> SimConfig {
         .expect("valid test configuration")
 }
 
-/// `run` (typed loop via the registry factory) vs the generic dyn loop,
-/// for every built-in scheduler on every workload family: monomorphization
-/// and probe fusion together must not change a single bit of the report.
+/// The `dyn Scheduler` fallback: the built-in policy boxed by the global
+/// registry and driven through `run_with`.
+fn run_dyn(w: &Workload, cfg: &SimConfig, scratch: &mut SimScratch) -> Report {
+    let mut sched = registry::global()
+        .create(cfg.scheduler.key(), cfg)
+        .expect("built-in scheduler");
+    run_with(w, cfg, sched.as_mut(), scratch)
+}
+
+/// `run` (the typed loop via the registry hook) vs the dyn loop, for every
+/// built-in scheduler on every workload family at two core counts.
 #[test]
-fn typed_loop_matches_generic_loop_for_every_scheduler() {
+fn typed_hook_matches_dyn_scheduler_for_every_scheduler() {
+    let mut scratch = SimScratch::new();
     for w in &workloads() {
         for kind in SchedulerKind::ALL {
             for cores in [2usize, 4] {
                 let cfg = cfg(cores, kind);
                 let typed = run(w, &cfg);
-                let mut generic_sched = registry::global()
-                    .create(kind.key(), &cfg)
-                    .expect("built-in scheduler");
-                let generic = run_with_generic_loop(w, &cfg, generic_sched.as_mut());
+                let dynamic = run_dyn(w, &cfg, &mut scratch);
                 assert_eq!(
                     typed.to_json(),
-                    generic.to_json(),
+                    dynamic.to_json(),
                     "{kind} on {} with {cores} cores diverged",
                     w.name()
                 );
@@ -56,60 +63,38 @@ fn typed_loop_matches_generic_loop_for_every_scheduler() {
     }
 }
 
-/// `run_typed` with explicit concrete scheduler types agrees with both the
-/// dyn fused loop (`run_with`) and the registry path — the three public
-/// entry points cannot drift apart.
+/// Every built-in factory provides a typed run, and calling it directly
+/// agrees with both the dyn loop and the registry path (`run`).
 #[test]
 fn explicit_run_typed_agrees_with_dyn_and_registry_paths() {
     let w = Workload::preset_small(WorkloadKind::TpccW1, 12, 3);
-
-    let cfg_b = cfg(2, SchedulerKind::Baseline);
-    let typed = run_typed(&w, &cfg_b, &mut BaselineSched::new());
-    let dynamic = run_with(&w, &cfg_b, &mut BaselineSched::new());
-    assert_eq!(typed.to_json(), dynamic.to_json());
-
-    let cfg_s = cfg(2, SchedulerKind::Strex);
-    let typed = run_typed(&w, &cfg_s, &mut StrexSched::new(cfg_s.strex));
-    let dynamic = run_with(&w, &cfg_s, &mut StrexSched::new(cfg_s.strex));
-    let registered = run_registered(&w, &cfg_s, registry::global());
-    assert_eq!(typed.to_json(), dynamic.to_json());
-    assert_eq!(typed.to_json(), registered.to_json());
-
-    let cfg_l = cfg(4, SchedulerKind::Slicc);
-    let typed = run_typed(&w, &cfg_l, &mut SliccSched::new(cfg_l.slicc));
-    let dynamic = run_with(&w, &cfg_l, &mut SliccSched::new(cfg_l.slicc));
-    assert_eq!(typed.to_json(), dynamic.to_json());
-
-    let cfg_h = cfg(4, SchedulerKind::Hybrid);
-    let l1i = cfg_h.system.l1i_geometry.size_bytes();
-    let typed = run_typed(
-        &w,
-        &cfg_h,
-        &mut HybridSched::new(cfg_h.strex, cfg_h.slicc, l1i),
-    );
-    let dynamic = run_with(
-        &w,
-        &cfg_h,
-        &mut HybridSched::new(cfg_h.strex, cfg_h.slicc, l1i),
-    );
-    assert_eq!(typed.to_json(), dynamic.to_json());
+    let mut scratch = SimScratch::new();
+    for kind in SchedulerKind::ALL {
+        let cfg = cfg(4, kind);
+        let typed = registry::global()
+            .get(kind.key())
+            .expect("built-in scheduler")
+            .run_typed(&w, &cfg, &mut scratch)
+            .expect("every built-in provides a typed run");
+        assert_eq!(typed.to_json(), run_dyn(&w, &cfg, &mut scratch).to_json());
+        assert_eq!(typed.to_json(), run(&w, &cfg).to_json(), "{kind}");
+    }
 }
 
-/// The fused path must exercise STREX's victim monitor for real: on a
-/// same-type pool the monitor context-switches, and the fused loop must
-/// count exactly as many switches as the unfused generic loop.
+/// The comparison must exercise STREX's victim monitor for real: on a
+/// same-type pool the monitor context-switches, and both loops must count
+/// exactly the same switches.
 #[test]
-fn fused_victim_monitor_switches_exactly_like_unfused() {
+fn victim_monitor_switches_identically_in_both_loops() {
     use strex_oltp::tpcc::TpccTxnKind;
     let w = Workload::tpcc_same_type(TpccTxnKind::Payment, 1, 10, 5);
     let cfg = cfg(2, SchedulerKind::Strex);
-    let fused = run(&w, &cfg);
-    let mut sched = StrexSched::new(cfg.strex);
-    let unfused = run_with_generic_loop(&w, &cfg, &mut sched);
+    let typed = run(&w, &cfg);
+    let dynamic = run_dyn(&w, &cfg, &mut SimScratch::new());
     assert!(
-        fused.context_switches > 0,
+        typed.context_switches > 0,
         "the monitor must fire on a same-type pool for this test to bite"
     );
-    assert_eq!(fused.context_switches, unfused.context_switches);
-    assert_eq!(fused.to_json(), unfused.to_json());
+    assert_eq!(typed.context_switches, dynamic.context_switches);
+    assert_eq!(typed.to_json(), dynamic.to_json());
 }
