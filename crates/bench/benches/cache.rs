@@ -59,13 +59,21 @@ fn bench_coherence(c: &mut Criterion) {
 }
 
 fn bench_signature(c: &mut Criterion) {
-    c.bench_function("signature_insert_query", |b| {
-        let mut sig = CacheSignature::new();
+    c.bench_function("signature_fill_query", |b| {
+        // An L1-I-shaped stream: a 64 KB loop through a 32 KB, 8-way LRU
+        // L1-I misses on every access, so every fill evicts and the
+        // signature passes a rebuild point every 128 fills.
+        let mut l1i = SetAssocCache::new(CacheGeometry::new(32 * 1024, 8), ReplacementKind::Lru);
+        let mut sig = CacheSignature::new(l1i.geometry().blocks());
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            sig.insert(BlockAddr::new(i % 512));
-            black_box(sig.may_contain(BlockAddr::new(i % 1024)))
+            let block = BlockAddr::new(i % 1024);
+            let probe = l1i.access(block, 0);
+            if !probe.hit {
+                sig.on_fill(block, probe.evicted.map(|v| v.block));
+            }
+            black_box(sig.may_contain(BlockAddr::new(i * 7 % 1024)))
         });
     });
 }

@@ -275,6 +275,9 @@ fn sim_loop<S: Scheduler + ?Sized>(
             heap.push(Reverse((reinsert_at.unwrap_or(cycle), c)));
         }
     }
+    // The L1-D hit path skips the directory on the strength of this
+    // agreement (`MemorySystem::access_data`); debug builds check it.
+    debug_assert_eq!(mem.coherence_violations(), Vec::<String>::new());
 
     let makespan = threads
         .iter()

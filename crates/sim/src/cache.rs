@@ -816,6 +816,28 @@ impl SetAssocCache {
         probe
     }
 
+    /// The hits of [`access`](SetAssocCache::access) and
+    /// [`access_write`](SetAssocCache::access_write) that leave the dirty
+    /// bit as it is, in one scan: if `block` is resident and the access
+    /// is a read, or a write to a frame already dirty, applies their hit
+    /// bookkeeping (replacement update, `aux` retag) and returns `true`.
+    /// Otherwise leaves the cache untouched and returns `false`.
+    #[inline]
+    pub fn hit_in_place(&mut self, block: BlockAddr, aux: u8, write: bool) -> bool {
+        let set = self.set_of(block);
+        let Some(way) = self.scan(set, pack(block)).0 else {
+            return false;
+        };
+        let idx = self.set_base(set) + way;
+        let dirty = self.meta[idx] & META_DIRTY;
+        if write && dirty == 0 {
+            return false;
+        }
+        self.repl.on_hit(set, way);
+        self.meta[idx] = dirty | aux as u16;
+        true
+    }
+
     /// Installs `block` (which must not be resident), returning any victim.
     /// The invalid-way preference falls out of the same single scan that
     /// (in debug builds) checks non-residency.
@@ -894,8 +916,14 @@ impl SetAssocCache {
         }
     }
 
-    /// Iterates over all resident blocks (used by cache signatures and the
-    /// temporal-overlap analysis of Figure 2).
+    /// Whether a resident block is dirty; `None` if it is not resident.
+    pub fn dirty(&self, block: BlockAddr) -> Option<bool> {
+        self.find(block)
+            .map(|(set, way)| self.meta[self.set_base(set) + way] & META_DIRTY != 0)
+    }
+
+    /// Iterates over all resident blocks (used by the coherence check and
+    /// the temporal-overlap analysis of Figure 2).
     pub fn resident_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
         self.tags
             .iter()
@@ -1088,6 +1116,26 @@ mod tests {
         assert_eq!((second.set, second.way), (first.set, first.way));
         assert_eq!(c.aux(b), Some(5), "resident block not retagged");
         assert_eq!(c.occupancy(), 1);
+    }
+
+    #[test]
+    fn hit_in_place_serves_reads_and_dirty_writes_only() {
+        let mut c = small();
+        let (b, other) = (BlockAddr::new(4), BlockAddr::new(6)); // set 0
+        assert!(!c.hit_in_place(b, 1, false), "miss");
+        assert!(!c.contains(b), "a miss installs nothing");
+        c.access(b, 1);
+        c.access(other, 1);
+        assert!(!c.hit_in_place(b, 2, true), "write to a clean frame");
+        assert_eq!((c.aux(b), c.dirty(b)), (Some(1), Some(false)), "untouched");
+        assert!(c.hit_in_place(b, 3, false), "read hit");
+        assert_eq!((c.aux(b), c.dirty(b)), (Some(3), Some(false)), "retagged");
+        let victim = c.peek_victim(BlockAddr::new(8)).expect("set full");
+        assert_eq!(victim.block, other, "the hit made block 4 MRU");
+        c.access_write(other, 3);
+        assert!(c.hit_in_place(other, 4, true), "write to a dirty frame");
+        assert_eq!((c.aux(other), c.dirty(other)), (Some(4), Some(true)));
+        assert_eq!(c.peek_victim(BlockAddr::new(8)).map(|v| v.block), Some(b));
     }
 
     #[test]

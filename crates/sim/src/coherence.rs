@@ -8,8 +8,19 @@
 //! STREX serializes same-type transactions on one core, collapsing that
 //! sharing back into a single L1-D.
 //!
-//! The directory stores *intent*; the actual invalidation of L1-D frames is
-//! carried out by the memory hierarchy, which owns the caches.
+//! The directory decides; the memory hierarchy, which owns the caches,
+//! carries out the invalidations and downgrades on the L1-D frames. The
+//! two must agree: the directory lists a core for a block if and only if
+//! that core's L1-D holds it, and marks it `Modified` by that core if and
+//! only if the copy is dirty. [`MemorySystem::access_data`] relies on that
+//! agreement to serve an L1-D hit that needs no coherence action (a read,
+//! or a write to a dirty frame) without consulting the directory.
+//! [`MemorySystem::coherence_violations`] checks it; debug builds assert
+//! it for the accessed block on every data access and for the whole
+//! hierarchy at the end of every simulation loop.
+//!
+//! [`MemorySystem::access_data`]: crate::hierarchy::MemorySystem::access_data
+//! [`MemorySystem::coherence_violations`]: crate::hierarchy::MemorySystem::coherence_violations
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -19,11 +30,13 @@ use crate::ids::CoreId;
 
 /// Deterministic multiply-mix hasher for block addresses.
 ///
-/// The directory performs one map lookup per data access, which makes the
-/// default SipHash a measurable cost on the simulation hot path. Block
-/// addresses are simulator-internal (no untrusted input, no DoS surface),
-/// and the directory never iterates the map, so the bucket layout is
-/// unobservable: swapping the hasher cannot change any simulation result.
+/// The directory performs one map lookup per data access that misses or
+/// changes state, which makes the default SipHash a measurable cost on
+/// the simulation hot path. Block addresses are simulator-internal (no
+/// untrusted input, no DoS surface), and the one iteration of the map
+/// ([`Directory::blocks`], for the coherence check) is sorted by its
+/// caller, so the bucket layout is unobservable: swapping the hasher
+/// cannot change any simulation result.
 #[derive(Clone, Default)]
 struct BlockAddrHasher {
     hash: u64,
@@ -226,6 +239,22 @@ impl Directory {
                 }
             }
         }
+    }
+
+    /// What the directory says the L1-Ds hold of `block`: the mask of
+    /// holding cores, and whether the one holder has it dirty (`Modified`).
+    /// `(0, false)` when no core holds it.
+    pub(crate) fn holders(&self, block: BlockAddr) -> (SharerMask, bool) {
+        match self.lines.get(&block) {
+            None => (0, false),
+            Some(&LineState::Shared(mask)) => (mask, false),
+            Some(&LineState::Modified(owner)) => (Self::mask(owner), true),
+        }
+    }
+
+    /// Every block the directory has a line for, in unspecified order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
+        self.lines.keys().copied()
     }
 
     /// Returns how many cores currently share `block`.

@@ -86,7 +86,9 @@ impl MemorySystem {
             l1d: (0..n)
                 .map(|_| SetAssocCache::new(cfg.l1d_geometry, cfg.l1d_replacement))
                 .collect(),
-            signatures: (0..n).map(|_| CacheSignature::new()).collect(),
+            signatures: (0..n)
+                .map(|_| CacheSignature::new(cfg.l1i_geometry.blocks()))
+                .collect(),
             directory: Directory::new(n),
             l2: SharedL2::new(
                 n,
@@ -163,7 +165,7 @@ impl MemorySystem {
         }
         let l2_latency = self.l2.access(core, block, now);
         let evicted = probe.evicted;
-        self.note_l1i_fill(core, block, evicted.as_ref());
+        self.signatures[c].on_fill(block, evicted.map(|v| v.block));
 
         // Sequential prefetch, optimistically timely.
         for target in self.cfg.prefetcher.prefetch_targets(block) {
@@ -171,7 +173,7 @@ impl MemorySystem {
             if !pf.hit {
                 self.stats.cores[c].prefetches += 1;
                 let _ = self.l2.access(core, target, now);
-                self.note_l1i_fill(core, target, pf.evicted.as_ref());
+                self.signatures[c].on_fill(target, pf.evicted.map(|v| v.block));
             }
         }
 
@@ -184,17 +186,17 @@ impl MemorySystem {
         }
     }
 
-    fn note_l1i_fill(&mut self, core: CoreId, block: BlockAddr, evicted: Option<&Victim>) {
-        let c = core.as_usize();
-        self.signatures[c].insert(block);
-        if evicted.is_some() && self.signatures[c].note_eviction() {
-            // Feed the resident set straight into the rebuild; no
-            // intermediate Vec on this (per-128-evictions) path.
-            self.signatures[c].rebuild(self.l1i[c].resident_blocks());
-        }
-    }
-
     /// Performs a data access on `core`.
+    ///
+    /// A hit that needs no coherence action, a read or a write to a frame
+    /// already dirty, is served by the L1-D alone
+    /// ([`SetAssocCache::hit_in_place`]). While the directory agrees with
+    /// the L1-Ds (see [`crate::coherence`]), its `on_read`/`on_write`
+    /// would change nothing for such a hit and ask for no invalidation,
+    /// write-back or transfer, so skipping it changes no result. Debug
+    /// builds assert that agreement for the accessed block on entry.
+    /// Every other access consults the directory first, carries out what
+    /// it decides, then probes the L1-D.
     pub fn access_data(
         &mut self,
         core: CoreId,
@@ -205,7 +207,15 @@ impl MemorySystem {
         let c = core.as_usize();
         let block = addr.block();
         self.stats.cores[c].d_accesses += 1;
+        debug_assert_eq!(self.coherence_violation(block), None);
 
+        if self.l1d[c].hit_in_place(block, 0, is_write) {
+            return DataAccess {
+                stall: self.cfg.l1_hit_extra,
+                hit: true,
+                coherence: false,
+            };
+        }
         let action = if is_write {
             self.directory.on_write(core, block)
         } else {
@@ -268,6 +278,51 @@ impl MemorySystem {
             hit: false,
             coherence: action.coherence_transfer,
         }
+    }
+
+    /// Every disagreement between the MESI directory and the L1-Ds, one
+    /// line per block, in block order; empty when they agree. A block
+    /// disagrees when the directory's `Shared(mask)` is not exactly the
+    /// set of cores holding it clean, or its `Modified(c)` is not "`c` is
+    /// the sole holder, dirty". The L1-D hit path of
+    /// [`access_data`](MemorySystem::access_data) relies on agreement.
+    pub fn coherence_violations(&self) -> Vec<String> {
+        let mut blocks: Vec<BlockAddr> = self
+            .directory
+            .blocks()
+            .chain(self.l1d.iter().flat_map(SetAssocCache::resident_blocks))
+            .collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        blocks
+            .into_iter()
+            .filter_map(|block| self.coherence_violation(block))
+            .collect()
+    }
+
+    /// The disagreement between the directory and the L1-Ds on `block`.
+    fn coherence_violation(&self, block: BlockAddr) -> Option<String> {
+        let (mut clean, mut dirty) = (0u64, 0u64);
+        for (k, l1d) in self.l1d.iter().enumerate() {
+            match l1d.dirty(block) {
+                Some(true) => dirty |= 1 << k,
+                Some(false) => clean |= 1 << k,
+                None => {}
+            }
+        }
+        let (mask, modified) = self.directory.holders(block);
+        let listed = if modified { (0, mask) } else { (mask, 0) };
+        (listed != (clean, dirty)).then(|| {
+            let state = if modified {
+                format!("Modified({})", mask.trailing_zeros())
+            } else {
+                format!("Shared({mask:#b})")
+            };
+            format!(
+                "block {block}: directory {state}, but the L1-Ds hold it \
+                 clean on {clean:#b} and dirty on {dirty:#b}"
+            )
+        })
     }
 
     /// Charges the latency of saving or restoring one thread context
@@ -401,6 +456,24 @@ mod tests {
         assert!(!r.hit);
         assert!(r.coherence, "served by the dirty owner");
         assert!(m.shared_stats().writebacks >= 1);
+    }
+
+    #[test]
+    fn coherence_check_reports_each_disagreement() {
+        let mut m = sys(2);
+        let (a, b) = (Addr::new(4096), Addr::new(8192));
+        m.access_data(CoreId::new(0), a, true, 0);
+        m.access_data(CoreId::new(1), a, false, 10); // downgrade: Shared
+        m.access_data(CoreId::new(1), b, true, 20); // Modified by core 1
+        assert_eq!(m.coherence_violations(), Vec::<String>::new());
+        // A sharer's copy vanishes behind the directory's back.
+        m.l1d[0].invalidate(a.block());
+        // The owner's copy goes clean without a downgrade.
+        m.l1d[1].clean(b.block());
+        let violations = m.coherence_violations();
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].contains("Shared(0b11)"), "{}", violations[0]);
+        assert!(violations[1].contains("Modified(1)"), "{}", violations[1]);
     }
 
     #[test]

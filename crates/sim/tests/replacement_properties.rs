@@ -36,6 +36,12 @@ fn any_op(assoc: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The reference cache's dirty bit for `block`, read off an invalidation
+/// of a copy so the reference itself is untouched.
+fn dirty_of(reference: &RefSetAssocCache, block: BlockAddr) -> Option<bool> {
+    reference.clone().invalidate(block).map(|v| v.dirty)
+}
+
 proptest! {
     /// The victim way is always a legal way, and peeking never changes the
     /// answer (calling victim_way twice gives the same way).
@@ -125,13 +131,13 @@ proptest! {
     }
 
     /// Differential bit-identity: arbitrary interleavings of accesses,
-    /// writes, conditional fills, invalidations, cleans and victim peeks
-    /// behave identically on the SoA single-probe cache and the reference
-    /// (seed) implementation, for every replacement kind.
+    /// writes, conditional fills, invalidations, cleans, victim peeks and
+    /// in-place hits behave identically on the SoA single-probe cache and
+    /// the reference (seed) implementation, for every replacement kind.
     #[test]
     fn soa_cache_matches_reference(
         kind in any_kind(),
-        ops in prop::collection::vec((0u8..6, 0u64..48, 0u8..16), 1..300),
+        ops in prop::collection::vec((0u8..8, 0u64..48, 0u8..16), 1..300),
     ) {
         let geom = CacheGeometry::new(2048, 4); // 8 sets x 4 ways
         let mut soa = SetAssocCache::new(geom, kind);
@@ -169,11 +175,29 @@ proptest! {
                 4 => {
                     prop_assert_eq!(soa.clean(block), reference.clean(block));
                 }
-                _ => {
+                5 => {
                     prop_assert_eq!(soa.peek_victim(block), reference.peek_victim(block));
+                }
+                _ => {
+                    // hit_in_place vs contains, then a dirty check, then
+                    // access/access_write, or nothing.
+                    let write = op == 7;
+                    let in_place = soa.hit_in_place(block, aux, write);
+                    let expect = reference.contains(block)
+                        && (!write || dirty_of(&reference, block) == Some(true));
+                    if expect {
+                        let hit = if write {
+                            reference.access_write(block, aux)
+                        } else {
+                            reference.access(block, aux)
+                        };
+                        prop_assert!(hit.is_hit());
+                    }
+                    prop_assert_eq!(in_place, expect);
                 }
             }
             prop_assert_eq!(soa.aux(block), reference.aux(block));
+            prop_assert_eq!(soa.dirty(block), dirty_of(&reference, block));
             prop_assert_eq!(soa.occupancy(), reference.occupancy());
         }
     }
