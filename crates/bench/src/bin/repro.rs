@@ -12,14 +12,14 @@
 //! repro submit --connect ADDR [--shards N] [--retry N] [--verify] [--scenario PATH]
 //! repro status --connect ADDR [--watch]
 //! repro chaos-proxy --listen ADDR --connect ADDR [--seed N] [--benign]
-//! repro --bench-json [--check [baseline.json]]
 //! ```
 //!
 //! `fig5`/`fig6` share one run matrix, as do `fig7`/`fig8`. With `--quick`
 //! the pools and databases shrink so the whole suite finishes in well under
 //! a minute (used by CI); shapes are preserved, magnitudes are noisier.
 //! With `--json` the figure 5/6 scheduler campaign is additionally emitted
-//! as one JSON document (the `BENCH_*.json` trajectory format).
+//! as one JSON document (`CampaignResult::to_json`: every cell's key and
+//! full report).
 //!
 //! `scale` is the scale-out mode: it sweeps the sharded campaign
 //! executor's worker count over the quick matrix (1, 2, 4, … up to the
@@ -67,30 +67,6 @@
 //! a coordinator for one fleet snapshot (`--watch` re-polls every 2 s).
 //! `chaos-proxy` sits between fleet processes and injects a seeded fault
 //! storm (docs/DISPATCHER.md).
-//!
-//! `--bench-json` is a standalone mode: it times the quick reproduction
-//! suite cell by cell, merges the result with the committed same-session
-//! baselines (seed, PR 2 and PR 3 engines), the sharded-executor scaling
-//! section, the host core count, the PGO-vs-plain ratio when CI exports
-//! `BENCH_PLAIN_EPS`, and the same-run hot-path microbenches, and writes
-//! the trajectory record to `${BENCH_ARTIFACT}.json` in the
-//! working directory (the perf document CI gates on and uploads). The
-//! artifact name is derived in exactly one place (`perf::bench_artifact`,
-//! default `BENCH_PR7`).
-//!
-//! `--bench-json --check [baseline.json]` additionally re-derives the
-//! seed-vs-current throughput ratio from the fresh measurement and fails
-//! (non-zero exit) if it regresses more than 10% below the ratio recorded
-//! in the committed document — the CI perf-regression gate. The baseline
-//! path defaults to the committed `${BENCH_ARTIFACT}.json`; a missing or
-//! malformed file is a clear error, not a panic. The fresh side is a
-//! per-cell best-of-3 minimum, which strips one-sided load noise on the
-//! runner; the seed side is the committed record's wall-times, which are
-//! from the machine that recorded the baseline, so the comparison is
-//! like-for-like on comparable runners but a runner class much slower
-//! than the recording machine will depress the ratio. If the gate trips
-//! on a runner change rather than a code change, re-record the baseline
-//! there (see `crates/bench/src/baseline_seed.rs`).
 
 use std::env;
 use std::process::ExitCode;
@@ -100,12 +76,8 @@ use strex_bench::experiments::{
     table4, Effort,
 };
 
-/// Fraction of the committed ratio a fresh measurement may fall to before
-/// the gate fails (10% regression tolerance).
-const CHECK_TOLERANCE: f64 = 0.9;
-
 fn main() -> ExitCode {
-    let mut args: Vec<String> = env::args().skip(1).collect();
+    let args: Vec<String> = env::args().skip(1).collect();
     // The subcommands carry their own value-taking flags, so they
     // dispatch before the generic flag check below would reject those.
     // Each requires the subcommand word first.
@@ -118,46 +90,15 @@ fn main() -> ExitCode {
         Some("chaos-proxy") => return chaos_proxy_mode(&args[1..]),
         _ => {}
     }
-    // `--check [path]` takes an optional value: extract it before flag
-    // parsing. Without a value it defaults to the committed artifact,
-    // whose name comes from the same single source as the output filename.
-    let check_path = match args.iter().position(|a| a == "--check") {
-        Some(i) => {
-            let path = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                args.remove(i + 1)
-            } else {
-                strex_bench::perf::bench_artifact_path()
-            };
-            args.remove(i);
-            Some(path)
-        }
-        None => None,
-    };
     for flag in args.iter().filter(|a| a.starts_with("--")) {
-        if flag != "--quick" && flag != "--json" && flag != "--bench-json" {
-            eprintln!(
-                "unknown flag `{flag}`; known flags: --quick --json --bench-json --check [path]"
-            );
+        if flag != "--quick" && flag != "--json" {
+            eprintln!("unknown flag `{flag}`; known flags: --quick --json");
             return ExitCode::FAILURE;
         }
-    }
-    if check_path.is_some() && !args.iter().any(|a| a == "--bench-json") {
-        eprintln!("--check only applies to --bench-json");
-        return ExitCode::FAILURE;
-    }
-    if args.iter().any(|a| a == "--bench-json") {
-        // Standalone mode: refuse positional targets rather than silently
-        // ignoring them.
-        if let Some(extra) = args.iter().find(|a| !a.starts_with("--")) {
-            eprintln!("--bench-json is standalone; unexpected target `{extra}`");
-            return ExitCode::FAILURE;
-        }
-        return bench_json_mode(check_path.as_deref());
     }
     if args.iter().any(|a| a == "scale") {
-        // Standalone mode, same strictness as --bench-json: no silently
-        // ignored targets or flags (scale always runs the quick matrix
-        // and has no JSON form).
+        // Standalone mode: no silently ignored targets or flags (scale
+        // always runs the quick matrix and has no JSON form).
         if let Some(extra) = args.iter().find(|a| a.as_str() != "scale") {
             eprintln!("scale is standalone and always uses the quick matrix; unexpected `{extra}`");
             return ExitCode::FAILURE;
@@ -247,18 +188,12 @@ fn main() -> ExitCode {
 fn scale_mode() -> ExitCode {
     use strex_bench::perf;
 
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // 1, 2, 4, … up to the host's parallelism, plus 4 (the committed
-    // record's point) and the host maximum itself.
+    let avail = perf::host_cores();
+    // 1, 2, 4, … below the host's parallelism, then the host maximum itself.
     let mut sweep: Vec<usize> = std::iter::successors(Some(1usize), |w| Some(w * 2))
         .take_while(|&w| w < avail)
         .collect();
     sweep.push(avail);
-    sweep.push(4);
-    sweep.sort_unstable();
-    sweep.dedup();
 
     println!("Sharded campaign executor scale-out — quick matrix, {avail} host cores");
     println!(
@@ -635,7 +570,7 @@ fn work_mode(rest: &[String]) -> ExitCode {
             }
         };
     drop(stream);
-    let mut runner = strex_bench::perf::dispatch_runner();
+    let mut runner = strex_bench::perf::QuickRunner;
     // Transport failures are survivable up to --reconnect times: the
     // coordinator crashed or the network hiccuped, and a journal-backed
     // coordinator will come back with the same jobs. Typed rejections
@@ -980,171 +915,5 @@ fn status_mode(rest: &[String]) -> ExitCode {
         }
         println!();
         std::thread::sleep(std::time::Duration::from_secs(2));
-    }
-}
-
-/// Times the quick suite, merges with the committed baselines, writes
-/// `${BENCH_ARTIFACT}.json`, and (with `--check`) gates the fresh
-/// seed-vs-current ratio against the committed one.
-fn bench_json_mode(check_path: Option<&str>) -> ExitCode {
-    use strex_bench::{baseline_seed, perf};
-
-    // Snapshot the committed document *before* measuring: the fresh record
-    // is written to the same conventional path, and the gate must compare
-    // against what was committed, not against what this run just wrote.
-    let committed = match check_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => Some((path, text)),
-            Err(e) => {
-                eprintln!(
-                    "check: cannot read committed baseline {path}: {e}\n\
-                     check: the gate needs the committed ${{BENCH_ARTIFACT}}.json from the \
-                     repository root; if BENCH_ARTIFACT was bumped, commit the new record \
-                     (repro --bench-json) alongside the bump"
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let revision = env::var("GITHUB_SHA").unwrap_or_else(|_| "working-tree".to_string());
-    // CI keeps the default of 3 rounds (bounded job time); the committed
-    // record is produced with BENCH_ROUNDS matching the committed
-    // baselines' best-of depth so the fresh side isn't systematically
-    // noisier than the cells it is compared against.
-    let rounds: usize = env::var("BENCH_ROUNDS")
-        .ok()
-        .and_then(|r| r.parse().ok())
-        .unwrap_or(3);
-    println!("Timing the quick reproduction suite (sequential cells, best of {rounds} rounds)...");
-    let current = perf::quick_suite_best_of("current", &revision, rounds);
-    let baseline = baseline_seed::seed_baseline();
-    let pr2 = baseline_seed::pr2_record();
-    let pr3 = baseline_seed::pr3_record();
-    println!("Measuring the sharded executor (1 worker vs 4 workers)...");
-    let scaling = perf::campaign_scaling(4);
-    println!("Running the same-run hot-path microbenches...");
-    let micros = perf::same_run_micros();
-    let pgo = perf::PgoComparison::from_env();
-    let doc = perf::bench_json(&current, &baseline, &pr2, &pr3, &micros, &scaling, pgo);
-    // One source of truth with CI: perf::bench_artifact reads the
-    // BENCH_ARTIFACT the workflow exports; the filename written here, the
-    // default --check path above and the artifact uploaded by CI all
-    // follow it. The default matches the committed record.
-    let path = perf::bench_artifact_path();
-    if let Err(e) = std::fs::write(&path, &doc) {
-        eprintln!("failed to write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let speedup = if baseline.events_per_sec() > 0.0 {
-        current.events_per_sec() / baseline.events_per_sec()
-    } else {
-        0.0
-    };
-    println!(
-        "{} cells, {} events in {:.2}s — {:.0} events/sec \
-         ({:.2}x the committed seed baseline's {:.0}; PR 2 was {:.2}x, PR 3 {:.2}x)",
-        current.cells.len(),
-        current.total_events(),
-        current.total_wall_seconds(),
-        current.events_per_sec(),
-        speedup,
-        baseline.events_per_sec(),
-        pr2.events_per_sec() / baseline.events_per_sec(),
-        pr3.events_per_sec() / baseline.events_per_sec(),
-    );
-    println!(
-        "campaign: {:.0} events/sec on {} workers ({} effective cores) — \
-         {:.0} events/sec-per-core, scaling efficiency {:.3}",
-        scaling.events_per_sec,
-        scaling.workers,
-        scaling.effective_cores,
-        scaling.events_per_sec_per_core(),
-        scaling.efficiency(),
-    );
-    if let Some(pgo) = pgo {
-        println!(
-            "pgo: {:.0} events/sec vs plain {:.0} — {:.3}x",
-            current.events_per_sec(),
-            pgo.plain_events_per_sec,
-            pgo.ratio(current.events_per_sec()),
-        );
-    }
-    println!(
-        "same-run: cache {:.1} vs {:.1} ns/op ({:.2}x) — trace {:.2} vs {:.2} ns/ev ({:.2}x)",
-        micros.cache.reference_ns_per_op,
-        micros.cache.soa_ns_per_op,
-        micros.cache.speedup(),
-        micros.trace.legacy_ns_per_event,
-        micros.trace.packed_ns_per_event,
-        micros.trace.speedup(),
-    );
-    println!("wrote {path}");
-    match committed {
-        Some((committed_path, text)) => match check_regression(&current, committed_path, &text) {
-            Ok(msg) => {
-                println!("{msg}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        },
-        None => ExitCode::SUCCESS,
-    }
-}
-
-/// The perf-regression gate: recomputes the seed-vs-current ratio from the
-/// fresh measurement (`current` events/sec over the committed seed
-/// baseline's) and fails if it fell more than 10% below the ratio the
-/// committed document recorded. Also fails — loudly and unconditionally —
-/// if the fresh run simulated a different event count than the committed
-/// baseline, because that means behavior (not performance) changed.
-fn check_regression(
-    current: &strex_bench::perf::BenchRecord,
-    committed_path: &str,
-    committed_text: &str,
-) -> Result<String, String> {
-    use strex::jsonval::JsonValue;
-
-    let doc =
-        JsonValue::parse(committed_text).map_err(|e| format!("check: {committed_path}: {e}"))?;
-    let field = |path: &str| -> Result<f64, String> {
-        doc.get(path)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("check: {committed_path} has no numeric `{path}`"))
-    };
-    let base_events = field("baseline.total_events")?;
-    let base_wall = field("baseline.total_wall_seconds")?;
-    let committed_ratio = field("speedup_vs_committed_baseline")?;
-    if base_wall <= 0.0 || committed_ratio <= 0.0 {
-        return Err(format!(
-            "check: {committed_path} carries degenerate baseline numbers"
-        ));
-    }
-    if current.total_events() as f64 != base_events {
-        return Err(format!(
-            "check: FAILED — fresh run simulated {} events but the committed \
-             baseline simulated {}; the simulation's behavior drifted (this is \
-             a correctness regression, not a performance one — see the golden \
-             snapshot test)",
-            current.total_events(),
-            base_events
-        ));
-    }
-    let fresh_ratio = current.events_per_sec() / (base_events / base_wall);
-    let floor = committed_ratio * CHECK_TOLERANCE;
-    if fresh_ratio < floor {
-        Err(format!(
-            "check: FAILED — fresh seed-vs-current ratio {fresh_ratio:.3}x is below \
-             {floor:.3}x (committed {committed_ratio:.3}x minus the 10% tolerance); \
-             the hot path regressed"
-        ))
-    } else {
-        Ok(format!(
-            "check: ok — fresh seed-vs-current ratio {fresh_ratio:.3}x vs committed \
-             {committed_ratio:.3}x (floor {floor:.3}x)"
-        ))
     }
 }

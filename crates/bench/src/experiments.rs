@@ -33,7 +33,7 @@ pub enum Effort {
 }
 
 /// Transaction-pool size the figure 5/6 matrix scales down from (also
-/// the quick suite `perf::quick_suite` times).
+/// the quick matrix of `perf::quick_matrix_workloads`).
 pub const MATRIX_POOL: usize = 240;
 
 impl Effort {

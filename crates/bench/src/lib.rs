@@ -15,7 +15,6 @@
 //! the experiment index mapping each figure to the modules that implement
 //! its pieces.
 
-pub mod baseline_seed;
 pub mod experiments;
 pub mod perf;
 pub mod table;

@@ -28,8 +28,8 @@
 //! memory-reference events the matrix simulated, over how much wall time,
 //! on how many workers — surfaced as [`CampaignPerf`] (aggregate
 //! events/sec, events/sec-per-worker) and compared across worker counts
-//! with [`scaling_efficiency`]. This is the scale-out headline metric the
-//! `repro scale` subcommand and the `BENCH_*.json` trajectory report.
+//! with [`scaling_efficiency`]. This is the scale-out metric the `repro
+//! scale` subcommand reports.
 //!
 //! # Sharding
 //!
@@ -469,8 +469,7 @@ impl<'w> Campaign<'w> {
 /// Memory-reference events one report contributes to campaign totals
 /// (L1-I + L1-D accesses). This is the single definition shared by the
 /// in-process executor, the shard executor and the wire parse-back — if
-/// "event" ever changes, all three stay in lockstep (and with the
-/// `--check` gate's event-count drift detection).
+/// "event" ever changes, all three stay in lockstep.
 fn report_events(report: &Report) -> u64 {
     let agg = report.stats.aggregate();
     agg.i_accesses + agg.d_accesses
@@ -710,8 +709,9 @@ impl CampaignResult {
         self.cells.iter().find(|c| &c.key == key).map(|c| &c.report)
     }
 
-    /// Serializes every cell — key and full report — as one JSON object,
-    /// the on-disk form intended for `BENCH_*.json` trajectories.
+    /// Serializes every cell — key and full report — as one JSON object:
+    /// the document `repro fig6 --json` prints and the dispatcher's result
+    /// frames carry.
     ///
     /// The executor's [`perf`](CampaignResult::perf) metadata is
     /// deliberately excluded (see [`CampaignPerf`]), so two bit-identical

@@ -1,18 +1,12 @@
 //! Reference (pre-optimization) set-associative cache: the seed
 //! implementation the SoA single-probe [`crate::cache`] replaced.
 //!
-//! Kept for two purposes:
-//!
-//! 1. **Differential testing.** The property tests drive identical
-//!    operation sequences through [`RefSetAssocCache`] and
-//!    [`SetAssocCache`](crate::cache::SetAssocCache) and require identical
-//!    observable behaviour (hits, victims, aux tags, dirty bits) — the
-//!    unit-level half of the bit-identity guarantee the golden report
-//!    snapshot enforces end to end.
-//! 2. **Same-run benchmarking.** `repro --bench-json` times the same
-//!    access stream against both implementations, so the committed
-//!    `BENCH_*.json` records the hot-path speedup measured on the machine
-//!    that produced it, not numbers imported from elsewhere.
+//! Kept for differential testing: the property tests drive identical
+//! operation sequences through [`RefSetAssocCache`] and
+//! [`SetAssocCache`](crate::cache::SetAssocCache) and require identical
+//! observable behaviour (hits, victims, aux tags, dirty bits) — the
+//! unit-level half of the bit-identity guarantee the golden report
+//! snapshot enforces end to end.
 //!
 //! The code is a frame-struct (array-of-structs) design whose operations
 //! scan the set multiple times (`contains` then `access`, `find` twice in
