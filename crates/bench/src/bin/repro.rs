@@ -8,7 +8,7 @@
 //! repro check PATH [--connect ADDR [--shards N]]
 //! repro serve --listen ADDR [--jobs N] [--journal PATH] [--timeout-ms MS]
 //!            [--burst N] [--refill-ms MS] [--max-pending N]
-//! repro work --connect ADDR [--pin CORE] [--name LABEL] [--reconnect N]
+//! repro work --connect ADDR [--name LABEL] [--reconnect N]
 //! repro submit --connect ADDR [--shards N] [--retry N] [--verify] [--scenario PATH]
 //! repro status --connect ADDR [--watch]
 //! repro chaos-proxy --listen ADDR --connect ADDR [--seed N] [--benign]
@@ -56,8 +56,8 @@
 //! cleanly after N jobs — the CI smoke's run bound; `--journal PATH`
 //! makes it crash-tolerant; `--burst`/`--refill-ms` tune per-submitter
 //! token-bucket rate limiting, `--max-pending` bounds the job queue). `work` connects a worker that registers its detected
-//! capabilities (pinned to one core with `--pin C`) and executes shards
-//! until the coordinator closes the connection. `submit` submits the
+//! capabilities and executes shards until the coordinator closes the
+//! connection (`taskset -c C repro work …` pins it to core C). `submit` submits the
 //! quick matrix — or, with `--scenario PATH`, that scenario document —
 //! split `--shards` ways and prints the merged campaign's summary plus
 //! any coordinator-evaluated assertion diagnostics; `--verify`
@@ -496,8 +496,7 @@ fn serve_mode(rest: &[String]) -> ExitCode {
 
 /// The worker half of the dispatcher: connects to `--connect ADDR`,
 /// registers, and executes assigned quick-matrix shards until the
-/// coordinator closes the connection. `--pin C` pins the process first
-/// (best-effort: a no-op off Linux); `--name` labels it in coordinator
+/// coordinator closes the connection. `--name` labels it in coordinator
 /// logs.
 /// `--reconnect N` survives N coordinator outages: a transport failure
 /// re-dials under jittered exponential backoff and re-registers, so a
@@ -507,7 +506,6 @@ fn work_mode(rest: &[String]) -> ExitCode {
     use strex::dispatch::{connect_with_retry, run_worker, Backoff, DispatchError, WorkerOptions};
 
     let mut connect: Option<String> = None;
-    let mut pin: Option<usize> = None;
     let mut reconnect: usize = 0;
     let mut opts = WorkerOptions::default();
     let mut it = rest.iter();
@@ -517,13 +515,6 @@ fn work_mode(rest: &[String]) -> ExitCode {
                 Some(addr) => connect = Some(addr.clone()),
                 None => {
                     eprintln!("--connect needs an ADDR");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--pin" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(core) => pin = Some(core),
-                None => {
-                    eprintln!("--pin needs a core index");
                     return ExitCode::FAILURE;
                 }
             },
@@ -543,7 +534,7 @@ fn work_mode(rest: &[String]) -> ExitCode {
             },
             other => {
                 eprintln!(
-                    "work takes --connect ADDR [--pin CORE] [--name LABEL] [--reconnect N]; \
+                    "work takes --connect ADDR [--name LABEL] [--reconnect N]; \
                      unexpected `{other}`"
                 );
                 return ExitCode::FAILURE;
@@ -551,14 +542,9 @@ fn work_mode(rest: &[String]) -> ExitCode {
         }
     }
     let Some(connect) = connect else {
-        eprintln!("usage: repro work --connect ADDR [--pin CORE] [--name LABEL] [--reconnect N]");
+        eprintln!("usage: repro work --connect ADDR [--name LABEL] [--reconnect N]");
         return ExitCode::FAILURE;
     };
-    if let Some(core) = pin {
-        if !strex::affinity::pin_to_core(core) {
-            eprintln!("note: could not pin to core {core}; running unpinned");
-        }
-    }
     // Workers and the coordinator start concurrently in CI; absorb the
     // bind race instead of failing the fleet.
     let stream =

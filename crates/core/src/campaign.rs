@@ -49,10 +49,6 @@
 //! * [`merge`] reassembles a complete shard set into a [`CampaignResult`]
 //!   bit-identical to the single-process run, for any shard count and
 //!   any merge order.
-//! * [`Campaign::pin_workers`] (and `repro work --pin` for a dispatcher
-//!   worker process) parks each worker on one core via
-//!   [`crate::affinity`], keeping its workload-major trace stream
-//!   LLC-hot across cells.
 //!
 //! ```no_run
 //! use strex::campaign::Campaign;
@@ -101,7 +97,6 @@ pub struct Campaign<'w> {
     cores: Option<Vec<usize>>,
     team_sizes: Option<Vec<usize>>,
     parallelism: Option<usize>,
-    pin_workers: bool,
 }
 
 impl<'w> Campaign<'w> {
@@ -114,7 +109,6 @@ impl<'w> Campaign<'w> {
             cores: None,
             team_sizes: None,
             parallelism: None,
-            pin_workers: false,
         }
     }
 
@@ -158,17 +152,6 @@ impl<'w> Campaign<'w> {
     /// forces sequential execution on the calling thread's schedule.
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.parallelism = Some(workers.max(1));
-        self
-    }
-
-    /// Pins worker `i` to core `i mod host cores` for the duration of the
-    /// run (best-effort: a no-op off Linux or when the kernel refuses —
-    /// see [`crate::affinity::pin_to_core`]). Pinning keeps each worker's
-    /// packed trace stream and simulator state on one LLC domain while it
-    /// walks its workload-major cell sequence; it never affects results,
-    /// only where they are computed.
-    pub fn pin_workers(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
         self
     }
 
@@ -264,22 +247,14 @@ impl<'w> Campaign<'w> {
             })
             .min(cells.len().max(1));
 
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         let next = AtomicUsize::new(0);
         let start = Instant::now();
         let shards: Vec<Vec<(usize, Report)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|worker| {
+                .map(|_| {
                     let next = &next;
                     let cells = &cells;
                     scope.spawn(move || {
-                        if self.pin_workers {
-                            // Best-effort: an unpinnable worker still runs,
-                            // it just floats like before.
-                            let _ = crate::affinity::pin_to_core(worker % avail);
-                        }
                         let mut scratch = SimScratch::new();
                         let mut shard: Vec<(usize, Report)> = Vec::new();
                         loop {

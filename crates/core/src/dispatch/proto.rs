@@ -110,26 +110,19 @@ impl JobSpec {
 pub struct WorkerCaps {
     /// Host cores available to this worker.
     pub cores: usize,
-    /// Whether the worker can pin itself to a core
-    /// (`sched_setaffinity`; Linux only).
-    pub pinning: bool,
-    /// Whether the explicit AVX2 way-scan kernels are available.
-    pub avx2: bool,
     /// Whether the worker executes inline scenario documents (vs only
     /// catalog campaigns it has a local runner for).
     pub scenarios: bool,
 }
 
 impl WorkerCaps {
-    /// Probes the running host: core count, pinning support, AVX2,
-    /// scenarios on. What `repro work` registers with.
+    /// Probes the running host: its core count, scenarios on. What
+    /// `repro work` registers with.
     pub fn detect() -> WorkerCaps {
         WorkerCaps {
             cores: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            pinning: cfg!(target_os = "linux"),
-            avx2: detect_avx2(),
             scenarios: true,
         }
     }
@@ -138,10 +131,6 @@ impl WorkerCaps {
     fn write_fields(&self, w: &mut JsonWriter) {
         w.key("cores");
         w.number_u64(self.cores as u64);
-        w.key("pinning");
-        w.boolean(self.pinning);
-        w.key("avx2");
-        w.boolean(self.avx2);
         w.key("scenarios");
         w.boolean(self.scenarios);
     }
@@ -155,22 +144,8 @@ impl WorkerCaps {
         }
         Ok(WorkerCaps {
             cores,
-            pinning: doc.req_bool("pinning")?,
-            avx2: doc.req_bool("avx2")?,
             scenarios: doc.req_bool("scenarios")?,
         })
-    }
-}
-
-/// Host AVX2 probe for [`WorkerCaps::detect`].
-fn detect_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
     }
 }
 
@@ -885,8 +860,6 @@ mod tests {
                 name: "catalog-only".into(),
                 caps: WorkerCaps {
                     cores: 1,
-                    pinning: false,
-                    avx2: false,
                     scenarios: false,
                 },
             },
@@ -961,11 +934,9 @@ mod tests {
 
     #[test]
     fn partial_capability_declarations_are_refused() {
-        let err = Message::parse_frame(
-            "{\"type\":\"register\",\"name\":\"w\",\"cores\":4,\"pinning\":true}\n",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("avx2"), "{err}");
+        let err = Message::parse_frame("{\"type\":\"register\",\"name\":\"w\",\"cores\":4}\n")
+            .unwrap_err();
+        assert!(err.to_string().contains("scenarios"), "{err}");
     }
 
     #[test]

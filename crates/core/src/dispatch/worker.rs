@@ -14,10 +14,9 @@
 //! another worker already completed; it runs it anyway and the
 //! coordinator drops the duplicate.
 //!
-//! Registration declares [`WorkerCaps`] — cores, pinning, AVX2,
-//! scenario support — which the coordinator's assignment respects: a
-//! worker registered with `scenarios: false` is never handed a scenario
-//! shard.
+//! Registration declares [`WorkerCaps`] — cores and scenario support —
+//! which the coordinator's assignment respects: a worker registered with
+//! `scenarios: false` is never handed a scenario shard.
 //!
 //! Heartbeats are sent from a separate thread on a fixed cadence so they
 //! keep flowing *while a shard executes* — the whole point: a worker

@@ -72,7 +72,6 @@
 //! driver and campaigns resolve policies through the registry, never a
 //! hard-coded list.
 
-pub mod affinity;
 pub mod campaign;
 pub mod config;
 pub mod cost;

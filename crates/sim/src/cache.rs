@@ -12,18 +12,21 @@
 //!    that question without side effects, and is guaranteed to agree with
 //!    the victim subsequently chosen by [`SetAssocCache::fill`].
 //!
-//! # Layout: structure of arrays, single probe
+//! # Layout: one tag array, one scan
 //!
 //! This cache sits on the simulator's hottest path (every instruction fetch
 //! and data access probes it), so its storage is a structure of arrays
-//! rather than an array of frame structs:
+//! rather than an array of frame structs. Every cache — the private L1s
+//! and each NUCA L2 slice — has the same two arrays:
 //!
 //! * `tags` — one packed `u64` per frame: the block index with the valid
-//!   flag folded into bit 63 (`TAG_VALID`). The way-search is a dense
-//!   scan of `assoc` consecutive `u64`s that the compiler can unroll and
-//!   vectorize, with **no** separate valid-bit load or branch.
-//! * `aux` / `dirty` — parallel sidecar arrays, touched only after the tag
-//!   scan has named a way.
+//!   flag folded into bit 63 (`TAG_VALID`), 64-byte aligned so an 8-way
+//!   set is one host cache line. The way search compares the needle with
+//!   `assoc` consecutive `u64`s, with **no** separate valid-bit load or
+//!   branch: the [`crate::wayscan`] mask kernels at 4, 8 and 16 ways (the
+//!   paper's geometries, Table 2), a plain loop at any other width.
+//! * `meta` — one `u16` per frame packing the aux tag and the dirty flag,
+//!   touched only after the tag scan has named a way.
 //!
 //! **Packing invariant:** a resident frame stores `block.index() |
 //! TAG_VALID`; an empty frame stores `TAG_INVALID` (zero, i.e. bit 63
@@ -67,11 +70,6 @@ fn pack(block: BlockAddr) -> u64 {
 fn unpack(tag: u64) -> BlockAddr {
     BlockAddr::new(tag & !TAG_VALID)
 }
-
-/// Aligned packed-tag storage.
-type AlignedTags = Aligned64<u64>;
-/// Aligned short-tag storage.
-type ShortTags = Aligned64<u32>;
 
 /// Why a cache shape is unusable.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
@@ -263,34 +261,9 @@ impl Probe {
 /// (bits 0..8 hold the aux tag).
 const META_DIRTY: u16 = 1 << 8;
 
-/// Valid flag of a [short tag](short_of) (bit 31 of the `u32`).
-const SHORT_VALID: u32 = 1 << 31;
-
-/// The short (32-bit) form of a packed tag word: zero for an invalid
-/// frame, else the low 31 bits of the block index with [`SHORT_VALID`]
-/// set. A pure function of the packed tag, so equal packed tags always
-/// have equal short tags (no false negatives) and a zero short tag occurs
-/// exactly for [`TAG_INVALID`].
-#[inline]
-fn short_of(tag: u64) -> u32 {
-    if tag == TAG_INVALID {
-        0
-    } else {
-        (tag as u32 & !SHORT_VALID) | SHORT_VALID
-    }
-}
-
-/// `true` if a (valid) packed tag's block index fits in the short tag's 31
-/// payload bits, i.e. the short form loses no information about it.
-#[inline]
-fn fits_short(tag: u64) -> bool {
-    (tag & !TAG_VALID) >> 31 == 0
-}
-
 /// A 64-byte-aligned buffer of `T` so that an aligned group of elements
-/// spanning one cache line is loaded with a single line fill (8-way `u64`
-/// tag sets, 16-way `u32` short-tag sets). Dereferences to the logical
-/// `[T]`.
+/// spanning one cache line is loaded with a single line fill (an 8-way set
+/// of `u64` tags). Dereferences to the logical `[T]`.
 #[derive(Debug)]
 struct Aligned64<T> {
     /// Backing storage, over-allocated by up to one line for alignment.
@@ -303,13 +276,6 @@ struct Aligned64<T> {
 
 impl<T: Copy> Aligned64<T> {
     fn new(len: usize, fill: T) -> Self {
-        if len == 0 {
-            return Aligned64 {
-                buf: Vec::new(),
-                off: 0,
-                len: 0,
-            };
-        }
         let pad = (64 / std::mem::size_of::<T>()).max(1) - 1;
         let buf = vec![fill; len + pad];
         // `align_offset` is permitted to return usize::MAX (no usable
@@ -379,23 +345,7 @@ pub struct SetAssocCache {
     /// are constant within a slice — see [`SetAssocCache::new_sliced`]).
     set_shift: u32,
     /// Packed tag words (see the module doc's packing invariant).
-    tags: AlignedTags,
-    /// Short-tag sidecar for the memory-bound first-pass scan (empty when
-    /// disabled): `short[idx] == short_of(tags[idx])` at all times. With it
-    /// enabled, the way scan reads these `u32`s (half the line footprint of
-    /// the full tags — a 16-way set fits one cache line instead of two) and
-    /// touches the full tag array only to verify candidate hits.
-    short: ShortTags,
-    /// `true` while every resident block's index fits in the short tag's
-    /// 31 payload bits, i.e. the short tag is *lossless*: for a needle
-    /// that also fits, a short match **is** a full match and the verify
-    /// load of the cold full-tag line is skipped. Cleared (permanently)
-    /// the first time a wider block is installed; meaningless when the
-    /// short scan is disabled. The workload generator's address layout
-    /// stays far below 2^31 blocks, so in practice every hit takes the
-    /// verify-free path while correctness for arbitrary addresses is kept
-    /// by the flag.
-    short_exact: bool,
+    tags: Aligned64<u64>,
     /// Sidecar: one word per frame packing the aux tag (low byte) and the
     /// dirty flag ([`META_DIRTY`]), so victim reads and fills touch one
     /// cache line instead of two.
@@ -451,38 +401,10 @@ impl SetAssocCache {
             assoc: geom.assoc(),
             set_mask: phys_sets as u64 - 1,
             set_shift: slice_bits,
-            tags: AlignedTags::new(frames, TAG_INVALID),
-            short: ShortTags::new(0, 0),
-            short_exact: true,
+            tags: Aligned64::new(frames, TAG_INVALID),
             meta: vec![0; frames],
             repl: Replacement::new(repl, phys_sets, geom.assoc()),
         }
-    }
-
-    /// Enables the short-tag (u32) first-pass scan: the way search reads a
-    /// 32-bit sidecar (half the scanned footprint) and verifies candidate
-    /// hits against the full 64-bit tags. Because the short tag is a pure
-    /// function of the packed tag, false negatives are impossible and
-    /// false positives are resolved by the verify, so hit/miss/victim
-    /// outcomes are **bit-identical** to the plain scan — only the memory
-    /// traffic of the probe changes. Meant for large shared caches (the
-    /// NUCA L2 slices) whose tag arrays spill out of the host caches; the
-    /// L1 models keep the plain scan, whose tags fit a single line anyway.
-    pub fn with_short_tag_scan(mut self) -> Self {
-        let mut short = ShortTags::new(self.tags.len(), 0);
-        let mut exact = true;
-        for (s, &t) in short.iter_mut().zip(self.tags.iter()) {
-            *s = short_of(t);
-            exact &= t == TAG_INVALID || fits_short(t);
-        }
-        self.short = short;
-        self.short_exact = exact;
-        self
-    }
-
-    /// `true` if the short-tag first-pass scan is enabled.
-    pub fn has_short_tag_scan(&self) -> bool {
-        !self.short.is_empty()
     }
 
     /// Returns the cache geometry.
@@ -505,26 +427,10 @@ impl SetAssocCache {
         set * self.assoc
     }
 
-    /// The single chokepoint for tag writes: keeps the short-tag sidecar
-    /// (when enabled) exactly in sync with the packed tag array, and
-    /// demotes the scan to verified mode once any resident block outgrows
-    /// the short tag's lossless range.
-    #[inline]
-    fn store_tag(&mut self, idx: usize, packed: u64) {
-        self.tags[idx] = packed;
-        if !self.short.is_empty() {
-            self.short[idx] = short_of(packed);
-            if packed != TAG_INVALID && !fits_short(packed) {
-                self.short_exact = false;
-            }
-        }
-    }
-
     /// Compare-mask pass over `N` packed tags: bit `w` of the first mask
     /// is set iff way `w` holds `needle`, bit `w` of the second iff way
     /// `w` is invalid ([`TAG_INVALID`] is all-zero, the sentinel the
-    /// [`crate::wayscan`] kernels test against). Explicit AVX2 on x86-64,
-    /// the PR 2 scalar loop elsewhere — bit-identical by construction.
+    /// [`crate::wayscan`] kernels test against).
     #[inline(always)]
     fn scan_masks<const N: usize>(tags: &[u64], needle: u64) -> (u32, u32) {
         let tags: &[u64; N] = tags
@@ -533,89 +439,13 @@ impl SetAssocCache {
         crate::wayscan::scan_masks_u64(tags, needle)
     }
 
-    /// Compare-mask pass over `N` short tags; the short-scan twin of
-    /// [`scan_masks`](SetAssocCache::scan_masks). Bit `w` of the first
-    /// mask is set iff way `w`'s short tag matches (a *candidate* — the
-    /// caller verifies against the full tag), bit `w` of the second iff
-    /// way `w` is invalid (exact: a zero short tag occurs only for
-    /// [`TAG_INVALID`]). Same [`crate::wayscan`] SIMD/scalar dispatch as
-    /// the full-tag scan.
-    #[inline(always)]
-    fn scan_masks_short<const N: usize>(shorts: &[u32], needle: u32) -> (u32, u32) {
-        let shorts: &[u32; N] = shorts
-            .try_into()
-            .expect("set slice length is the associativity");
-        crate::wayscan::scan_masks_u32(shorts, needle)
-    }
-
-    /// Short-tag first pass: scan the `u32` sidecar for candidates and the
-    /// first invalid way, then verify candidates against the full tags.
-    /// Returns exactly what the plain [`scan`](SetAssocCache::scan) would —
-    /// the short tag is a pure function of the packed tag, so the true hit
-    /// way (if any) is always among the candidates, and a candidate that
-    /// fails the full-tag verify is a (vanishingly rare, 2^-31 per way)
-    /// aliasing false positive.
-    #[inline]
-    fn scan_short(&self, set: usize, needle: u64) -> (Option<usize>, Option<usize>) {
-        let base = self.set_base(set);
-        let shorts = &self.short[base..base + self.assoc];
-        let sneedle = short_of(needle);
-        // Lossless mode: every resident block and the needle fit the
-        // 31-bit short payload, so a short match *is* a full match — the
-        // cold full-tag line is never touched on this path.
-        let lossless = self.short_exact && fits_short(needle);
-        let (mut cand, invalid) = match self.assoc {
-            4 => Self::scan_masks_short::<4>(shorts, sneedle),
-            8 => Self::scan_masks_short::<8>(shorts, sneedle),
-            16 => Self::scan_masks_short::<16>(shorts, sneedle),
-            _ => {
-                // Any width: verify each candidate in way order, as the
-                // mask path below does.
-                let mut hit = None;
-                let mut invalid = None;
-                for (way, &s) in shorts.iter().enumerate() {
-                    if s == sneedle
-                        && hit.is_none()
-                        && (lossless || self.tags[base + way] == needle)
-                    {
-                        hit = Some(way);
-                    } else if s == 0 && invalid.is_none() {
-                        invalid = Some(way);
-                    }
-                }
-                return (hit, invalid);
-            }
-        };
-        let mut hit = None;
-        if cand != 0 && lossless {
-            hit = Some(cand.trailing_zeros() as usize);
-        } else {
-            while cand != 0 {
-                let way = cand.trailing_zeros() as usize;
-                if self.tags[base + way] == needle {
-                    hit = Some(way);
-                    break;
-                }
-                cand &= cand - 1;
-            }
-        }
-        (
-            hit,
-            (invalid != 0).then(|| invalid.trailing_zeros() as usize),
-        )
-    }
-
     /// One pass over the set's tags: the way holding `needle` (if
     /// resident) and the first invalid way (if any). This is the only tag
     /// scan in the cache; every public operation runs it exactly once.
-    /// Dispatches to the short-tag first pass when enabled, else to an
-    /// unrolled mask scan for the associativities the paper's geometries
-    /// use (Table 2: 8-way L1s, 16-way L2).
+    /// Dispatches to a mask kernel for the associativities the paper's
+    /// geometries use (Table 2: 8-way L1s, 16-way L2).
     #[inline]
     fn scan(&self, set: usize, needle: u64) -> (Option<usize>, Option<usize>) {
-        if !self.short.is_empty() {
-            return self.scan_short(set, needle);
-        }
         let base = self.set_base(set);
         let tags = &self.tags[base..base + self.assoc];
         let (hit, invalid) = match self.assoc {
@@ -681,7 +511,7 @@ impl SetAssocCache {
             }
         };
         let idx = self.set_base(set) + way;
-        self.store_tag(idx, needle);
+        self.tags[idx] = needle;
         self.meta[idx] = aux as u16;
         self.repl.on_fill(set, way);
         (way, victim)
@@ -798,7 +628,7 @@ impl SetAssocCache {
                     self.meta[idx], 0,
                     "access_untagged on a cache with live aux/dirty metadata"
                 );
-                self.store_tag(idx, needle);
+                self.tags[idx] = needle;
                 self.repl.on_fill(set, way);
                 false
             }
@@ -894,7 +724,7 @@ impl SetAssocCache {
                 aux: meta as u8,
                 dirty: meta & META_DIRTY != 0,
             };
-            self.store_tag(idx, TAG_INVALID);
+            self.tags[idx] = TAG_INVALID;
             self.meta[idx] &= !META_DIRTY;
             self.repl.on_invalidate(set, way);
             Some(victim)
@@ -940,8 +770,6 @@ impl SetAssocCache {
     pub fn flush(&mut self) {
         let kind = self.repl.kind();
         self.tags.fill_with(TAG_INVALID);
-        self.short.fill_with(0);
-        self.short_exact = true;
         self.meta.fill(0);
         let phys_sets = self.set_mask as usize + 1;
         self.repl = Replacement::new(kind, phys_sets, self.assoc);
@@ -1180,84 +1008,6 @@ mod tests {
         assert_eq!(c.aux(BlockAddr::new(5)), Some(11));
         assert!(!c.set_aux(BlockAddr::new(99), 1));
         assert_eq!(c.aux(BlockAddr::new(99)), None);
-    }
-
-    #[test]
-    fn short_tag_scan_round_trips() {
-        let mut c = small().with_short_tag_scan();
-        assert!(c.has_short_tag_scan());
-        let b = BlockAddr::new(4);
-        assert!(!c.access(b, 1).is_hit());
-        assert!(c.access(b, 2).is_hit());
-        assert_eq!(c.aux(b), Some(2));
-        assert!(c.invalidate(b).is_some());
-        assert!(!c.contains(b));
-        // Invalidation must clear the short tag too: the way reads as
-        // free again.
-        assert!(c.access(BlockAddr::new(6), 0).evicted().is_none());
-    }
-
-    #[test]
-    fn short_tag_false_positive_resolved_by_verify() {
-        // Two blocks in the same set whose indices differ only above bit
-        // 31 share a short tag; the full-tag verify must tell them apart.
-        let mut c = small().with_short_tag_scan(); // 2 sets
-        let a = BlockAddr::new(4);
-        let b = BlockAddr::new(4 + (1u64 << 31)); // same set, same short tag
-        assert_eq!(short_of(pack(a)), short_of(pack(b)));
-        c.access(a, 1);
-        assert!(!c.contains(b), "aliased block must not read as resident");
-        assert!(!c.access(b, 2).is_hit());
-        assert!(c.contains(a) && c.contains(b));
-        assert_eq!(c.aux(a), Some(1));
-        assert_eq!(c.aux(b), Some(2));
-    }
-
-    #[test]
-    fn short_tag_scan_is_bit_identical_to_plain() {
-        // Same adversarial stream (hits, misses, evictions, peeks,
-        // invalidations, writes) through a plain and a short-tag cache of
-        // every replacement kind; every outcome must agree. The 64-way
-        // shape takes the width-independent generic scans.
-        let geoms = [
-            CacheGeometry::new(2048, 16), // 2 sets x 16 ways
-            CacheGeometry::new(8192, 64), // 2 sets x 64 ways
-        ];
-        for kind in ReplacementKind::ALL {
-            for geom in geoms {
-                let ways = geom.assoc();
-                let mut plain = SetAssocCache::new(geom, kind);
-                let mut short = SetAssocCache::new(geom, kind).with_short_tag_scan();
-                for i in 0..4096u64 {
-                    let b = BlockAddr::new((i * 7) % 96 + ((i % 5) << 31));
-                    let p = plain.access_write(b, (i % 256) as u8);
-                    let s = short.access_write(b, (i % 256) as u8);
-                    assert_eq!(p.hit, s.hit, "{kind} {ways}-way i={i}");
-                    assert_eq!((p.set, p.way), (s.set, s.way), "{kind} {ways}-way i={i}");
-                    assert_eq!(p.evicted, s.evicted, "{kind} {ways}-way i={i}");
-                    let probe = BlockAddr::new((i * 13) % 128);
-                    assert_eq!(
-                        plain.peek_victim(probe),
-                        short.peek_victim(probe),
-                        "{kind} {ways}-way i={i}"
-                    );
-                    if i % 97 == 0 {
-                        assert_eq!(plain.invalidate(probe), short.invalidate(probe));
-                    }
-                }
-                assert_eq!(plain.occupancy(), short.occupancy(), "{kind} {ways}-way");
-            }
-        }
-    }
-
-    #[test]
-    fn short_of_is_injective_on_validity() {
-        assert_eq!(short_of(TAG_INVALID), 0);
-        for idx in [0u64, 1, 1 << 31, (1 << 31) + 1, (1 << 54) - 1] {
-            let s = short_of(pack(BlockAddr::new(idx)));
-            assert_ne!(s, 0, "valid short tag collides with the free marker");
-            assert_eq!(s & SHORT_VALID, SHORT_VALID);
-        }
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! Shared NUCA L2 cache (Table 2: 1 MB per core, 16-way, 16-cycle hit,
 //! address-interleaved slices over the torus).
+//!
+//! Each slice is a plain [`SetAssocCache`], probed with the same packed
+//! tags and way scan as the L1s. At power-of-two core counts the slices
+//! are set-compressed ([`SetAssocCache::new_sliced`]), so the Table 2 L2
+//! holds 16,384 frames — 128 KiB of tags — from 1 to 512 cores; other
+//! counts get full-size slices (384 KiB of tags at 3 cores).
 
 use crate::addr::BlockAddr;
 use crate::cache::{CacheGeometry, SetAssocCache};
@@ -81,13 +87,9 @@ impl SharedL2 {
         } else {
             0
         };
-        // The slices' tag metadata is the memory-bound part of the probe
-        // (megabytes of it, far beyond the host caches), so they scan
-        // short (u32) tags first and verify hits against the full tags —
-        // bit-identical outcomes, half the scanned footprint.
         SharedL2 {
             slices: (0..n_cores)
-                .map(|_| SetAssocCache::new_sliced(geom, repl, slice_bits).with_short_tag_scan())
+                .map(|_| SetAssocCache::new_sliced(geom, repl, slice_bits))
                 .collect(),
             torus,
             hit_latency,

@@ -1,31 +1,24 @@
-//! Explicit SIMD way-scan kernels for the packed-tag compare.
+//! Explicit SIMD way-scan kernel for the packed-tag compare.
 //!
-//! The set-associative caches ([`crate::cache::SetAssocCache`], and the
-//! NUCA L2 slices built on it) spend their hot path comparing one needle
-//! against every way of a set: `N` packed `u64` tags, or `N` `u32` short
-//! tags on the sidecar first pass. PR 2 wrote those as fixed-`N`
-//! branchless scalar loops and relied on autovectorization; this module
-//! makes the vector form explicit — AVX2 `std::arch` intrinsics on
-//! x86-64, compare-equal plus movemask, one instruction per four (u64)
-//! or eight (u32) ways — with the original scalar loop kept verbatim as
-//! the portable fallback and as the differential reference.
+//! A set-associative cache ([`crate::cache::SetAssocCache`], which also
+//! backs every NUCA L2 slice) spends its hot path comparing one needle
+//! against every way of a set: `N` packed `u64` tags. [`scan_masks_u64`]
+//! does that with AVX2 `std::arch` intrinsics on x86-64 hosts that have
+//! it — compare-equal plus movemask, one instruction per four ways — and
+//! with [`portable_scan_u64`], a fixed-`N` branchless scalar loop,
+//! everywhere else. The scalar loop is also the differential reference
+//! the AVX2 path is tested against.
 //!
-//! Both kernels return `(match_mask, invalid_mask)`: bit `w` of the
-//! first mask is set iff way `w` equals the needle, bit `w` of the
-//! second iff way `w` holds the all-zero invalid sentinel
-//! (`TAG_INVALID` for full tags; a cleared short tag on the sidecar).
+//! Both return `(match_mask, invalid_mask)`: bit `w` of the first mask is
+//! set iff way `w` equals the needle, bit `w` of the second iff way `w`
+//! holds the all-zero invalid sentinel (`TAG_INVALID`).
 //!
-//! Dispatch is one cached feature probe (a relaxed atomic load after the
-//! first call; constant-folded away entirely when the build already
-//! targets AVX2, e.g. CI's `-C target-cpu=x86-64-v3`). The
-//! `portable-scan` cargo feature forces the fallback at compile time so
-//! CI can prove both paths pass the same differential proptests; the
-//! SIMD kernels themselves stay compiled and directly testable on any
-//! x86-64 host via [`simd_scan_u64`] / [`simd_scan_u32`].
+//! AVX2 is detected at run time: one cached feature probe (a relaxed
+//! atomic load after the first call), constant-folded away entirely when
+//! the build already targets AVX2 (e.g. `-C target-cpu=x86-64-v3`).
 
-/// Scalar reference kernel over `N` packed `u64` tags — byte-for-byte
-/// the PR 2 loop, kept as both the portable fallback and the
-/// differential baseline the SIMD path is pinned to.
+/// Scalar kernel over `N` packed `u64` tags: the path on hosts without
+/// AVX2 and the differential reference the SIMD path is pinned to.
 #[inline(always)]
 pub fn portable_scan_u64<const N: usize>(tags: &[u64; N], needle: u64) -> (u32, u32) {
     let mut hit = 0u32;
@@ -39,28 +32,11 @@ pub fn portable_scan_u64<const N: usize>(tags: &[u64; N], needle: u64) -> (u32, 
     (hit, invalid)
 }
 
-/// Scalar reference kernel over `N` short (`u32`) tags; the sidecar twin
-/// of [`portable_scan_u64`].
-#[inline(always)]
-pub fn portable_scan_u32<const N: usize>(shorts: &[u32; N], needle: u32) -> (u32, u32) {
-    let mut hit = 0u32;
-    let mut invalid = 0u32;
-    let mut way = 0;
-    while way < N {
-        hit |= ((shorts[way] == needle) as u32) << way;
-        invalid |= ((shorts[way] == 0) as u32) << way;
-        way += 1;
-    }
-    (hit, invalid)
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m256i, _mm256_castsi256_pd, _mm256_castsi256_ps, _mm256_cmpeq_epi32, _mm256_cmpeq_epi64,
-        _mm256_loadu_si256, _mm256_movemask_pd, _mm256_movemask_ps, _mm256_set1_epi32,
-        _mm256_set1_epi64x, _mm256_setzero_si256, _mm_castsi128_ps, _mm_cmpeq_epi32,
-        _mm_loadu_si128, _mm_movemask_ps, _mm_set1_epi32, _mm_setzero_si128,
+        __m256i, _mm256_castsi256_pd, _mm256_cmpeq_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
+        _mm256_set1_epi64x, _mm256_setzero_si256,
     };
 
     /// AVX2 kernel over `N` packed `u64` tags: `cmpeq_epi64` + `movemask_pd`
@@ -84,44 +60,6 @@ mod x86 {
             hit |= (h as u32) << way;
             invalid |= (z as u32) << way;
             way += 4;
-        }
-        (hit, invalid)
-    }
-
-    /// AVX2 kernel over `N` short (`u32`) tags: `cmpeq_epi32` +
-    /// `movemask_ps`, eight way-compare bits per 256-bit lane (one
-    /// 128-bit lane when `N == 4`).
-    ///
-    /// # Safety
-    /// Caller guarantees AVX2 is available and `N` is a multiple of 4.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scan_u32<const N: usize>(shorts: &[u32; N], needle: u32) -> (u32, u32) {
-        let ptr = shorts.as_ptr();
-        let mut hit = 0u32;
-        let mut invalid = 0u32;
-        let mut way = 0;
-        if N.is_multiple_of(8) {
-            let vneedle = _mm256_set1_epi32(needle as i32);
-            let vzero = _mm256_setzero_si256();
-            while way < N {
-                let lane = _mm256_loadu_si256(ptr.add(way) as *const __m256i);
-                let h = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(lane, vneedle)));
-                let z = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(lane, vzero)));
-                hit |= (h as u32) << way;
-                invalid |= (z as u32) << way;
-                way += 8;
-            }
-        } else {
-            let vneedle = _mm_set1_epi32(needle as i32);
-            let vzero = _mm_setzero_si128();
-            while way < N {
-                let lane = _mm_loadu_si128(ptr.add(way) as *const std::arch::x86_64::__m128i);
-                let h = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(lane, vneedle)));
-                let z = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(lane, vzero)));
-                hit |= (h as u32) << way;
-                invalid |= (z as u32) << way;
-                way += 4;
-            }
         }
         (hit, invalid)
     }
@@ -152,43 +90,13 @@ mod x86 {
     }
 }
 
-/// The SIMD `u64` kernel under an explicit runtime gate — the
-/// differential-test entry point. Returns `None` off x86-64, when the
-/// host lacks AVX2, or when `N` doesn't tile 256-bit lanes; the caller
-/// (a proptest comparing against [`portable_scan_u64`]) skips then.
-pub fn simd_scan_u64<const N: usize>(tags: &[u64; N], needle: u64) -> Option<(u32, u32)> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if N.is_multiple_of(4) && N <= 32 && x86::avx2_available() {
-            // SAFETY: AVX2 just confirmed; N tiles the loads.
-            return Some(unsafe { x86::scan_u64(tags, needle) });
-        }
-    }
-    let _ = (tags, needle);
-    None
-}
-
-/// The SIMD `u32` kernel under an explicit runtime gate; the short-tag
-/// twin of [`simd_scan_u64`].
-pub fn simd_scan_u32<const N: usize>(shorts: &[u32; N], needle: u32) -> Option<(u32, u32)> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if N.is_multiple_of(4) && N <= 32 && x86::avx2_available() {
-            // SAFETY: AVX2 just confirmed; N tiles the loads.
-            return Some(unsafe { x86::scan_u32(shorts, needle) });
-        }
-    }
-    let _ = (shorts, needle);
-    None
-}
-
-/// Hot-path way scan over `N` packed `u64` tags: AVX2 when available
-/// (and not forced portable), the scalar loop otherwise. Bit-identical
-/// either way — proptested in this module and pinned end-to-end by the
-/// golden report snapshot.
+/// Hot-path way scan over `N` packed `u64` tags: AVX2 when the host has
+/// it and `N` tiles 256-bit lanes, the scalar loop otherwise.
+/// Bit-identical either way — proptested in this module and pinned end to
+/// end by the golden report snapshot.
 #[inline(always)]
 pub fn scan_masks_u64<const N: usize>(tags: &[u64; N], needle: u64) -> (u32, u32) {
-    #[cfg(all(target_arch = "x86_64", not(feature = "portable-scan")))]
+    #[cfg(target_arch = "x86_64")]
     {
         if N.is_multiple_of(4) && N <= 32 && x86::avx2_available() {
             // SAFETY: AVX2 just confirmed; N tiles the loads.
@@ -196,20 +104,6 @@ pub fn scan_masks_u64<const N: usize>(tags: &[u64; N], needle: u64) -> (u32, u32
         }
     }
     portable_scan_u64(tags, needle)
-}
-
-/// Hot-path way scan over `N` short (`u32`) tags; the sidecar twin of
-/// [`scan_masks_u64`].
-#[inline(always)]
-pub fn scan_masks_u32<const N: usize>(shorts: &[u32; N], needle: u32) -> (u32, u32) {
-    #[cfg(all(target_arch = "x86_64", not(feature = "portable-scan")))]
-    {
-        if N.is_multiple_of(4) && N <= 32 && x86::avx2_available() {
-            // SAFETY: AVX2 just confirmed; N tiles the loads.
-            return unsafe { x86::scan_u32(shorts, needle) };
-        }
-    }
-    portable_scan_u32(shorts, needle)
 }
 
 #[cfg(test)]
@@ -232,35 +126,12 @@ mod tests {
         )
     }
 
-    fn short_vec(n: usize, needle: u32) -> impl Strategy<Value = Vec<u32>> {
-        prop::collection::vec(
-            prop_oneof![
-                Just(0u32),
-                Just(needle),
-                any::<u32>(),
-                any::<u32>().prop_map(|v| v | 1 << 31),
-            ],
-            n..n + 1,
-        )
-    }
-
     fn check_u64<const N: usize>(tags: &[u64], needle: u64) -> Result<(), TestCaseError> {
         let tags: &[u64; N] = tags.try_into().expect("sized by the strategy");
-        let reference = portable_scan_u64(tags, needle);
-        prop_assert_eq!(scan_masks_u64(tags, needle), reference, "dispatch path");
-        if let Some(simd) = simd_scan_u64(tags, needle) {
-            prop_assert_eq!(simd, reference, "explicit SIMD path");
-        }
-        Ok(())
-    }
-
-    fn check_u32<const N: usize>(shorts: &[u32], needle: u32) -> Result<(), TestCaseError> {
-        let shorts: &[u32; N] = shorts.try_into().expect("sized by the strategy");
-        let reference = portable_scan_u32(shorts, needle);
-        prop_assert_eq!(scan_masks_u32(shorts, needle), reference, "dispatch path");
-        if let Some(simd) = simd_scan_u32(shorts, needle) {
-            prop_assert_eq!(simd, reference, "explicit SIMD path");
-        }
+        prop_assert_eq!(
+            scan_masks_u64(tags, needle),
+            portable_scan_u64(tags, needle)
+        );
         Ok(())
     }
 
@@ -274,26 +145,13 @@ mod tests {
             tags8 in tag_vec(8, 0x8000_0000_0000_1234),
             tags16 in tag_vec(16, 0x8000_0000_0000_1234),
         ) {
-            check_u64::<4>(&tags4, needle)?;
-            check_u64::<8>(&tags8, needle)?;
-            check_u64::<16>(&tags16, needle)?;
-            // And with a needle guaranteed to be resident-or-sentinel.
-            check_u64::<8>(&tags8, 0x8000_0000_0000_1234)?;
-            check_u64::<8>(&tags8, 0)?;
-        }
-
-        #[test]
-        fn u32_scan_matches_scalar_across_geometries(
-            needle in any::<u32>().prop_map(|v| v | 1 << 31),
-            shorts4 in short_vec(4, 0x8000_4321),
-            shorts8 in short_vec(8, 0x8000_4321),
-            shorts16 in short_vec(16, 0x8000_4321),
-        ) {
-            check_u32::<4>(&shorts4, needle)?;
-            check_u32::<8>(&shorts8, needle)?;
-            check_u32::<16>(&shorts16, needle)?;
-            check_u32::<8>(&shorts8, 0x8000_4321)?;
-            check_u32::<8>(&shorts8, 0)?;
+            // A random needle, the one the strategy plants among the tags,
+            // and the invalid sentinel itself.
+            for needle in [needle, 0x8000_0000_0000_1234, 0] {
+                check_u64::<4>(&tags4, needle)?;
+                check_u64::<8>(&tags8, needle)?;
+                check_u64::<16>(&tags16, needle)?;
+            }
         }
     }
 

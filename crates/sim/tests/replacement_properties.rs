@@ -3,7 +3,7 @@
 //! reference (pre-optimization) implementation.
 
 use proptest::prelude::*;
-use strex_sim::addr::BlockAddr;
+use strex_sim::addr::{BlockAddr, BLOCK_SIZE};
 use strex_sim::cache::{CacheGeometry, SetAssocCache};
 use strex_sim::refcache::RefSetAssocCache;
 use strex_sim::replacement::{Replacement, ReplacementKind};
@@ -133,17 +133,36 @@ proptest! {
     /// Differential bit-identity: arbitrary interleavings of accesses,
     /// writes, conditional fills, invalidations, cleans, victim peeks and
     /// in-place hits behave identically on the SoA single-probe cache and
-    /// the reference (seed) implementation, for every replacement kind.
+    /// the reference (seed) implementation, for every replacement kind and
+    /// every scan width: 4, 8 and 16 ways take the mask kernels, 2 and 64
+    /// the generic loop.
     #[test]
     fn soa_cache_matches_reference(
         kind in any_kind(),
-        ops in prop::collection::vec((0u8..8, 0u64..48, 0u8..16), 1..300),
+        assoc in prop_oneof![Just(2usize), Just(4), Just(8), Just(16), Just(64)],
+        warm in any::<bool>(),
+        ops in prop::collection::vec((0u8..8, 0u64..64, 0u64..3, 0u8..16), 1..400),
     ) {
-        let geom = CacheGeometry::new(2048, 4); // 8 sets x 4 ways
+        // 2 sets; `assoc` low indices times 3 high parts is 1.5 blocks per
+        // frame, so sets fill and evict. The high parts reach indices above
+        // 2^31, so some blocks of a set share all of their low 31 bits.
+        let geom = CacheGeometry::new(2 * assoc as u64 * BLOCK_SIZE, assoc);
+        let block_of = |low: u64, high: u64| BlockAddr::new(low % assoc as u64 + (high << 31));
         let mut soa = SetAssocCache::new(geom, kind);
         let mut reference = RefSetAssocCache::new(geom, kind);
-        for (op, blk, aux) in ops {
-            let block = BlockAddr::new(blk);
+        if warm {
+            // Touch every block once, so even 64-way sets start full and
+            // the random ops below evict.
+            for high in 0..3 {
+                for low in 0..assoc as u64 {
+                    let block = block_of(low, high);
+                    let (a, b) = (soa.access(block, 0), reference.access(block, 0));
+                    prop_assert_eq!(a.evicted(), b.evicted());
+                }
+            }
+        }
+        for (op, low, high, aux) in ops {
+            let block = block_of(low, high);
             match op {
                 0 => {
                     let a = soa.access(block, aux);

@@ -292,17 +292,6 @@ mod deterministic_sharding {
             assert_eq!(ca.report.to_json(), cb.report.to_json());
         }
     }
-
-    #[test]
-    fn pinned_workers_change_nothing_but_placement() {
-        let w = workloads();
-        let pinned = campaign(&w)
-            .parallelism(2)
-            .pin_workers(true)
-            .run()
-            .expect("valid campaign");
-        assert_eq!(pinned.to_json(), sequential_json());
-    }
 }
 
 #[test]

@@ -88,8 +88,6 @@ fn coordinator() -> Coordinator {
 fn able_caps() -> WorkerCaps {
     WorkerCaps {
         cores: 2,
-        pinning: false,
-        avx2: false,
         scenarios: true,
     }
 }

@@ -70,14 +70,7 @@ fn job_specs() -> impl Strategy<Value = JobSpec> {
 }
 
 fn worker_caps() -> impl Strategy<Value = WorkerCaps> {
-    (1usize..256, any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
-        |(cores, pinning, avx2, scenarios)| WorkerCaps {
-            cores,
-            pinning,
-            avx2,
-            scenarios,
-        },
-    )
+    (1usize..256, any::<bool>()).prop_map(|(cores, scenarios)| WorkerCaps { cores, scenarios })
 }
 
 fn control_messages() -> impl Strategy<Value = Message> {
