@@ -50,13 +50,13 @@
 //! `serve` / `work` / `submit` / `status` are the `strex::dispatch` TCP
 //! campaign dispatcher (wire format in `docs/PROTOCOL.md`, operations in
 //! `docs/DISPATCHER.md`). `serve` binds a coordinator that accepts
-//! campaign and scenario submissions and hands shards to
-//! capability-matched workers, tracking their liveness by heartbeat and
+//! campaign and scenario submissions and hands shards to idle workers,
+//! tracking their liveness by heartbeat and
 //! re-queueing shards from dead or straggling workers (`--jobs N` exits
 //! cleanly after N jobs — the CI smoke's run bound; `--journal PATH`
 //! makes it crash-tolerant; `--burst`/`--refill-ms` tune per-submitter
-//! token-bucket rate limiting, `--max-pending` bounds the job queue). `work` connects a worker that registers its detected
-//! capabilities and executes shards until the coordinator closes the
+//! token-bucket rate limiting, `--max-pending` bounds the job queue). `work` connects a worker that registers its core count
+//! and executes shards until the coordinator closes the
 //! connection (`taskset -c C repro work …` pins it to core C). `submit` submits the
 //! quick matrix — or, with `--scenario PATH`, that scenario document —
 //! split `--shards` ways and prints the merged campaign's summary plus

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use strex::campaign::{scaling_efficiency, Campaign, CampaignShard, ShardSpec};
+use strex::campaign::{scaling_efficiency, Campaign, CampaignCell, CampaignShard, ShardSpec};
 use strex::config::SchedulerKind;
 use strex_oltp::workload::{Workload, WorkloadKind};
 
@@ -109,39 +109,31 @@ pub fn dispatch_catalog() -> Vec<String> {
 
 /// The [`strex::dispatch::ShardRunner`] a `repro work` worker serves
 /// with: maps the catalog names to their shard executors, resumably —
-/// a shard re-assigned with a checkpoint skips the cells some dead
-/// worker already simulated, and progress is reported cell by cell so
-/// the coordinator always holds a fresh resume point.
+/// a shard re-assigned with finished cells skips what some dead worker
+/// already simulated, and each finished cell is reported once so the
+/// coordinator always holds everything done so far.
 #[derive(Default)]
 pub struct QuickRunner;
 
 impl strex::dispatch::ShardRunner for QuickRunner {
     fn run(&mut self, campaign: &str, spec: ShardSpec) -> Result<CampaignShard, String> {
-        self.run_resumable(campaign, spec, None, &mut |_| {})
+        self.run_resumable(campaign, spec, Vec::new(), &mut |_, _| {})
     }
 
     fn run_resumable(
         &mut self,
         campaign: &str,
         spec: ShardSpec,
-        checkpoint: Option<strex::campaign::ShardCheckpoint>,
-        on_cell: &mut dyn FnMut(&strex::campaign::ShardCheckpoint),
+        done: Vec<(usize, CampaignCell)>,
+        on_cell: &mut dyn FnMut(usize, &CampaignCell),
     ) -> Result<CampaignShard, String> {
         if campaign != QUICK_CAMPAIGN {
             return Err(format!("worker has no runner for campaign {campaign:?}"));
         }
         let workloads = quick_matrix_workloads();
-        let quick = quick_campaign(&workloads);
-        let run = match quick.run_shard_resumable(spec, checkpoint, on_cell) {
-            // A checkpoint that does not line up with this build's quick
-            // matrix (version skew across the fleet) costs a fresh run,
-            // never a failed worker.
-            Err(strex::ConfigError::CheckpointMismatch { .. }) => {
-                quick.run_shard_resumable(spec, None, on_cell)
-            }
-            other => other,
-        };
-        run.map_err(|e| e.to_string())
+        quick_campaign(&workloads)
+            .run_shard_resumable(spec, done, on_cell)
+            .map_err(|e| e.to_string())
     }
 }
 

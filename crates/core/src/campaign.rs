@@ -46,6 +46,10 @@
 //!   one reused scratch) into a [`CampaignShard`], which serializes to
 //!   JSON and parses back ([`CampaignShard::from_json`]) with full
 //!   fidelity — the payload of the dispatcher's `shard_done` frame.
+//! * [`Campaign::run_shard_resumable`] resumes a shard from the cells it
+//!   already finished — any subset of them, each adopted as it was — and
+//!   reports every newly finished cell as it goes, so an interrupted
+//!   shard re-runs only what no report reached.
 //! * [`merge`] reassembles a complete shard set into a [`CampaignResult`]
 //!   bit-identical to the single-process run, for any shard count and
 //!   any merge order.
@@ -331,86 +335,72 @@ impl<'w> Campaign<'w> {
         spec: ShardSpec,
         reg: &SchedulerRegistry,
     ) -> Result<CampaignShard, ConfigError> {
-        self.run_shard_resumable_on(spec, reg, None, &mut |_| {})
+        self.run_owned(spec, reg, Vec::new(), &mut |_, _| {})
     }
 
-    /// [`run_shard_resumable_on`](Campaign::run_shard_resumable_on)
-    /// against the [global registry](crate::sched::registry::global).
+    /// [`run_shard`](Campaign::run_shard) with resume: adopts the cells
+    /// some earlier run of this shard already finished and runs only the
+    /// rest, reporting each newly finished cell through `on_cell`.
+    ///
+    /// `done` holds finished cells with their matrix indices, in
+    /// ascending index order. Each is adopted verbatim and its index
+    /// skipped, so any subset resumes: a gap left by a lost report simply
+    /// runs again. The remaining owned cells run in matrix order, and
+    /// `on_cell` observes each one with its index as it finishes —
+    /// callers persist or ship it (the dispatcher's `checkpoint` frames).
+    /// The merged result of a resumed shard is byte-identical to the
+    /// uninterrupted run (property-tested in `tests/checkpoint_resume.rs`).
+    ///
+    /// A `done` cell must be the cell at its index of this matrix and be
+    /// owned by `spec`, and indices must be unique; anything else is a
+    /// typed [`ConfigError::CheckpointMismatch`] (cells from a different
+    /// campaign must fail loudly, not corrupt a merge). `total_events`
+    /// covers every cell, adopted and fresh; `wall_seconds` covers only
+    /// this run.
     pub fn run_shard_resumable(
         &self,
         spec: ShardSpec,
-        checkpoint: Option<ShardCheckpoint>,
-        on_cell: &mut dyn FnMut(&ShardCheckpoint),
+        done: Vec<(usize, CampaignCell)>,
+        on_cell: &mut dyn FnMut(usize, &CampaignCell),
     ) -> Result<CampaignShard, ConfigError> {
-        self.run_shard_resumable_on(spec, registry::global(), checkpoint, on_cell)
+        self.run_owned(spec, registry::global(), done, on_cell)
     }
 
-    /// [`run_shard_on`](Campaign::run_shard_on) with checkpoint/resume:
-    /// executes the cells `spec` owns, starting from an optional
-    /// [`ShardCheckpoint`] and reporting progress at every cell boundary.
-    ///
-    /// A checkpoint's completed cells are adopted verbatim and its matrix
-    /// cursor skips everything already done; execution continues with the
-    /// first owned cell at or past the cursor. After each newly executed
-    /// cell, `on_cell` observes the updated checkpoint — callers persist
-    /// or ship it (the dispatcher's `checkpoint` frames), and a preempted
-    /// run resumed from *any* observed checkpoint produces a shard whose
-    /// merged result is byte-identical to the uninterrupted run
-    /// (property-tested in `tests/checkpoint_resume.rs`).
-    ///
-    /// The checkpoint must match: same [`ShardSpec`], a cursor within the
-    /// matrix, and every completed cell's key equal to the matrix cell at
-    /// its recorded index — anything else is a typed
-    /// [`ConfigError::CheckpointMismatch`] (a checkpoint from a different
-    /// campaign must fail loudly, not corrupt a merge). `total_events`
-    /// and the shard perf are recomputed over *all* cells, adopted and
-    /// fresh; `wall_seconds` covers only this process's portion.
-    pub fn run_shard_resumable_on(
+    fn run_owned(
         &self,
         spec: ShardSpec,
         reg: &SchedulerRegistry,
-        checkpoint: Option<ShardCheckpoint>,
-        on_cell: &mut dyn FnMut(&ShardCheckpoint),
+        done: Vec<(usize, CampaignCell)>,
+        on_cell: &mut dyn FnMut(usize, &CampaignCell),
     ) -> Result<CampaignShard, ConfigError> {
         spec.validate()?;
-        let cells = self.cells(reg)?;
-        let mut ckpt = match checkpoint {
-            Some(c) => {
-                if c.spec != spec {
-                    return Err(ConfigError::CheckpointMismatch {
-                        detail: format!("checkpoint is for shard {}, not {spec}", c.spec),
-                    });
-                }
-                if c.cursor > cells.len() {
-                    return Err(ConfigError::CheckpointMismatch {
-                        detail: format!(
-                            "cursor {} is beyond the {}-cell matrix",
-                            c.cursor,
-                            cells.len()
-                        ),
-                    });
-                }
-                for (i, cell) in &c.cells {
-                    match cells.get(*i) {
-                        Some((key, _)) if *key == cell.key => {}
-                        _ => {
-                            return Err(ConfigError::CheckpointMismatch {
-                                detail: format!(
-                                    "completed cell {i} ({}) is not cell {i} of this matrix",
-                                    cell.key
-                                ),
-                            });
-                        }
-                    }
-                }
-                c
-            }
-            None => ShardCheckpoint::new(spec),
-        };
+        let matrix = self.cells(reg)?;
+        let mut prev: Option<usize> = None;
+        for (i, cell) in &done {
+            let problem = if prev.is_some_and(|p| *i <= p) {
+                "breaks the ascending index order"
+            } else if !matrix.get(*i).is_some_and(|(key, _)| *key == cell.key) {
+                "is not the cell at that index of this matrix"
+            } else if !spec.owns(&cell.key) {
+                "is not owned by this shard"
+            } else {
+                prev = Some(*i);
+                continue;
+            };
+            return Err(ConfigError::CheckpointMismatch {
+                detail: format!("finished cell {i} ({}) {problem} ({spec})", cell.key),
+            });
+        }
         let start = Instant::now();
         let mut scratch = SimScratch::new();
-        for (i, (key, cfg)) in cells.into_iter().enumerate() {
-            if i < ckpt.cursor || !spec.owns(&key) {
+        let mut adopted = done.into_iter().peekable();
+        let mut cells = Vec::new();
+        for (i, (key, cfg)) in matrix.into_iter().enumerate() {
+            if let Some(cell) = adopted.next_if(|(j, _)| *j == i) {
+                cells.push(cell);
+                continue;
+            }
+            if !spec.owns(&key) {
                 continue;
             }
             let workload = self.workloads[key.workload_idx];
@@ -418,20 +408,16 @@ impl<'w> Campaign<'w> {
                 .get(&key.scheduler)
                 .expect("cells() checked registration");
             let report = run_factory(factory, workload, &cfg, &mut scratch);
-            ckpt.cells.push((i, CampaignCell { key, report }));
-            ckpt.cursor = i + 1;
-            on_cell(&ckpt);
+            let cell = CampaignCell { key, report };
+            on_cell(i, &cell);
+            cells.push((i, cell));
         }
-        // Recomputed over adopted + fresh cells, so a resumed shard's
-        // event count equals the uninterrupted run's.
-        let total_events = ckpt
-            .cells
-            .iter()
-            .map(|(_, c)| report_events(&c.report))
-            .sum();
+        // Counted over adopted + fresh cells, so a resumed shard's event
+        // count equals the uninterrupted run's.
+        let total_events = cells.iter().map(|(_, c)| report_events(&c.report)).sum();
         Ok(CampaignShard {
             spec,
-            cells: ckpt.cells,
+            cells,
             perf: CampaignPerf {
                 workers: 1,
                 wall_seconds: start.elapsed().as_secs_f64(),
@@ -755,10 +741,11 @@ impl CampaignResult {
 /// Writes one cell as JSON. Without `index` this is exactly the
 /// [`CampaignResult::to_json`] cell layout (kept byte-stable — committed
 /// documents and the golden identity checks depend on it); with `index`
-/// — the shard wire format — the cell additionally carries its matrix
+/// — the shard cell layout that `shard_done`, `checkpoint` and `assign`
+/// frames carry — the cell additionally carries its matrix
 /// position and the key carries `workload_idx`, so a merge can rebuild
 /// exact [`CellKey`]s and matrix order.
-fn write_cell_json(w: &mut JsonWriter, index: Option<usize>, cell: &CampaignCell) {
+pub(crate) fn write_cell_json(w: &mut JsonWriter, index: Option<usize>, cell: &CampaignCell) {
     w.begin_object();
     if let Some(i) = index {
         w.key("index");
@@ -788,7 +775,7 @@ fn write_cell_json(w: &mut JsonWriter, index: Option<usize>, cell: &CampaignCell
 
 /// Parses one cell (either layout); returns the matrix index when the
 /// document carries one (shard wire format), `0` otherwise.
-fn cell_from_json(v: &JsonValue) -> Result<(usize, CampaignCell), WireError> {
+pub(crate) fn cell_from_json(v: &JsonValue) -> Result<(usize, CampaignCell), WireError> {
     let index = match v.get("index") {
         Some(_) => v.req_u64("index")? as usize,
         None => 0,
@@ -922,135 +909,6 @@ impl CampaignShard {
     ) -> Result<CampaignShard, ConfigError> {
         spec.validate()?;
         Ok(CampaignShard { spec, cells, perf })
-    }
-}
-
-/// A shard's resumable progress: the cells completed so far (with their
-/// matrix indices) and the matrix cursor where execution continues.
-///
-/// Produced incrementally by
-/// [`Campaign::run_shard_resumable`] at every cell boundary and consumed
-/// by the same entry point to resume after preemption; the dispatcher
-/// ships it in `checkpoint` frames so a reaped worker's shard re-queues
-/// from its last observed boundary instead of from zero. Serializes
-/// to JSON ([`to_json`](ShardCheckpoint::to_json) /
-/// [`from_json`](ShardCheckpoint::from_json)) with full fidelity.
-///
-/// Invariants (enforced on parse and on resume): every completed cell's
-/// index is below `cursor`, indices strictly increase (matrix order),
-/// and each cell is owned by `spec` — so a decoded checkpoint can never
-/// smuggle a foreign or duplicated cell into a merge.
-#[derive(Clone, Debug)]
-pub struct ShardCheckpoint {
-    spec: ShardSpec,
-    cells: Vec<(usize, CampaignCell)>,
-    cursor: usize,
-}
-
-impl ShardCheckpoint {
-    /// An empty checkpoint: nothing completed, cursor at the start of
-    /// the matrix. Resuming from it is identical to a fresh run.
-    pub fn new(spec: ShardSpec) -> ShardCheckpoint {
-        ShardCheckpoint {
-            spec,
-            cells: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    /// Which shard this progress belongs to.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
-    /// The completed cells with their matrix indices, in matrix order.
-    pub fn cells(&self) -> &[(usize, CampaignCell)] {
-        &self.cells
-    }
-
-    /// The matrix index execution resumes scanning from: every completed
-    /// cell sits below it, every unstarted owned cell at or above it.
-    pub fn cursor(&self) -> usize {
-        self.cursor
-    }
-
-    /// Checks the structural invariants every decoded checkpoint must hold.
-    fn validate(&self) -> Result<(), WireError> {
-        self.spec
-            .validate()
-            .map_err(|e| WireError::new(e.to_string()))?;
-        let mut last: Option<usize> = None;
-        for (i, cell) in &self.cells {
-            if last.is_some_and(|prev| *i <= prev) {
-                return Err(WireError::new(format!(
-                    "checkpoint cells are not in strictly increasing matrix order at index {i}"
-                )));
-            }
-            if *i >= self.cursor {
-                return Err(WireError::new(format!(
-                    "checkpoint cell {i} is at or beyond the cursor {}",
-                    self.cursor
-                )));
-            }
-            if !self.spec.owns(&cell.key) {
-                return Err(WireError::new(format!(
-                    "checkpoint cell {} is not owned by shard {}",
-                    cell.key, self.spec
-                )));
-            }
-            last = Some(*i);
-        }
-        Ok(())
-    }
-
-    /// Serializes the checkpoint for the wire: spec, cursor, and every
-    /// completed cell in the shard cell layout (matrix index + full key).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("checkpoint");
-        w.begin_object();
-        w.key("index");
-        w.number_u64(self.spec.index as u64);
-        w.key("count");
-        w.number_u64(self.spec.count as u64);
-        w.key("cursor");
-        w.number_u64(self.cursor as u64);
-        w.end_object();
-        w.key("cells");
-        w.begin_array();
-        for (i, cell) in &self.cells {
-            write_cell_json(&mut w, Some(*i), cell);
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
-    }
-
-    /// Parses a checkpoint from its [`to_json`](ShardCheckpoint::to_json)
-    /// form, re-checking every structural invariant.
-    pub fn from_json(text: &str) -> Result<ShardCheckpoint, WireError> {
-        Self::from_json_value(&JsonValue::parse(text)?)
-    }
-
-    /// [`from_json`](ShardCheckpoint::from_json) over an already-parsed
-    /// document — the entry point the dispatch protocol uses, where the
-    /// checkpoint arrives embedded in a `checkpoint` frame.
-    pub fn from_json_value(doc: &JsonValue) -> Result<ShardCheckpoint, WireError> {
-        let ckpt = ShardCheckpoint {
-            spec: ShardSpec {
-                index: doc.req_u64("checkpoint.index")? as usize,
-                count: doc.req_u64("checkpoint.count")? as usize,
-            },
-            cursor: doc.req_u64("checkpoint.cursor")? as usize,
-            cells: doc
-                .req_array("cells")?
-                .iter()
-                .map(cell_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        ckpt.validate()?;
-        Ok(ckpt)
     }
 }
 

@@ -45,10 +45,11 @@ use std::time::Duration;
 use super::net::{self, Acceptor};
 use super::proto::{is_read_timeout, read_line_bounded, ProtoError, MAX_FRAME};
 
-/// A tiny deterministic RNG (xorshift64\* over a SplitMix64-scrambled
-/// seed) for fault schedules. Self-contained on purpose: fault plans
-/// must not perturb, or be perturbed by, any other randomness in the
-/// process.
+/// The dispatcher's one RNG: xorshift64\* over a SplitMix64-scrambled
+/// seed, for fault schedules and [`Backoff`](super::Backoff) jitter.
+/// Each instance is self-contained on purpose: a fault plan or a
+/// backoff must not perturb, or be perturbed by, any other randomness in
+/// the process.
 #[derive(Clone, Debug)]
 pub struct ChaosRng {
     state: u64,

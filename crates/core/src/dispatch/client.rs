@@ -27,6 +27,7 @@ use std::time::Duration;
 use crate::campaign::CampaignResult;
 use crate::scenario::{AssertionOutcome, Scenario};
 
+use super::chaos::ChaosRng;
 use super::net;
 use super::proto::{write_message, FrameReader, JobSpec, Message};
 use super::status::StatusReport;
@@ -38,15 +39,15 @@ use super::DispatchError;
 /// `exp = min(cap_ms, base_ms << n)` — "equal jitter", so a fleet of
 /// clients that all observed the same coordinator crash does not
 /// reconnect in lockstep, but no delay ever collapses to zero. The
-/// jitter source is a self-contained xorshift64* stream seeded
-/// explicitly: two clients seed differently (the default seeds from the
-/// process id and a monotonic counter), while a test that pins the seed
-/// gets the exact delay sequence back.
+/// jitter source is the dispatcher's seeded [`ChaosRng`]: two clients
+/// seed differently (the default seeds from the process id and a
+/// monotonic counter), while a test that pins the seed gets the exact
+/// delay sequence back.
 #[derive(Clone, Debug)]
 pub struct Backoff {
     base_ms: u64,
     cap_ms: u64,
-    state: u64,
+    rng: ChaosRng,
     attempt: u32,
 }
 
@@ -57,9 +58,7 @@ impl Backoff {
         Backoff {
             base_ms: base_ms.max(1),
             cap_ms: cap_ms.max(1),
-            // SplitMix64 scramble so seed 0 (and other degenerate
-            // seeds) still yields a usable xorshift state.
-            state: splitmix64(seed),
+            rng: ChaosRng::new(seed),
             attempt: 0,
         }
     }
@@ -74,7 +73,7 @@ impl Backoff {
             .max(1);
         self.attempt = self.attempt.saturating_add(1);
         let half = exp / 2;
-        half + self.next_u64() % (exp - half + 1)
+        half + self.rng.next_u64() % (exp - half + 1)
     }
 
     /// Resets the exponent (not the jitter stream) — call after a
@@ -82,38 +81,16 @@ impl Backoff {
     pub fn reset(&mut self) {
         self.attempt = 0;
     }
-
-    fn next_u64(&mut self) -> u64 {
-        // xorshift64*: tiny, deterministic, plenty for jitter.
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
 }
 
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    let z = z ^ (z >> 31);
-    // xorshift64* requires a non-zero state; 2^-64 of seeds land here.
-    if z == 0 {
-        0x9E37_79B9_7F4A_7C15
-    } else {
-        z
-    }
-}
-
-/// A process-unique backoff seed: the pid scrambled with a monotonic
-/// counter, so concurrent clients in one process jitter independently.
+/// A process-unique backoff seed: the pid combined with a monotonic
+/// counter, so concurrent clients in one process jitter independently
+/// ([`ChaosRng::new`] scrambles it).
 fn process_seed() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    splitmix64((u64::from(std::process::id()) << 32) ^ n)
+    (u64::from(std::process::id()) << 32) ^ n
 }
 
 /// One submit round trip: send the spec, block for `result` or `reject`.

@@ -20,9 +20,8 @@
 //! canonical text, so retrying a submission (same work, same shard
 //! count) attaches to the in-flight job or returns the cached result
 //! instead of running the matrix twice. A new job's shards enter a FIFO
-//! queue; idle registered workers whose declared
-//! [`WorkerCaps`] can execute the job are assigned one shard
-//! each; completions fill per-index slots. Delivery is
+//! queue; idle registered workers are assigned one shard each;
+//! completions fill per-index slots. Delivery is
 //! **at-least-once**: a dead worker's shard is re-queued, a straggler's
 //! shard is re-assigned while the original may still finish — so the
 //! same shard index can legitimately complete twice. The slot either-or
@@ -34,6 +33,14 @@
 //! bit-identical to a sequential run; a scenario job's assertions are
 //! then evaluated against the merged result, and every waiting submitter
 //! receives the result plus the per-assertion diagnostics.
+//!
+//! While a shard runs, its worker reports each finished cell once in a
+//! `checkpoint` frame. The coordinator holds those cells per shard index,
+//! keyed by matrix index, until the slot fills, and no more of them than
+//! one `assign` frame can carry; a re-queued shard goes out again with
+//! them as `done`, so the next worker runs only the cells no report
+//! reached. Holding a set makes duplicated or reordered
+//! checkpoints harmless, and `shard_done` stays the authority on results.
 //!
 //! # Admission control
 //!
@@ -69,14 +76,15 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::campaign::{fnv64, merge, CampaignShard, ShardCheckpoint, ShardSpec};
+use crate::campaign::{fnv64, merge, CampaignCell, CampaignShard, ShardSpec};
 use crate::scenario::EvaluatorRegistry;
 
 use super::clock::Clock;
 use super::journal::{replay_journal_file, Journal, JournalEntry};
 use super::net::Acceptor;
 use super::proto::{
-    write_message, FrameReader, JobSpec, Message, ProtoError, RejectReason, WorkerCaps,
+    assign_frame_len, done_entry_len, write_message, FrameReader, JobSpec, Message, ProtoError,
+    RejectReason, MAX_FRAME,
 };
 use super::status::{
     AssignmentStatus, JobStatus, RateStatus, StatusCounters, StatusReport, WorkerStatus,
@@ -272,19 +280,9 @@ struct Assignment {
 #[derive(Debug)]
 struct WorkerState {
     name: String,
-    caps: WorkerCaps,
+    cores: usize,
     last_seen_ms: u64,
     assignment: Option<Assignment>,
-}
-
-impl WorkerState {
-    /// Whether this worker can execute `work` at all.
-    fn eligible(&self, work: &JobSpec) -> bool {
-        match work {
-            JobSpec::Catalog(_) => true,
-            JobSpec::Scenario(_) => self.caps.scenarios,
-        }
-    }
 }
 
 /// One in-flight job.
@@ -298,16 +296,48 @@ struct Job {
     done: Vec<Option<CampaignShard>>,
     /// Submitter connections awaiting the result.
     waiters: Vec<ConnId>,
-    /// Latest resume point per shard index, from advisory `checkpoint`
-    /// frames. A re-queued shard is re-assigned with its checkpoint so
-    /// the next worker skips the cells already simulated. Entries are
-    /// dropped the moment the slot completes.
-    checkpoints: BTreeMap<usize, ShardCheckpoint>,
+    /// Finished cells per shard index, from advisory `checkpoint` frames.
+    /// A re-queued shard is re-assigned with them as `done`, so the next
+    /// worker skips the cells already simulated. A shard's cells are
+    /// dropped the moment its slot fills.
+    progress: BTreeMap<usize, Held>,
 }
 
 impl Job {
     fn complete(&self) -> bool {
         self.done.iter().all(Option::is_some)
+    }
+}
+
+/// The cells workers reported finished for one shard, keyed by matrix
+/// index, and the exact length of the `assign` frame that re-sends them.
+#[derive(Debug)]
+struct Held {
+    cells: BTreeMap<usize, CampaignCell>,
+    frame_len: usize,
+}
+
+impl Held {
+    fn new(job: &str, work: &JobSpec, spec: ShardSpec) -> Held {
+        Held {
+            cells: BTreeMap::new(),
+            frame_len: assign_frame_len(job, work, spec),
+        }
+    }
+
+    /// Holds `cell` at `index` unless the index is held already or the
+    /// re-sent `assign` would outgrow `limit` bytes. Nothing bounds the
+    /// indices a peer reports, so the frame length is what keeps the held
+    /// cells, and the frame every heir must read, finite.
+    fn admit(&mut self, index: usize, cell: CampaignCell, limit: usize) {
+        if self.cells.contains_key(&index) {
+            return;
+        }
+        let frame_len = self.frame_len + done_entry_len(index, &cell);
+        if frame_len <= limit {
+            self.frame_len = frame_len;
+            self.cells.insert(index, cell);
+        }
     }
 }
 
@@ -409,8 +439,8 @@ impl Coordinator {
         }
         match msg {
             Message::Submit { work, shards } => self.on_submit(now_ms, conn, work, shards, actions),
-            Message::Register { name, caps } => {
-                // Registration refreshes name/caps but must carry any
+            Message::Register { name, cores } => {
+                // Registration refreshes name/cores but must carry any
                 // in-flight assignment over: a duplicated register frame
                 // that reset the slot to idle would leak the assigned
                 // shard out of queued/running/done for good.
@@ -419,7 +449,7 @@ impl Coordinator {
                     conn,
                     WorkerState {
                         name,
-                        caps,
+                        cores,
                         last_seen_ms: now_ms,
                         assignment,
                     },
@@ -427,7 +457,7 @@ impl Coordinator {
             }
             Message::Heartbeat => {}
             Message::ShardDone { job, shard } => self.on_shard_done(conn, job, shard, actions),
-            Message::Checkpoint { job, checkpoint } => self.on_checkpoint(job, checkpoint),
+            Message::Checkpoint { job, spec, cell } => self.on_checkpoint(job, spec, *cell),
             Message::StatusRequest => {
                 // Answered in place; the connection stays open so a
                 // watcher can poll on one socket.
@@ -533,7 +563,7 @@ impl Coordinator {
                 queue: (0..shards).collect(),
                 done: (0..shards).map(|_| None).collect(),
                 waiters: Vec::new(),
-                checkpoints: BTreeMap::new(),
+                progress: BTreeMap::new(),
             })
             .waiters
             .push(conn);
@@ -575,10 +605,10 @@ impl Coordinator {
         if slot.is_none() {
             *slot = Some(shard);
             self.counters.shards_completed += 1;
-            // The shard is finished: its resume point is obsolete, and a
-            // still-queued copy (hedge, or journal replay with no workers
-            // to drain the queue) would only re-run completed work.
-            job.checkpoints.remove(&spec.index);
+            // The shard is finished: its reported cells are obsolete, and
+            // a still-queued copy (hedge, or journal replay with no
+            // workers to drain the queue) would only re-run completed work.
+            job.progress.remove(&spec.index);
             job.queue.retain(|&queued| queued != spec.index);
         }
         // else: duplicate completion from a hedged straggler — first one
@@ -625,30 +655,35 @@ impl Coordinator {
         }
     }
 
-    /// Records a worker's advisory resume point for an in-flight shard.
+    /// Holds one finished cell a worker reported for an in-flight shard.
     /// Best-effort by design: anything that does not line up (finished
-    /// job, foreign partitioning, stale cursor) is silently dropped —
-    /// losing a checkpoint only costs re-simulation, never correctness.
-    fn on_checkpoint(&mut self, job_id: String, checkpoint: ShardCheckpoint) {
+    /// job, foreign partitioning, a completed slot, a cell the shard does
+    /// not own, a cell that would push the re-sent `assign` past
+    /// [`MAX_FRAME`]) is silently dropped — losing a checkpoint only costs
+    /// re-simulation, never correctness. The first report of a matrix
+    /// index wins; a repeat (hedged duplicate, network dup) changes
+    /// nothing.
+    fn on_checkpoint(
+        &mut self,
+        job_id: String,
+        spec: ShardSpec,
+        (index, cell): (usize, CampaignCell),
+    ) {
         let Some(job) = self.jobs.get_mut(&job_id) else {
             return;
         };
-        let spec = checkpoint.spec();
-        if spec.count != job.count || spec.index >= job.count {
+        if spec.count != job.count
+            || spec.index >= job.count
+            || job.done[spec.index].is_some()
+            || !spec.owns(&cell.key)
+        {
             return;
         }
-        if job.done[spec.index].is_some() {
-            // Completed shards need no resume point.
-            return;
-        }
-        // Keep the furthest progress: a hedged duplicate running behind
-        // the original must not roll the resume point back.
-        match job.checkpoints.get(&spec.index) {
-            Some(existing) if existing.cursor() >= checkpoint.cursor() => {}
-            _ => {
-                job.checkpoints.insert(spec.index, checkpoint);
-            }
-        }
+        let Job { work, progress, .. } = job;
+        progress
+            .entry(spec.index)
+            .or_insert_with(|| Held::new(&job_id, work, spec))
+            .admit(index, cell, MAX_FRAME);
     }
 
     fn on_disconnect(&mut self, conn: ConnId, actions: &mut Vec<Action>) {
@@ -731,40 +766,32 @@ impl Coordinator {
         }
     }
 
-    /// Hands queued shards to idle workers, FIFO over jobs in key order.
-    /// Capability-aware: each shard goes to the first idle worker whose
-    /// declared caps can execute the job's work; a job no idle worker is
-    /// eligible for keeps its queue and yields the workers to the next
-    /// job.
+    /// Hands queued shards to idle workers, FIFO over jobs in key order
+    /// and over workers in connection order.
     fn assign_pending(&mut self, now_ms: u64, actions: &mut Vec<Action>) {
         let Coordinator { jobs, workers, .. } = self;
-        let mut idle: Vec<ConnId> = workers
-            .iter()
-            .filter(|(_, w)| w.assignment.is_none())
-            .map(|(&conn, _)| conn)
-            .collect();
+        let mut idle = workers.iter_mut().filter(|(_, w)| w.assignment.is_none());
         for (job_id, job) in jobs.iter_mut() {
             while !job.queue.is_empty() {
-                let Some(pos) = idle
-                    .iter()
-                    .position(|conn| workers[conn].eligible(&job.work))
-                else {
-                    break;
+                let Some((&conn, worker)) = idle.next() else {
+                    return;
                 };
-                let conn = idle.remove(pos);
                 let index = job.queue.pop_front().expect("checked non-empty");
                 let spec = ShardSpec {
                     index,
                     count: job.count,
                 };
-                workers
-                    .get_mut(&conn)
-                    .expect("idle workers are registered")
-                    .assignment = Some(Assignment {
+                worker.assignment = Some(Assignment {
                     job: job_id.clone(),
                     spec,
                     since_ms: now_ms,
                     hedged: false,
+                });
+                let done = job.progress.get(&index).map_or_else(Vec::new, |held| {
+                    held.cells
+                        .iter()
+                        .map(|(&i, cell)| (i, cell.clone()))
+                        .collect()
                 });
                 actions.push(Action::Send(
                     conn,
@@ -772,7 +799,7 @@ impl Coordinator {
                         job: job_id.clone(),
                         work: job.work.clone(),
                         spec,
-                        checkpoint: job.checkpoints.get(&index).cloned(),
+                        done,
                     },
                 ));
             }
@@ -805,8 +832,7 @@ impl Coordinator {
             .values()
             .map(|w| WorkerStatus {
                 name: w.name.clone(),
-                cores: w.caps.cores,
-                scenarios: w.caps.scenarios,
+                cores: w.cores,
                 last_seen_ms_ago: now_ms.saturating_sub(w.last_seen_ms),
                 assignment: w.assignment.as_ref().map(|a| AssignmentStatus {
                     job: a.job.clone(),
@@ -844,7 +870,7 @@ impl Coordinator {
     ///
     /// Only submitter/worker *data* frames are journaled (never
     /// `register`/`heartbeat`), so replay re-creates jobs, completion
-    /// slots, checkpoints, the finished-result cache and the token
+    /// slots, reported cells, the finished-result cache and the token
     /// buckets — but no phantom workers, and `assign_pending` stays a
     /// no-op throughout.
     pub fn replay_journal(&mut self, entries: Vec<JournalEntry>) {
@@ -1211,6 +1237,84 @@ mod tests {
             )
         ));
         assert!(matches!(&actions[1], Action::Close(9)));
+    }
+
+    /// Shard 0 of a two-way split of a small simulated matrix.
+    fn first_shard() -> CampaignShard {
+        use crate::campaign::Campaign;
+        use crate::config::{SchedulerKind, SimConfig};
+        use strex_oltp::workload::{Workload, WorkloadKind};
+
+        let w = Workload::preset_small(WorkloadKind::TpccW1, 8, 7);
+        Campaign::new(SimConfig::new(2, SchedulerKind::Baseline))
+            .over_schedulers(SchedulerKind::ALL)
+            .over_workloads([&w])
+            .run_shard(ShardSpec { index: 0, count: 2 })
+            .expect("valid shard")
+    }
+
+    #[test]
+    fn held_cells_stop_where_the_resent_assign_would_outgrow_the_limit() {
+        let shard = first_shard();
+        let (spec, cell) = (shard.spec(), &shard.cells()[0].1);
+        let work = JobSpec::Catalog("quick".to_string());
+        let resent = |held: &Held| {
+            let done = held.cells.iter().map(|(&i, c)| (i, c.clone())).collect();
+            let job = "j".to_string();
+            let frame = Message::Assign {
+                job,
+                work: work.clone(),
+                spec,
+                done,
+            }
+            .to_frame();
+            assert!(Message::parse_frame(&frame).is_ok(), "the heir can read it");
+            frame.len()
+        };
+        // The tracked length is the frame's, byte for byte, whatever the
+        // number of digits in the index.
+        let mut held = Held::new("j", &work, spec);
+        for index in [0, 9, 10, 123_456, 9] {
+            held.admit(index, cell.clone(), MAX_FRAME);
+            assert_eq!(held.frame_len, resent(&held));
+        }
+        assert_eq!(held.cells.len(), 4, "a repeated index is held once");
+        // The next cell is held only if the frame stays within the limit.
+        let next = held.frame_len + done_entry_len(7, cell);
+        held.admit(7, cell.clone(), next - 1);
+        assert!(!held.cells.contains_key(&7));
+        held.admit(7, cell.clone(), next);
+        assert_eq!(resent(&held), next);
+    }
+
+    #[test]
+    fn checkpoint_cells_for_a_filled_slot_are_dropped() {
+        // The first cell shard 0 of 2 finishes, reported while the job is
+        // open: held until the slot fills, dropped after.
+        let shard = first_shard();
+        let (spec, cell) = (shard.spec(), shard.cells()[0].clone());
+        let mut c = Coordinator::new(DispatchConfig::default(), ["quick".to_string()]);
+        c.handle(0, Event::Message(1, submit("quick", 2)));
+        let job = job_key("quick", 2);
+        let mut deliver = |msg| {
+            c.handle(0, Event::Message(2, msg));
+            c.jobs[&job]
+                .progress
+                .get(&0)
+                .map_or(0, |held| held.cells.len())
+        };
+        let report = |cell| Message::Checkpoint {
+            job: job.clone(),
+            spec,
+            cell: Box::new(cell),
+        };
+        assert_eq!(deliver(report(cell.clone())), 1);
+        let done = Message::ShardDone {
+            job: job.clone(),
+            shard,
+        };
+        assert_eq!(deliver(done), 0);
+        assert_eq!(deliver(report(cell)), 0);
     }
 
     #[test]

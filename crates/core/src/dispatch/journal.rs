@@ -4,7 +4,7 @@
 //! `submit`, `shard_done`, `checkpoint` — to disk, fsync'd, **before**
 //! the state machine acts on it. On restart the ledger is replayed
 //! through the pure [`Coordinator`](super::Coordinator) at each record's
-//! original timestamp, rebuilding jobs, completion slots, resume points,
+//! original timestamp, rebuilding jobs, completion slots, reported cells,
 //! the finished-result cache and the rate-limit buckets exactly as the
 //! dead process had them. Transient frames (`register`, `heartbeat`,
 //! `status`) are deliberately *not* journaled: workers must re-register

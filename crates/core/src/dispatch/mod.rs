@@ -7,11 +7,11 @@
 //! coordinator evaluates on the merged result — a fleet of **workers** executing
 //! shards, and the job-lifecycle machinery between them: idempotent
 //! submission keys, per-worker liveness via heartbeats, re-queue of
-//! shards from dead or straggling workers, per-submitter token-bucket
-//! rate limiting, capability-aware assignment, and a status frame for
-//! observability. The delivery contract is at-least-once with dedup at
-//! the coordinator's completion slots, which is safe precisely because
-//! shard execution is deterministic and
+//! shards from dead or straggling workers, resume from the cells a lost
+//! shard already finished, per-submitter token-bucket rate limiting, and
+//! a status frame for observability. The delivery contract is
+//! at-least-once with dedup at the coordinator's completion slots, which
+//! is safe precisely because shard execution is deterministic and
 //! [`merge`](crate::campaign::merge) is order-insensitive: however many
 //! times a shard runs, its bytes are the same, and the merged
 //! [`CampaignResult`](crate::campaign::CampaignResult) is bit-identical
@@ -29,8 +29,8 @@
 //!   TCP shell ([`Server`]).
 //! * [`mod@status`] — the fleet snapshot ([`StatusReport`]) behind the
 //!   `status` frames and `repro status`.
-//! * [`worker`] — the worker loop: register with capabilities, execute,
-//!   heartbeat, and checkpoint shard progress.
+//! * [`worker`] — the worker loop: register, execute, heartbeat, and
+//!   report each finished cell once.
 //! * [`client`] — the blocking submitter (campaigns, scenarios, status
 //!   polls) with jittered-exponential-backoff reconnects.
 //! * [`journal`] — the coordinator's fsync'd write-ahead ledger; a
@@ -69,7 +69,7 @@ pub use coordinator::{
 pub use journal::{replay_journal_file, Journal, JournalEntry};
 pub use proto::{
     read_message, read_message_buffered, write_message, FrameReader, JobSpec, Message, ProtoError,
-    RejectReason, WorkerCaps,
+    RejectReason,
 };
 pub use status::{
     AssignmentStatus, JobStatus, RateStatus, StatusCounters, StatusReport, WorkerStatus,

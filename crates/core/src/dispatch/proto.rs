@@ -20,7 +20,9 @@ use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 use std::sync::Arc;
 
-use crate::campaign::{CampaignResult, CampaignShard, ShardCheckpoint, ShardSpec};
+use crate::campaign::{
+    cell_from_json, write_cell_json, CampaignCell, CampaignResult, CampaignShard, ShardSpec,
+};
 use crate::json::JsonWriter;
 use crate::jsonval::{JsonValue, WireError};
 use crate::scenario::{AssertionOutcome, Scenario};
@@ -100,52 +102,6 @@ impl JobSpec {
         } else {
             Ok(JobSpec::Catalog(doc.req_str("campaign")?.to_string()))
         }
-    }
-}
-
-/// What a worker can do, declared once at [`Message::Register`] and used
-/// by the coordinator's capability-aware assignment (a scenario job only
-/// goes to a worker that advertised `scenarios`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkerCaps {
-    /// Host cores available to this worker.
-    pub cores: usize,
-    /// Whether the worker executes inline scenario documents (vs only
-    /// catalog campaigns it has a local runner for).
-    pub scenarios: bool,
-}
-
-impl WorkerCaps {
-    /// Probes the running host: its core count, scenarios on. What
-    /// `repro work` registers with.
-    pub fn detect() -> WorkerCaps {
-        WorkerCaps {
-            cores: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            scenarios: true,
-        }
-    }
-
-    /// Writes the capability fields into an open `register` object.
-    fn write_fields(&self, w: &mut JsonWriter) {
-        w.key("cores");
-        w.number_u64(self.cores as u64);
-        w.key("scenarios");
-        w.boolean(self.scenarios);
-    }
-
-    /// Reads capabilities from a `register` document; every field is
-    /// required.
-    fn from_doc(doc: &JsonValue) -> Result<WorkerCaps, WireError> {
-        let cores = doc.req_u64("cores")? as usize;
-        if cores == 0 {
-            return Err(WireError::new("register declares zero cores"));
-        }
-        Ok(WorkerCaps {
-            cores,
-            scenarios: doc.req_bool("scenarios")?,
-        })
     }
 }
 
@@ -235,8 +191,8 @@ pub enum Message {
     Register {
         /// Worker label (e.g. `host:pid`).
         name: String,
-        /// What the worker can do; drives capability-aware assignment.
-        caps: WorkerCaps,
+        /// Host cores available to the worker, as `repro status` shows.
+        cores: usize,
     },
     /// Worker → coordinator: still alive. Sent on a fixed cadence, also
     /// while a shard is executing.
@@ -249,22 +205,25 @@ pub enum Message {
         work: JobSpec,
         /// Which shard of how many.
         spec: ShardSpec,
-        /// Progress to resume from, when the coordinator holds a
-        /// checkpoint for this shard (a re-queued shard continues from
-        /// its last reported cell boundary). Absent on fresh
-        /// assignments.
-        checkpoint: Option<ShardCheckpoint>,
+        /// Cells of this shard that earlier workers reported finished,
+        /// with their matrix indices in ascending order: the worker adopts
+        /// them and runs only the rest. Empty (and absent from the frame)
+        /// on a fresh assignment.
+        done: Vec<(usize, CampaignCell)>,
     },
-    /// Worker → coordinator: resumable progress for the shard this
-    /// connection is executing — sent at cell boundaries so a reaped or
-    /// disconnected worker's shard re-queues from its last checkpoint
-    /// instead of from zero. Purely advisory: a lost checkpoint costs
-    /// re-simulation, never correctness.
+    /// Worker → coordinator: one cell of the shard this connection is
+    /// executing has finished — sent once per cell, so a reaped or
+    /// disconnected worker's shard re-queues without the cells already
+    /// reported. Purely advisory: a lost checkpoint costs re-simulation,
+    /// never correctness.
     Checkpoint {
         /// The job key from the [`Message::Assign`] this reports on.
         job: String,
-        /// The shard's progress so far.
-        checkpoint: ShardCheckpoint,
+        /// The shard the cell belongs to.
+        spec: ShardSpec,
+        /// The finished cell and its matrix index, boxed so that every
+        /// message stays small.
+        cell: Box<(usize, CampaignCell)>,
     },
     /// Worker → coordinator: a finished shard, full payload inline.
     ShardDone {
@@ -335,35 +294,38 @@ impl Message {
                 w.key("shards");
                 w.number_u64(*shards as u64);
             }
-            Message::Register { name, caps } => {
+            Message::Register { name, cores } => {
                 w.key("name");
                 w.string(name);
-                caps.write_fields(&mut w);
+                w.key("cores");
+                w.number_u64(*cores as u64);
             }
             Message::Heartbeat => {}
             Message::Assign {
                 job,
                 work,
                 spec,
-                checkpoint,
+                done,
             } => {
                 w.key("job");
                 w.string(job);
                 work.write_field(&mut w);
-                w.key("index");
-                w.number_u64(spec.index as u64);
-                w.key("count");
-                w.number_u64(spec.count as u64);
-                if let Some(ckpt) = checkpoint {
-                    w.key("checkpoint");
-                    w.raw(&ckpt.to_json());
+                write_spec(&mut w, *spec);
+                if !done.is_empty() {
+                    w.key("done");
+                    w.begin_array();
+                    for (i, cell) in done {
+                        write_cell_json(&mut w, Some(*i), cell);
+                    }
+                    w.end_array();
                 }
             }
-            Message::Checkpoint { job, checkpoint } => {
+            Message::Checkpoint { job, spec, cell } => {
                 w.key("job");
                 w.string(job);
-                w.key("checkpoint");
-                w.raw(&checkpoint.to_json());
+                write_spec(&mut w, *spec);
+                w.key("cell");
+                write_cell_json(&mut w, Some(cell.0), &cell.1);
             }
             Message::ShardDone { job, shard } => {
                 w.key("job");
@@ -408,39 +370,38 @@ impl Message {
                 work: JobSpec::from_doc(doc)?,
                 shards: doc.req_u64("shards")? as usize,
             }),
-            "register" => Ok(Message::Register {
-                name: doc.req_str("name")?.to_string(),
-                caps: WorkerCaps::from_doc(doc)?,
-            }),
+            "register" => {
+                let cores = doc.req_u64("cores")? as usize;
+                if cores == 0 {
+                    return Err(WireError::new("register declares zero cores"));
+                }
+                Ok(Message::Register {
+                    name: doc.req_str("name")?.to_string(),
+                    cores,
+                })
+            }
             "heartbeat" => Ok(Message::Heartbeat),
             "assign" => {
-                let spec = ShardSpec {
-                    index: doc.req_u64("index")? as usize,
-                    count: doc.req_u64("count")? as usize,
+                let spec = read_spec(doc)?;
+                let done = match doc.get("done") {
+                    Some(_) => doc
+                        .req_array("done")?
+                        .iter()
+                        .map(cell_from_json)
+                        .collect::<Result<Vec<_>, _>>()?,
+                    None => Vec::new(),
                 };
-                spec.validate().map_err(|e| WireError::new(e.to_string()))?;
-                let checkpoint = match doc.get("checkpoint") {
-                    Some(v) => Some(ShardCheckpoint::from_json_value(v)?),
-                    None => None,
-                };
-                if let Some(ckpt) = &checkpoint {
-                    if ckpt.spec() != spec {
-                        return Err(WireError::new(format!(
-                            "assign carries a checkpoint for shard {}, not {spec}",
-                            ckpt.spec()
-                        )));
-                    }
-                }
                 Ok(Message::Assign {
                     job: doc.req_str("job")?.to_string(),
                     work: JobSpec::from_doc(doc)?,
                     spec,
-                    checkpoint,
+                    done,
                 })
             }
             "checkpoint" => Ok(Message::Checkpoint {
                 job: doc.req_str("job")?.to_string(),
-                checkpoint: ShardCheckpoint::from_json_value(doc.req("checkpoint")?)?,
+                spec: read_spec(doc)?,
+                cell: Box::new(cell_from_json(doc.req("cell")?)?),
             }),
             "shard_done" => Ok(Message::ShardDone {
                 job: doc.req_str("job")?.to_string(),
@@ -469,6 +430,45 @@ impl Message {
         let doc = JsonValue::parse(line).map_err(|e| ProtoError::Malformed(e.to_string()))?;
         Message::from_json_value(&doc).map_err(ProtoError::Wire)
     }
+}
+
+/// Writes a shard spec's `index` and `count` into an open frame object.
+fn write_spec(w: &mut JsonWriter, spec: ShardSpec) {
+    w.key("index");
+    w.number_u64(spec.index as u64);
+    w.key("count");
+    w.number_u64(spec.count as u64);
+}
+
+/// Reads and validates the `index` and `count` a frame names its shard by.
+fn read_spec(doc: &JsonValue) -> Result<ShardSpec, WireError> {
+    let spec = ShardSpec {
+        index: doc.req_u64("index")? as usize,
+        count: doc.req_u64("count")? as usize,
+    };
+    spec.validate().map_err(|e| WireError::new(e.to_string()))?;
+    Ok(spec)
+}
+
+/// The length of the `assign` frame for `job`, `work` and `spec` before
+/// any `done` entry: the bare frame plus the `,"done":[` that opens the
+/// array. Each entry then adds exactly [`done_entry_len`].
+pub(crate) fn assign_frame_len(job: &str, work: &JobSpec, spec: ShardSpec) -> usize {
+    let bare = Message::Assign {
+        job: job.to_string(),
+        work: work.clone(),
+        spec,
+        done: Vec::new(),
+    };
+    bare.to_frame().len() + r#","done":["#.len()
+}
+
+/// What one cell adds to an `assign` frame's `done` array: its encoding
+/// plus the comma or closing bracket after it.
+pub(crate) fn done_entry_len(index: usize, cell: &CampaignCell) -> usize {
+    let mut w = JsonWriter::new();
+    write_cell_json(&mut w, Some(index), cell);
+    w.finish().len() + 1
 }
 
 /// Renders a diagnostic list as one JSON array (deterministic order and
@@ -854,27 +854,20 @@ mod tests {
             },
             Message::Register {
                 name: "host:42".into(),
-                caps: WorkerCaps::detect(),
-            },
-            Message::Register {
-                name: "catalog-only".into(),
-                caps: WorkerCaps {
-                    cores: 1,
-                    scenarios: false,
-                },
+                cores: 8,
             },
             Message::Heartbeat,
             Message::Assign {
                 job: "ab12".into(),
                 work: JobSpec::Catalog("quick".into()),
                 spec: ShardSpec { index: 1, count: 4 },
-                checkpoint: None,
+                done: Vec::new(),
             },
             Message::Assign {
                 job: "cd34".into(),
                 work: JobSpec::Scenario(tiny_scenario()),
                 spec: ShardSpec { index: 0, count: 2 },
-                checkpoint: None,
+                done: Vec::new(),
             },
             Message::Reject {
                 reason: RejectReason::UnknownCampaign,
@@ -905,7 +898,7 @@ mod tests {
             } => assert_eq!(name, "quick"),
             other => panic!("unexpected {other:?}"),
         }
-        // A register without capabilities, a reject without a reason tag
+        // A register without cores, a reject without a reason tag
         // and a result without diagnostics only ever came from v1 peers.
         let result = match tiny_result() {
             Message::Result { result, .. } => result.to_json(),
@@ -934,9 +927,15 @@ mod tests {
 
     #[test]
     fn partial_capability_declarations_are_refused() {
-        let err = Message::parse_frame("{\"type\":\"register\",\"name\":\"w\",\"cores\":4}\n")
-            .unwrap_err();
-        assert!(err.to_string().contains("scenarios"), "{err}");
+        // `cores` is the one declaration: a register carrying only the
+        // retired `scenarios` tag, or zero cores, is refused.
+        for frame in [
+            "{\"type\":\"register\",\"name\":\"w\",\"scenarios\":true}\n",
+            "{\"type\":\"register\",\"name\":\"w\",\"cores\":0}\n",
+        ] {
+            let err = Message::parse_frame(frame).unwrap_err();
+            assert!(err.to_string().contains("cores"), "{err}");
+        }
     }
 
     #[test]
@@ -954,7 +953,7 @@ mod tests {
             Message::Heartbeat.to_frame(),
             Message::Register {
                 name: "w".into(),
-                caps: WorkerCaps::detect(),
+                cores: 1,
             }
             .to_frame()
         );

@@ -73,8 +73,6 @@ pub struct WorkerStatus {
     pub name: String,
     /// Declared host cores.
     pub cores: usize,
-    /// Whether the worker accepts inline scenario jobs.
-    pub scenarios: bool,
     /// Milliseconds since the worker's last frame, at snapshot time.
     pub last_seen_ms_ago: u64,
     /// What the worker is executing, if anything.
@@ -156,8 +154,6 @@ impl StatusReport {
             w.string(&worker.name);
             w.key("cores");
             w.number_u64(worker.cores as u64);
-            w.key("scenarios");
-            w.boolean(worker.scenarios);
             w.key("last_seen_ms_ago");
             w.number_u64(worker.last_seen_ms_ago);
             if let Some(a) = &worker.assignment {
@@ -226,7 +222,6 @@ impl StatusReport {
                 Ok(WorkerStatus {
                     name: v.req_str("name")?.to_string(),
                     cores: v.req_u64("cores")? as usize,
-                    scenarios: v.req_bool("scenarios")?,
                     last_seen_ms_ago: v.req_u64("last_seen_ms_ago")?,
                     assignment,
                 })
@@ -285,13 +280,7 @@ impl fmt::Display for StatusReport {
             )?;
         }
         for worker in &self.workers {
-            write!(
-                f,
-                "worker {} ({} core(s){}): ",
-                worker.name,
-                worker.cores,
-                if worker.scenarios { ", scenarios" } else { "" }
-            )?;
+            write!(f, "worker {} ({} core(s)): ", worker.name, worker.cores)?;
             match &worker.assignment {
                 Some(a) => write!(
                     f,
@@ -340,7 +329,6 @@ mod tests {
                 WorkerStatus {
                     name: "alpha".into(),
                     cores: 8,
-                    scenarios: true,
                     last_seen_ms_ago: 120,
                     assignment: Some(AssignmentStatus {
                         job: "ab12cd34ef56ab78".into(),
@@ -353,7 +341,6 @@ mod tests {
                 WorkerStatus {
                     name: "beta".into(),
                     cores: 1,
-                    scenarios: false,
                     last_seen_ms_ago: 40,
                     assignment: None,
                 },

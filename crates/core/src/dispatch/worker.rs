@@ -1,22 +1,24 @@
-//! The worker half of the dispatcher: connect, register with declared
-//! capabilities, execute assigned shards, heartbeat throughout.
+//! The worker half of the dispatcher: connect, register, execute
+//! assigned shards, heartbeat throughout.
 //!
 //! A worker is deliberately dumb: it holds no job state, just a
 //! [`ShardRunner`] mapping `(campaign name, shard spec)` to an executed
 //! [`CampaignShard`] for catalog jobs — scenario jobs carry their whole
 //! matrix in the `assign` frame and are executed directly from the
 //! document ([`Scenario::campaign`](crate::scenario::Scenario::campaign)
-//! then [`run_shard`](crate::campaign::Campaign::run_shard)), no
-//! runner involved. Everything hard — liveness, re-queue, dedup — lives in the
+//! then
+//! [`run_shard_resumable`](crate::campaign::Campaign::run_shard_resumable)),
+//! no runner involved, so every worker can run every scenario shard.
+//! Everything hard — liveness, re-queue, dedup — lives in the
 //! coordinator; a worker that dies mid-shard simply stops heartbeating
 //! and the coordinator hands its shard to someone else. Because delivery
 //! is at-least-once, a worker may legitimately be asked to run a shard
 //! another worker already completed; it runs it anyway and the
 //! coordinator drops the duplicate.
 //!
-//! Registration declares [`WorkerCaps`] — cores and scenario support —
-//! which the coordinator's assignment respects: a worker registered with
-//! `scenarios: false` is never handed a scenario shard.
+//! While a shard runs, each finished cell goes out once, in its own
+//! `checkpoint` frame. An `assign` frame's `done` cells — what earlier
+//! workers reported before they died — are adopted instead of re-run.
 //!
 //! Heartbeats are sent from a separate thread on a fixed cadence so they
 //! keep flowing *while a shard executes* — the whole point: a worker
@@ -30,11 +32,10 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::campaign::{CampaignShard, ShardCheckpoint, ShardSpec};
-use crate::error::ConfigError;
+use crate::campaign::{CampaignCell, CampaignShard, ShardSpec};
 
 use super::net;
-use super::proto::{write_message, FrameReader, JobSpec, Message, WorkerCaps};
+use super::proto::{write_message, FrameReader, JobSpec, Message};
 use super::DispatchError;
 
 /// Executes one shard of a named catalog campaign. The `Err` string
@@ -44,23 +45,25 @@ pub trait ShardRunner {
     /// Runs shard `spec` of the campaign named `campaign`.
     fn run(&mut self, campaign: &str, spec: ShardSpec) -> Result<CampaignShard, String>;
 
-    /// Runs shard `spec`, optionally resuming from `checkpoint` and
-    /// reporting progress through `on_cell` after each completed cell.
+    /// Runs shard `spec`, adopting the finished cells in `done` and
+    /// reporting each newly finished cell and its matrix index through
+    /// `on_cell`.
     ///
     /// The default ignores both and calls [`run`](ShardRunner::run) —
     /// a runner without resume support stays correct, it just re-runs
-    /// from the first cell and never checkpoints. Runners backed by
+    /// every cell and never checkpoints. Runners backed by
     /// [`Campaign::run_shard_resumable`](crate::campaign::Campaign::run_shard_resumable)
-    /// should forward to it; a checkpoint that does not match the shard
-    /// should fall back to a fresh run, never fail the worker.
+    /// should forward to it. A run that fails with `done` cells is run
+    /// once more without them, so a runner need not handle cells that do
+    /// not match its matrix.
     fn run_resumable(
         &mut self,
         campaign: &str,
         spec: ShardSpec,
-        checkpoint: Option<ShardCheckpoint>,
-        on_cell: &mut dyn FnMut(&ShardCheckpoint),
+        done: Vec<(usize, CampaignCell)>,
+        on_cell: &mut dyn FnMut(usize, &CampaignCell),
     ) -> Result<CampaignShard, String> {
-        let _ = (checkpoint, on_cell);
+        let _ = (done, on_cell);
         self.run(campaign, spec)
     }
 }
@@ -74,31 +77,25 @@ where
     }
 }
 
-/// Worker identity, capabilities and cadence.
+/// Worker identity and cadence.
 #[derive(Clone, Debug)]
 pub struct WorkerOptions {
     /// Label sent in [`Message::Register`]; shows up in coordinator logs.
     pub name: String,
-    /// Capabilities declared at registration; drives the coordinator's
-    /// capability-aware assignment. Defaults to probing the host
-    /// ([`WorkerCaps::detect`]).
-    pub caps: WorkerCaps,
+    /// Host cores declared at registration, as `repro status` shows them.
+    /// Defaults to the host's available parallelism.
+    pub cores: usize,
     /// Heartbeat cadence. Keep well below the coordinator's
     /// `worker_timeout_ms` (the serve CLI uses timeout / 4).
     pub heartbeat_interval_ms: u64,
-    /// Send an advisory `checkpoint` frame after every this many
-    /// completed cells, so the coordinator can resume this shard
-    /// elsewhere if the worker dies. `0` disables checkpointing.
-    pub checkpoint_every_cells: usize,
 }
 
 impl Default for WorkerOptions {
     fn default() -> Self {
         WorkerOptions {
             name: format!("worker:{}", std::process::id()),
-            caps: WorkerCaps::detect(),
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             heartbeat_interval_ms: 1_000,
-            checkpoint_every_cells: 1,
         }
     }
 }
@@ -127,7 +124,7 @@ pub fn run_worker(
             &mut *w,
             &Message::Register {
                 name: opts.name.clone(),
-                caps: opts.caps.clone(),
+                cores: opts.cores,
             },
         )?;
     }
@@ -151,7 +148,7 @@ pub fn run_worker(
         })
     };
 
-    let result = worker_loop(reader, &writer, runner, opts);
+    let result = worker_loop(reader, &writer, runner);
     drop(end_beats);
     // Unblock the coordinator side promptly.
     let _ = writer
@@ -164,48 +161,43 @@ pub fn run_worker(
 
 /// Executes one assigned shard: catalog work through the runner,
 /// scenario work directly from the document (the matrix it declares is
-/// the matrix that runs — no catalog lookup, no re-encoding). A resume
-/// checkpoint is an optimization, never a hazard: one that does not
-/// match the matrix (scenario drift across coordinator restarts, say)
-/// falls back to a fresh run instead of failing the worker.
+/// the matrix that runs — no catalog lookup, no re-encoding). Adopting
+/// `done` cells is an optimization, never a hazard: a run that fails
+/// with them — cells that do not match the matrix, from a catalog that
+/// differs across the fleet, say — runs once more without them before
+/// the failure counts.
 fn execute(
     runner: &mut dyn ShardRunner,
     work: &JobSpec,
     spec: ShardSpec,
-    checkpoint: Option<ShardCheckpoint>,
-    on_cell: &mut dyn FnMut(&ShardCheckpoint),
+    done: Vec<(usize, CampaignCell)>,
+    on_cell: &mut dyn FnMut(usize, &CampaignCell),
 ) -> Result<CampaignShard, DispatchError> {
-    match work {
-        JobSpec::Catalog(campaign) => runner
-            .run_resumable(campaign, spec, checkpoint, on_cell)
-            .map_err(|e| DispatchError::Runner {
-                campaign: campaign.clone(),
-                spec,
-                message: e,
-            }),
+    let mut attempt = |done| match work {
+        JobSpec::Catalog(campaign) => runner.run_resumable(campaign, spec, done, on_cell),
         JobSpec::Scenario(s) => {
             let workloads = s.workloads();
             let campaign = s.campaign(&workloads);
-            let run = match campaign.run_shard_resumable(spec, checkpoint, on_cell) {
-                Err(ConfigError::CheckpointMismatch { .. }) => {
-                    campaign.run_shard_resumable(spec, None, on_cell)
-                }
-                other => other,
-            };
-            run.map_err(|e| DispatchError::Runner {
-                campaign: s.name.clone(),
-                spec,
-                message: e.to_string(),
-            })
+            let run = campaign.run_shard_resumable(spec, done, on_cell);
+            run.map_err(|e| e.to_string())
         }
-    }
+    };
+    let resumed = !done.is_empty();
+    let run = match attempt(done) {
+        Err(_) if resumed => attempt(Vec::new()),
+        other => other,
+    };
+    run.map_err(|message| DispatchError::Runner {
+        campaign: work.label().to_string(),
+        spec,
+        message,
+    })
 }
 
 fn worker_loop(
     reader: TcpStream,
     writer: &Mutex<TcpStream>,
     runner: &mut dyn ShardRunner,
-    opts: &WorkerOptions,
 ) -> Result<WorkerSummary, DispatchError> {
     let mut reader = FrameReader::new(BufReader::new(reader));
     let mut shards_run = 0usize;
@@ -219,28 +211,23 @@ fn worker_loop(
                 job,
                 work,
                 spec,
-                checkpoint,
+                done,
             }) => {
-                // Advisory progress frames, through the same writer lock
-                // as heartbeats. A failed send is ignored here: losing a
-                // checkpoint costs re-simulation only, and if the
-                // coordinator is truly gone the `shard_done` write (or
-                // the read loop) surfaces it.
-                let every = opts.checkpoint_every_cells;
-                let mut cells_done = 0usize;
-                let mut on_cell = |ckpt: &ShardCheckpoint| {
-                    cells_done += 1;
-                    if every == 0 || !cells_done.is_multiple_of(every) {
-                        return;
-                    }
+                // One advisory frame per finished cell, through the same
+                // writer lock as heartbeats. A failed send is ignored
+                // here: losing a checkpoint costs re-simulation only, and
+                // if the coordinator is truly gone the `shard_done` write
+                // (or the read loop) surfaces it.
+                let mut on_cell = |index: usize, cell: &CampaignCell| {
                     let frame = Message::Checkpoint {
                         job: job.clone(),
-                        checkpoint: ckpt.clone(),
+                        spec,
+                        cell: Box::new((index, cell.clone())),
                     };
                     let mut w = writer.lock().expect("frame writer");
                     let _ = write_message(&mut *w, &frame);
                 };
-                let shard = execute(runner, &work, spec, checkpoint, &mut on_cell)?;
+                let shard = execute(runner, &work, spec, done, &mut on_cell)?;
                 let mut w = writer.lock().expect("frame writer");
                 write_message(&mut *w, &Message::ShardDone { job, shard })?;
                 shards_run += 1;
@@ -255,5 +242,40 @@ fn worker_loop(
                 )));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::merge;
+    use crate::scenario::Scenario;
+
+    #[test]
+    fn a_resume_that_fails_with_done_cells_runs_again_without_them() {
+        let scenario = Scenario::from_json(
+            r#"{"name": "worker-retry",
+                "matrix": {"workloads": ["TPC-C-1"], "pool": 8, "seed": 7, "small": true,
+                           "schedulers": ["baseline", "strex"], "cores": [2]},
+                "assertions": [{"kind": "throughput_at_least", "min": 0.0,
+                    "cell": {"workload": "TPC-C-1", "scheduler": "baseline", "cores": 2}}]}"#,
+        )
+        .expect("valid scenario");
+        let work = JobSpec::Scenario(std::sync::Arc::new(scenario));
+        let spec = ShardSpec { index: 0, count: 1 };
+        let mut no_catalog = |_: &str, _: ShardSpec| Err("no catalog".to_string());
+        let fresh =
+            execute(&mut no_catalog, &work, spec, Vec::new(), &mut |_, _| {}).expect("a fresh run");
+        // Cell 0 reported under index 1 cannot be adopted: the worker runs
+        // both cells afresh instead of failing the shard.
+        let misplaced = vec![(1, fresh.cells()[0].1.clone())];
+        let mut ran = 0;
+        let resumed = execute(&mut no_catalog, &work, spec, misplaced, &mut |_, _| {
+            ran += 1
+        })
+        .expect("a fresh run after the failed resume");
+        assert_eq!(ran, 2);
+        let json = |shard| merge([shard]).expect("complete").to_json();
+        assert_eq!(json(resumed), json(fresh));
     }
 }

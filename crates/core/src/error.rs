@@ -75,10 +75,11 @@ pub enum ConfigError {
         /// The rejected shard count.
         count: usize,
     },
-    /// A [`ShardCheckpoint`](crate::campaign::ShardCheckpoint) does not
-    /// belong to the shard (or matrix) it was offered to resume.
+    /// A finished cell offered to
+    /// [`Campaign::run_shard_resumable`](crate::campaign::Campaign::run_shard_resumable)
+    /// does not belong to the shard (or matrix) it was offered to resume.
     CheckpointMismatch {
-        /// What disagreed — spec, cursor, or a cell key.
+        /// Which cell disagreed, and how.
         detail: String,
     },
 }

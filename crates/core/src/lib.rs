@@ -88,7 +88,7 @@ pub mod thread;
 
 pub use campaign::{
     fnv64, merge, scaling_efficiency, Campaign, CampaignCell, CampaignPerf, CampaignResult,
-    CampaignShard, CellKey, MergeError, ShardCheckpoint, ShardSpec,
+    CampaignShard, CellKey, MergeError, ShardSpec,
 };
 pub use config::{SchedulerKind, SimConfig, SimConfigBuilder, SliccParams, StrexParams};
 pub use dispatch::DispatchError;

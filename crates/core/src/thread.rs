@@ -1,6 +1,6 @@
 //! Transaction-thread state: a virtual hardware context replaying a trace.
 
-use strex_oltp::trace::{TraceCursor, TxnTrace};
+use strex_oltp::trace::TraceCursor;
 use strex_sim::ids::{Cycle, ThreadId, TxnTypeId};
 
 /// One transaction thread (virtual context).
@@ -76,11 +76,6 @@ impl TxnThread {
     /// the thread has finished.
     pub fn latency(&self) -> Option<Cycle> {
         self.completed.map(|c| c - self.arrival)
-    }
-
-    /// `true` once every event of the trace has been replayed.
-    pub fn is_done(&self, trace: &TxnTrace) -> bool {
-        self.cursor.done(trace)
     }
 }
 

@@ -330,15 +330,6 @@ impl TraceCursor {
         trace.refs.get(self.pos).map(|r| r.decode())
     }
 
-    /// Looks `ahead` events past the current one (`peek_at(trace, 0)` is
-    /// [`peek`](TraceCursor::peek)). Used by the driver to issue memory
-    /// prefetch hints for the upcoming event while the current one is
-    /// still being simulated.
-    #[inline]
-    pub fn peek_at(self, trace: &TxnTrace, ahead: usize) -> Option<MemRef> {
-        trace.refs.get(self.pos + ahead).map(|r| r.decode())
-    }
-
     /// Moves past the current event.
     pub fn advance(&mut self) {
         self.pos += 1;
@@ -347,15 +338,6 @@ impl TraceCursor {
     /// `true` once every event has been replayed.
     pub fn done(self, trace: &TxnTrace) -> bool {
         self.pos >= trace.refs.len()
-    }
-
-    /// Fraction of the trace consumed, in [0, 1].
-    pub fn progress(self, trace: &TxnTrace) -> f64 {
-        if trace.refs.is_empty() {
-            1.0
-        } else {
-            self.pos.min(trace.refs.len()) as f64 / trace.refs.len() as f64
-        }
     }
 }
 
@@ -424,15 +406,6 @@ mod tests {
         assert_eq!(seen, demo_refs());
         assert_eq!(seen, t.decode_refs());
         assert!(c.done(&t));
-        assert_eq!(c.progress(&t), 1.0);
-    }
-
-    #[test]
-    fn cursor_progress_midway() {
-        let t = demo_trace();
-        let mut c = TraceCursor::new();
-        c.advance();
-        assert!((c.progress(&t) - 0.2).abs() < 1e-9);
     }
 
     #[test]
@@ -440,7 +413,6 @@ mod tests {
         let t = TxnTrace::new(TxnTypeId::new(0), "empty", Vec::new());
         let c = TraceCursor::new();
         assert!(c.done(&t));
-        assert_eq!(c.progress(&t), 1.0);
         assert_eq!(t.footprint_units(32 * 1024), 0);
     }
 

@@ -412,11 +412,6 @@ impl SetAssocCache {
         self.geom
     }
 
-    /// Returns the replacement policy family.
-    pub fn replacement_kind(&self) -> ReplacementKind {
-        self.repl.kind()
-    }
-
     #[inline]
     fn set_of(&self, block: BlockAddr) -> usize {
         ((block.index() >> self.set_shift) & self.set_mask) as usize

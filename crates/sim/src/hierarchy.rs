@@ -362,16 +362,6 @@ impl MemorySystem {
     pub fn l1i_signature(&self, core: CoreId) -> &CacheSignature {
         &self.signatures[core.as_usize()]
     }
-
-    /// Resident blocks of `core`'s L1-I.
-    pub fn l1i_resident(&self, core: CoreId) -> Vec<BlockAddr> {
-        self.l1i[core.as_usize()].resident_blocks().collect()
-    }
-
-    /// Occupancy of `core`'s L1-I in blocks.
-    pub fn l1i_occupancy(&self, core: CoreId) -> usize {
-        self.l1i[core.as_usize()].occupancy()
-    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,18 @@
-//! The checkpoint/resume determinism guarantee, property-tested
-//! differentially: a shard interrupted at *any* cell boundary and
-//! resumed from the checkpoint observed there — after the checkpoint
-//! round-trips through its JSON wire form — merges into a
+//! The resume determinism guarantee, property-tested differentially: a
+//! shard resumed from *any* subset of the cells it already finished —
+//! after those cells travel through an `assign` frame's JSON, exactly as
+//! the coordinator re-assigns a lost shard — merges into a
 //! `CampaignResult` byte-identical to the uninterrupted run. Plus the
-//! typed-rejection surface: a checkpoint from the wrong shard, the
-//! wrong matrix, or with a tampered cell must fail loudly with
+//! typed-rejection surface: a finished cell from another matrix, another
+//! shard or another index must fail loudly with
 //! `ConfigError::CheckpointMismatch`, never corrupt a merge.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-use strex::campaign::{merge, Campaign, CampaignShard, ShardCheckpoint, ShardSpec};
+use strex::campaign::{merge, Campaign, CampaignCell, CampaignShard, ShardSpec};
 use strex::config::{SchedulerKind, SimConfig};
+use strex::dispatch::{JobSpec, Message};
 use strex::error::ConfigError;
 use strex_oltp::workload::{Workload, WorkloadKind};
 
@@ -28,10 +29,8 @@ fn campaign(workloads: &[Workload]) -> Campaign<'_> {
         .over_workloads(workloads)
 }
 
-/// The golden artifacts every interrupted run is measured against: the
-/// sequential merged JSON and, per shard count, the uninterrupted shard
-/// set (recomputed per call — shards carry wall-clock perf, but merge
-/// drops it, so the merged JSON is stable).
+/// The golden artifact every resumed run is measured against: the
+/// sequential merged JSON.
 fn golden() -> &'static String {
     static GOLDEN: OnceLock<String> = OnceLock::new();
     GOLDEN.get_or_init(|| {
@@ -40,153 +39,175 @@ fn golden() -> &'static String {
     })
 }
 
-fn run_shards(count: usize) -> Vec<CampaignShard> {
+/// Every cell `spec` finishes, with its matrix index.
+fn finished(c: &Campaign<'_>, spec: ShardSpec) -> Vec<(usize, CampaignCell)> {
+    c.run_shard(spec).expect("valid shard").cells().to_vec()
+}
+
+/// Ships finished cells across a process boundary in an `assign` frame's
+/// `done` array, exactly as the coordinator re-assigns a lost shard.
+fn through_assign(spec: ShardSpec, done: Vec<(usize, CampaignCell)>) -> Vec<(usize, CampaignCell)> {
+    let work = JobSpec::Catalog("tiny".into());
+    let frame = Message::Assign {
+        job: "job".into(),
+        work,
+        spec,
+        done,
+    }
+    .to_frame();
+    match Message::parse_frame(&frame).expect("own frame parses") {
+        Message::Assign { done, .. } => done,
+        other => panic!("expected an assign frame, got {other:?}"),
+    }
+}
+
+/// Resumes every shard of a `count`-way split from each subset that
+/// `subsets(k)` picks out of its `k` finished cells, shipped through an
+/// `assign` frame. The resume must run exactly the missing cells, and its
+/// merge with the untouched peers must equal the sequential run.
+fn check_resumes(
+    count: usize,
+    subsets: impl Fn(usize) -> Vec<Vec<bool>>,
+) -> Result<(), TestCaseError> {
     let w = workloads();
     let c = campaign(&w);
-    (0..count)
-        .map(|index| {
-            c.run_shard(ShardSpec { index, count })
-                .expect("valid shard")
-        })
-        .collect()
-}
-
-/// Ships a checkpoint across a process boundary as JSON, exactly as the
-/// dispatcher's `checkpoint` frames do.
-fn round_trip(ckpt: &ShardCheckpoint) -> ShardCheckpoint {
-    ShardCheckpoint::from_json(&ckpt.to_json()).expect("own JSON parses back")
-}
-
-/// Runs shard `spec` to completion while recording the checkpoint at
-/// every cell boundary — the full set of states a preemption could have
-/// left behind.
-fn boundaries(spec: ShardSpec) -> Vec<ShardCheckpoint> {
-    let w = workloads();
-    let mut observed = vec![ShardCheckpoint::new(spec)];
-    campaign(&w)
-        .run_shard_resumable(spec, None, &mut |c| observed.push(c.clone()))
-        .expect("valid shard");
-    observed
+    let peers: Vec<CampaignShard> = (0..count)
+        .map(|index| c.run_shard(ShardSpec { index, count }).expect("valid"))
+        .collect();
+    for index in 0..count {
+        let spec = ShardSpec { index, count };
+        let cells = peers[index].cells();
+        for keep in subsets(cells.len()) {
+            let done = (cells.iter().zip(&keep))
+                .filter(|(_, kept)| **kept)
+                .map(|(cell, _)| cell.clone())
+                .collect();
+            let mut fresh = 0usize;
+            let resumed = c
+                .run_shard_resumable(spec, through_assign(spec, done), &mut |_, _| fresh += 1)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(fresh, keep.iter().filter(|kept| !**kept).count());
+            let mut set = peers.clone();
+            set[index] = resumed;
+            let merged = merge(set).map_err(|e| TestCaseError::fail(format!("{e:?}")))?;
+            prop_assert_eq!(&merged.to_json(), golden(), "{} from {:?}", spec, keep);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tentpole property. For a drawn shard layout, interrupt every
-    /// shard at *every* cell boundary (including "before the first
-    /// cell"), ship the checkpoint through the wire, resume, and require
-    /// the merge of resumed + untouched peers to be byte-identical to the
-    /// sequential run.
+    /// For a drawn shard layout, interrupt every shard at *every* cell
+    /// boundary (including "before the first cell"): the finished prefix
+    /// rides an `assign` frame and the resume is bit-identical.
     #[test]
     fn resume_from_any_boundary_is_bit_identical_through_the_wire(count in 1usize..=3) {
-        let w = workloads();
-        let c = campaign(&w);
-        let baseline = run_shards(count);
-        for index in 0..count {
-            let spec = ShardSpec { index, count };
-            for ckpt in boundaries(spec) {
-                let shipped = round_trip(&ckpt);
-                prop_assert_eq!(shipped.cursor(), ckpt.cursor());
-                prop_assert_eq!(shipped.cells().len(), ckpt.cells().len());
-                let resumed = c
-                    .run_shard_resumable(spec, Some(shipped), &mut |_| {})
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                let mut set = baseline.clone();
-                set[index] = resumed;
-                let merged = merge(set).map_err(|e| TestCaseError::fail(format!("{e:?}")))?;
-                prop_assert_eq!(
-                    merged.to_json(),
-                    golden().clone(),
-                    "resume at cursor {} of shard {} diverged",
-                    ckpt.cursor(),
-                    spec
-                );
-            }
-        }
+        check_resumes(count, |k| (0..=k).map(|p| (0..k).map(|j| j < p).collect()).collect())?;
+    }
+
+    /// Gaps resume too: a lost `checkpoint` frame leaves a hole in what
+    /// the coordinator holds, and the hole simply runs again. Every
+    /// single-cell gap and a drawn subset of every shard's cells.
+    #[test]
+    fn resume_from_any_subset_of_finished_cells_is_bit_identical_through_the_wire(
+        count in 1usize..=3,
+        mask in any::<u64>(),
+    ) {
+        check_resumes(count, |k| {
+            let mut subsets: Vec<Vec<bool>> =
+                (0..k).map(|gap| (0..k).map(|j| j != gap).collect()).collect();
+            subsets.push((0..k).map(|j| (mask >> (j % 64)) & 1 == 1).collect());
+            subsets
+        })?;
     }
 }
 
-/// A final checkpoint (cursor at the end, all cells done) resumes into
-/// a shard that runs nothing new and still merges identically — the
-/// no-op resume a worker performs when its predecessor died after the
-/// last cell but before `shard_done` went out.
+/// Every cell already finished: the resume runs nothing new and still
+/// merges identically — the no-op resume a worker performs when its
+/// predecessor died after the last cell but before `shard_done` went out.
 #[test]
 fn resuming_a_finished_checkpoint_runs_nothing_and_merges_identically() {
-    let spec = ShardSpec { index: 0, count: 1 };
-    let final_ckpt = boundaries(spec).pop().expect("at least one boundary");
     let w = workloads();
+    let c = campaign(&w);
+    let spec = ShardSpec { index: 0, count: 1 };
+    let done = through_assign(spec, finished(&c, spec));
     let mut fresh_cells = 0usize;
-    let resumed = campaign(&w)
-        .run_shard_resumable(spec, Some(final_ckpt), &mut |_| fresh_cells += 1)
+    let resumed = c
+        .run_shard_resumable(spec, done, &mut |_, _| fresh_cells += 1)
         .expect("valid resume");
     assert_eq!(fresh_cells, 0, "every cell was adopted, none re-ran");
-    let merged = merge([resumed]).expect("complete set");
-    assert_eq!(merged.to_json(), *golden());
+    assert_eq!(merge([resumed]).expect("complete set").to_json(), *golden());
 }
 
-/// The rejection surface: a checkpoint that does not belong to the run
-/// being resumed is a typed `CheckpointMismatch`, not silent corruption.
+/// The rejection surface: a finished cell that does not belong to the
+/// shard being resumed — another matrix's, another shard's, or this
+/// shard's under another index — or a repeated index is a typed
+/// `CheckpointMismatch` before anything runs, not silent corruption.
 #[test]
 fn foreign_checkpoints_are_rejected_with_a_typed_mismatch() {
     let w = workloads();
     let c = campaign(&w);
     let spec = ShardSpec { index: 0, count: 2 };
-    let ckpt = boundaries(spec).pop().expect("boundary");
-
-    // Wrong shard spec: the checkpoint names shard 0/2, the resume asks
-    // for 1/2.
-    let err = c
-        .run_shard_resumable(
-            ShardSpec { index: 1, count: 2 },
-            Some(ckpt.clone()),
-            &mut |_| {},
-        )
-        .expect_err("spec mismatch");
-    assert!(
-        matches!(err, ConfigError::CheckpointMismatch { .. }),
-        "{err}"
+    let owned = finished(&c, spec);
+    let unowned = finished(&c, ShardSpec { index: 1, count: 2 });
+    assert!(!owned.is_empty() && !unowned.is_empty(), "a two-way split");
+    let other_workloads = [Workload::preset_small(WorkloadKind::Tpce, 8, 7)];
+    let other = finished(
+        &campaign(&other_workloads),
+        ShardSpec { index: 0, count: 1 },
     );
-
-    // Wrong matrix: same spec, but the campaign resumed against has a
-    // different cell set, so the recorded cells cannot line up.
-    let other_workloads = vec![Workload::preset_small(WorkloadKind::Tpce, 8, 7)];
-    let other = campaign(&other_workloads);
-    let err = other
-        .run_shard_resumable(spec, Some(ckpt), &mut |_| {})
-        .expect_err("matrix mismatch");
-    match err {
-        ConfigError::CheckpointMismatch { ref detail } => {
-            assert!(!detail.is_empty(), "{err}");
-        }
-        other => panic!("expected CheckpointMismatch, got {other}"),
+    for (what, done) in [
+        ("another matrix's cell", vec![other[0].clone()]),
+        ("a cell shard 0 does not own", vec![unowned[0].clone()]),
+        (
+            "an owned cell re-keyed",
+            vec![(owned[0].0 + 1, owned[0].1.clone())],
+        ),
+        ("a repeated index", vec![owned[0].clone(), owned[0].clone()]),
+    ] {
+        let err = c
+            .run_shard_resumable(spec, through_assign(spec, done), &mut |_, _| {
+                panic!("{what}: a cell ran before the done cells were checked")
+            })
+            .expect_err(what);
+        assert!(
+            matches!(err, ConfigError::CheckpointMismatch { .. }),
+            "{what}: {err}"
+        );
     }
 }
 
-/// Both decode paths re-check the structural invariants: a cursor beyond
-/// the matrix parses (the wire cannot know the matrix size) but is
-/// rejected at resume; a tampered payload fails at decode.
+/// Both checks run: a tampered cell fails when its frame is decoded, and
+/// an index beyond the matrix decodes (the wire cannot know the matrix
+/// size) but is refused at resume.
 #[test]
 fn tampered_checkpoints_fail_at_decode_or_resume() {
-    let spec = ShardSpec { index: 0, count: 1 };
-    let ckpt = boundaries(spec).pop().expect("boundary");
-
-    // A cursor far past the matrix is structurally valid wire but must
-    // be refused by the resume's matrix checks.
-    let json = ckpt
-        .to_json()
-        .replace(&format!("\"cursor\":{}", ckpt.cursor()), "\"cursor\":4096");
-    let oversized = ShardCheckpoint::from_json(&json).expect("structurally valid");
     let w = workloads();
-    let err = campaign(&w)
-        .run_shard_resumable(spec, Some(oversized), &mut |_| {})
-        .expect_err("cursor beyond matrix");
+    let c = campaign(&w);
+    let spec = ShardSpec { index: 0, count: 1 };
+    let (index, cell) = finished(&c, spec).pop().expect("a finished cell");
+
+    let beyond = through_assign(spec, vec![(4096, cell.clone())]);
+    let err = c
+        .run_shard_resumable(spec, beyond, &mut |_, _| {})
+        .expect_err("index beyond the matrix");
     assert!(
         matches!(err, ConfigError::CheckpointMismatch { .. }),
         "{err}"
     );
 
-    // Renaming the checkpoint's header object must fail the decode, not
+    // A cell whose id no longer matches its key must fail the decode, not
     // produce a half-parsed checkpoint.
-    let renamed = ckpt.to_json().replacen("\"checkpoint\"", "\"progress\"", 1);
-    assert!(ShardCheckpoint::from_json(&renamed).is_err());
+    let id = format!("\"id\":\"{}\"", cell.key);
+    let frame = Message::Checkpoint {
+        job: "job".into(),
+        spec,
+        cell: Box::new((index, cell)),
+    }
+    .to_frame();
+    assert!(frame.contains(&id), "{frame}");
+    let tampered = frame.replace(&id, "\"id\":\"someone/else/c2/t8\"");
+    assert!(Message::parse_frame(&tampered).is_err());
 }

@@ -15,13 +15,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use strex::campaign::{Campaign, CampaignResult, CampaignShard, ShardCheckpoint, ShardSpec};
+use strex::campaign::{Campaign, CampaignCell, CampaignResult, CampaignShard, ShardSpec};
 use strex::config::{SchedulerKind, SimConfig};
 use strex::dispatch::{
     submit_with_retry, ChaosProxy, DispatchConfig, FaultPlan, ServeOptions, Server, ShardRunner,
     SystemClock, WorkerOptions,
 };
-use strex::ConfigError;
 use strex_oltp::workload::{Workload, WorkloadKind};
 
 const CAMPAIGN: &str = "tiny";
@@ -45,34 +44,29 @@ fn tiny_sequential() -> CampaignResult {
 }
 
 /// A resume-capable runner for the tiny campaign — real checkpoints flow
-/// through the chaos proxy, and a mismatched one falls back to a fresh
-/// run instead of failing the worker.
+/// through the chaos proxy, and the worker re-runs a failed resume
+/// without its `done` cells.
 struct TinyRunner;
 
 impl ShardRunner for TinyRunner {
     fn run(&mut self, campaign: &str, spec: ShardSpec) -> Result<CampaignShard, String> {
-        self.run_resumable(campaign, spec, None, &mut |_| {})
+        self.run_resumable(campaign, spec, Vec::new(), &mut |_, _| {})
     }
 
     fn run_resumable(
         &mut self,
         campaign: &str,
         spec: ShardSpec,
-        checkpoint: Option<ShardCheckpoint>,
-        on_cell: &mut dyn FnMut(&ShardCheckpoint),
+        done: Vec<(usize, CampaignCell)>,
+        on_cell: &mut dyn FnMut(usize, &CampaignCell),
     ) -> Result<CampaignShard, String> {
         if campaign != CAMPAIGN {
             return Err(format!("unknown campaign {campaign:?}"));
         }
         let workloads = tiny_workloads();
-        let c = tiny_campaign(&workloads);
-        match c.run_shard_resumable(spec, checkpoint, on_cell) {
-            Ok(shard) => Ok(shard),
-            Err(ConfigError::CheckpointMismatch { .. }) => c
-                .run_shard_resumable(spec, None, on_cell)
-                .map_err(|e| e.to_string()),
-            Err(e) => Err(e.to_string()),
-        }
+        tiny_campaign(&workloads)
+            .run_shard_resumable(spec, done, on_cell)
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -134,7 +128,6 @@ fn spawn_chaos_worker(
     let opts = WorkerOptions {
         name: name.to_string(),
         heartbeat_interval_ms: 200,
-        checkpoint_every_cells: 1,
         ..WorkerOptions::default()
     };
     std::thread::spawn(move || {

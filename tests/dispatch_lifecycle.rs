@@ -1,7 +1,7 @@
 //! The dispatcher's job lifecycle on a hand-advanced clock: assignment,
 //! completion, heartbeat-timeout → re-queue, straggler hedging,
-//! duplicate-completion dedup, token-bucket rate limiting,
-//! capability-aware assignment and status snapshots — all driven through
+//! duplicate-completion dedup, finished cells held across a re-queue,
+//! token-bucket rate limiting and status snapshots — all driven through
 //! the pure [`Coordinator`] state machine, no socket or sleep anywhere.
 //! The timestamps come from a [`FakeClock`] exactly as the serve shell
 //! reads its `SystemClock`, so the deadline arithmetic under test is the
@@ -9,13 +9,13 @@
 
 use std::sync::Arc;
 
-use strex::campaign::{Campaign, CampaignResult, CampaignShard, ShardSpec};
+use strex::campaign::{Campaign, CampaignCell, CampaignResult, CampaignShard, ShardSpec};
 use strex::config::{SchedulerKind, SimConfig};
+use strex::dispatch::proto::MAX_FRAME;
 use strex::dispatch::{
     job_key, Action, Clock, Coordinator, DispatchConfig, Event, FakeClock, JobSpec, Message,
-    RejectReason, WorkerCaps, WorkerLossReason,
+    RejectReason, WorkerLossReason,
 };
-use strex::scenario::{EvaluatorRegistry, Scenario};
 use strex_oltp::workload::{Workload, WorkloadKind};
 
 const CAMPAIGN: &str = "tiny";
@@ -43,30 +43,6 @@ fn tiny_sequential() -> CampaignResult {
     tiny_campaign(&workloads).run().expect("valid")
 }
 
-fn tiny_scenario() -> Scenario {
-    Scenario::from_json(
-        r#"{
-            "name": "tiny-scenario",
-            "matrix": {
-                "workloads": ["TPC-C-1"],
-                "pool": 8,
-                "seed": 7,
-                "small": true,
-                "schedulers": ["baseline"],
-                "cores": [2]
-            },
-            "assertions": [
-                {
-                    "kind": "throughput_at_least",
-                    "cell": {"workload": "TPC-C-1", "scheduler": "baseline", "cores": 2},
-                    "min": 0.0
-                }
-            ]
-        }"#,
-    )
-    .expect("valid scenario")
-}
-
 fn cfg() -> DispatchConfig {
     DispatchConfig {
         worker_timeout_ms: 1_000,
@@ -82,14 +58,6 @@ fn cfg() -> DispatchConfig {
 
 fn coordinator() -> Coordinator {
     Coordinator::new(cfg(), [CAMPAIGN.to_string()])
-}
-
-/// Capabilities of a fully able test worker (scenario execution on).
-fn able_caps() -> WorkerCaps {
-    WorkerCaps {
-        cores: 2,
-        scenarios: true,
-    }
 }
 
 /// Drives `c` with `event` at the fake clock's current reading.
@@ -128,16 +96,6 @@ const WORKER_A: u64 = 2;
 const WORKER_B: u64 = 3;
 
 fn register(c: &mut Coordinator, clock: &FakeClock, conn: u64, name: &str) -> Vec<Action> {
-    register_with(c, clock, conn, name, able_caps())
-}
-
-fn register_with(
-    c: &mut Coordinator,
-    clock: &FakeClock,
-    conn: u64,
-    name: &str,
-    caps: WorkerCaps,
-) -> Vec<Action> {
     step(
         c,
         clock,
@@ -145,7 +103,7 @@ fn register_with(
             conn,
             Message::Register {
                 name: name.into(),
-                caps,
+                cores: 2,
             },
         ),
     )
@@ -414,6 +372,103 @@ fn duplicate_completion_before_the_merge_is_deduplicated() {
 }
 
 #[test]
+fn reported_cells_are_held_once_per_index_and_ride_the_reassignment() {
+    let clock = Arc::new(FakeClock::new());
+    let mut c = coordinator();
+    register(&mut c, &clock, WORKER_A, "doomed");
+    register(&mut c, &clock, WORKER_B, "busy");
+    let actions = submit(&mut c, &clock, 2);
+    let (job, spec) = assignment_to(&actions, WORKER_A).expect("A assigned");
+    let (_, other) = assignment_to(&actions, WORKER_B).expect("B assigned");
+    let (owned, foreign) = (tiny_shard(spec), tiny_shard(other));
+    let (owned, foreign) = (owned.cells(), foreign.cells());
+    assert!(owned.len() >= 2 && !foreign.is_empty(), "a two-way split");
+
+    // A reports out of order, sends a cell its shard does not own,
+    // repeats itself, re-keys a reported index, and sends one cell under
+    // another partitioning and one for an unknown job. None is answered,
+    // and only the first report of each owned index is held.
+    let report = |job: &str, spec, cell: &(usize, CampaignCell)| {
+        let (job, cell) = (job.to_string(), Box::new(cell.clone()));
+        Event::Message(WORKER_A, Message::Checkpoint { job, spec, cell })
+    };
+    let rekeyed = (owned[1].0, owned[0].1.clone());
+    let other_partition = ShardSpec { count: 3, ..spec };
+    for event in [
+        report(&job, spec, &owned[1]),
+        report(&job, spec, &foreign[0]),
+        report(&job, spec, &owned[0]),
+        report(&job, spec, &owned[1]),
+        report(&job, spec, &rekeyed),
+        report(&job, other_partition, &owned[0]),
+        report("no-such-job", spec, &owned[0]),
+    ] {
+        let actions = step(&mut c, &clock, event);
+        assert!(actions.is_empty(), "{actions:?}");
+    }
+
+    // A dies: the next worker receives the held cells as `done`, in
+    // ascending index order and as first reported.
+    step(&mut c, &clock, Event::Disconnected(WORKER_A));
+    let heir = register(&mut c, &clock, 9, "heir");
+    let done = heir
+        .iter()
+        .find_map(|a| match a {
+            Action::Send(9, Message::Assign { spec: s, done, .. }) if *s == spec => Some(done),
+            _ => None,
+        })
+        .expect("A's shard re-assigned");
+    let keys = |cells: &[(usize, CampaignCell)]| -> Vec<(usize, String)> {
+        cells.iter().map(|(i, c)| (*i, c.key.to_string())).collect()
+    };
+    assert_eq!(keys(done), keys(&owned[..2]));
+}
+
+#[test]
+fn a_flood_of_reported_indices_leaves_a_readable_reassignment() {
+    let clock = Arc::new(FakeClock::new());
+    let mut c = coordinator();
+    register(&mut c, &clock, WORKER_A, "doomed");
+    let actions = submit(&mut c, &clock, 1);
+    let (job, spec) = assignment_to(&actions, WORKER_A).expect("A assigned");
+    let cell = tiny_shard(spec).cells()[0].1.clone();
+
+    // A connection that never registered reports one owned cell under
+    // 10,000 matrix indices, nearly all beyond the matrix. The flood fits
+    // one frame, so it is held whole; the heir's assignment must stay
+    // within MAX_FRAME and parse. (The cap itself is unit-tested in
+    // `coordinator`: reaching 256 MiB here would take gigabytes.)
+    let flood = 10_000;
+    for index in 0..flood {
+        let cell = Box::new((index, cell.clone()));
+        let job = job.clone();
+        step(
+            &mut c,
+            &clock,
+            Event::Message(77, Message::Checkpoint { job, spec, cell }),
+        );
+    }
+    step(&mut c, &clock, Event::Disconnected(WORKER_A));
+    let heir = register(&mut c, &clock, 9, "heir");
+    let frame = heir
+        .iter()
+        .find_map(|a| match a {
+            Action::Send(9, msg @ Message::Assign { .. }) => Some(msg.to_frame()),
+            _ => None,
+        })
+        .expect("A's shard re-assigned");
+    assert!(frame.len() <= MAX_FRAME, "{} bytes", frame.len());
+    match Message::parse_frame(&frame) {
+        Ok(Message::Assign { spec: s, done, .. }) => {
+            assert_eq!(s, spec);
+            let indices: Vec<usize> = done.iter().map(|(i, _)| *i).collect();
+            assert_eq!(indices, (0..flood).collect::<Vec<_>>());
+        }
+        other => panic!("the heir cannot read its assignment: {other:?}"),
+    }
+}
+
+#[test]
 fn finished_jobs_answer_resubmissions_from_the_cache() {
     let clock = Arc::new(FakeClock::new());
     let mut c = coordinator();
@@ -507,77 +562,6 @@ fn a_full_queue_refuses_new_jobs_but_admits_attaches() {
 }
 
 #[test]
-fn scenario_jobs_only_go_to_workers_that_declared_the_capability() {
-    let clock = Arc::new(FakeClock::new());
-    let mut c = coordinator();
-    // A catalog-only worker (no scenario support) is connected and idle,
-    // but a scenario submission must not be handed to it.
-    let catalog_only = WorkerCaps {
-        scenarios: false,
-        ..able_caps()
-    };
-    register_with(&mut c, &clock, WORKER_A, "catalog-only", catalog_only);
-    let scenario = tiny_scenario();
-    let submitted = step(
-        &mut c,
-        &clock,
-        Event::Message(
-            SUBMITTER,
-            Message::Submit {
-                work: JobSpec::Scenario(Arc::new(scenario.clone())),
-                shards: 1,
-            },
-        ),
-    );
-    assert!(
-        assignment_to(&submitted, WORKER_A).is_none(),
-        "{submitted:?}"
-    );
-    assert_eq!(c.open_jobs(), 1, "the job waits rather than misassigning");
-
-    // A capable worker registers: the queued scenario shard goes to it,
-    // and the catalog-only worker can still serve catalog work meanwhile.
-    let able = register(&mut c, &clock, WORKER_B, "able");
-    let (job, spec) = assignment_to(&able, WORKER_B).expect("scenario shard assigned");
-    let catalog = submit_from(&mut c, &clock, 9, 1);
-    assert!(
-        assignment_to(&catalog, WORKER_A).is_some(),
-        "catalog work still flows to the catalog-only worker: {catalog:?}"
-    );
-
-    // Completing the scenario shard merges the matrix and evaluates the
-    // assertions coordinator-side: the delivered outcomes are exactly
-    // what a local evaluate of the same merged result produces.
-    let workloads = scenario.workloads();
-    let shard = scenario
-        .campaign(&workloads)
-        .run_shard(spec)
-        .expect("valid scenario shard");
-    let done = step(
-        &mut c,
-        &clock,
-        Event::Message(WORKER_B, Message::ShardDone { job, shard }),
-    );
-    let (result, outcomes) = done
-        .iter()
-        .find_map(|a| match a {
-            Action::Send(
-                to,
-                Message::Result {
-                    result, outcomes, ..
-                },
-            ) if *to == SUBMITTER => Some((result.clone(), outcomes.clone())),
-            _ => None,
-        })
-        .expect("scenario result delivered");
-    let local = scenario
-        .evaluate(&result, &EvaluatorRegistry::with_defaults())
-        .expect("evaluable");
-    assert_eq!(outcomes, local);
-    assert!(outcomes.iter().all(|o| o.passed), "{outcomes:?}");
-}
-
-#[test]
 fn status_stays_accurate_across_a_worker_loss() {
     let clock = Arc::new(FakeClock::new());
     let mut c = coordinator();
@@ -640,7 +624,6 @@ fn status_stays_accurate_across_a_worker_loss() {
 /// its remaining shards to the same bit-identical merge.
 mod journal_restart {
     use super::*;
-    use strex::campaign::ShardCheckpoint;
     use strex::dispatch::{replay_journal_file, Journal};
 
     /// Rate limiting on, so the replayed bucket state is part of the
@@ -671,22 +654,6 @@ mod journal_restart {
             .append(now_ms, conn, peer, &msg)
             .expect("journal append");
         c.handle(now_ms, Event::Message(conn, msg))
-    }
-
-    /// The first cell-boundary checkpoint of `spec`, if the shard owns
-    /// any cells (ownership is by cell-key hash, so some shards of a
-    /// small matrix may legitimately be empty).
-    fn first_boundary(spec: ShardSpec) -> Option<ShardCheckpoint> {
-        let workloads = tiny_workloads();
-        let mut first = None;
-        tiny_campaign(&workloads)
-            .run_shard_resumable(spec, None, &mut |c| {
-                if first.is_none() {
-                    first = Some(c.clone());
-                }
-            })
-            .expect("valid shard");
-        first
     }
 
     #[test]
@@ -728,7 +695,9 @@ mod journal_restart {
 
         // One shard of the 3-shard job completes before the crash, and a
         // checkpoint for a still-queued shard of the same job lands (the
-        // progress a reaped worker shipped before dying).
+        // first cell a reaped worker finished before dying; ownership is
+        // by cell-key hash, so some shards of a small matrix may
+        // legitimately be empty).
         let job3 = job_key(CAMPAIGN, 3);
         deliver(
             &mut lived,
@@ -743,9 +712,10 @@ mod journal_restart {
         );
         let checkpointed = (1..3).find_map(|index| {
             let spec = ShardSpec { index, count: 3 };
-            first_boundary(spec).map(|ckpt| (spec, ckpt))
+            let first = tiny_shard(spec).cells().first().cloned();
+            first.map(|cell| (spec, cell))
         });
-        if let Some((_, ckpt)) = &checkpointed {
+        if let Some((spec, cell)) = &checkpointed {
             deliver(
                 &mut lived,
                 &mut journal,
@@ -754,7 +724,8 @@ mod journal_restart {
                 "ip:w",
                 Message::Checkpoint {
                     job: job3.clone(),
-                    checkpoint: ckpt.clone(),
+                    spec: *spec,
+                    cell: Box::new(cell.clone()),
                 },
             );
         }
@@ -788,8 +759,8 @@ mod journal_restart {
         assert_eq!(bucket.tokens, 0, "the drained burst survives the restart");
 
         // A fresh worker drains the replayed queue: the checkpointed
-        // shard's assignment carries the journaled resume point, and both
-        // jobs finish bit-identical to sequential runs.
+        // shard's assignment carries the journaled cell, and both jobs
+        // finish bit-identical to sequential runs.
         let clock = FakeClock::new();
         clock.advance(700);
         let mut actions = register(&mut restarted, &clock, 30, "fresh");
@@ -800,19 +771,15 @@ mod journal_restart {
                 if let Action::Send(
                     conn,
                     Message::Assign {
-                        job,
-                        spec,
-                        checkpoint,
-                        ..
+                        job, spec, done, ..
                     },
                 ) = action
                 {
-                    if let Some((ck_spec, ckpt)) = &checkpointed {
+                    if let Some((ck_spec, (index, cell))) = &checkpointed {
                         if spec == ck_spec {
-                            let carried =
-                                checkpoint.as_ref().expect("journaled checkpoint attached");
-                            assert_eq!(carried.cursor(), ckpt.cursor());
-                            assert_eq!(carried.cells().len(), ckpt.cells().len());
+                            let carried: Vec<(usize, String)> =
+                                done.iter().map(|(i, c)| (*i, c.key.to_string())).collect();
+                            assert_eq!(carried, [(*index, cell.key.to_string())]);
                             resumed_with_checkpoint = true;
                         }
                     }

@@ -4,20 +4,22 @@
 //! sequential in-process run) including the run where a worker dies
 //! mid-shard and its shard is re-queued, that a scenario file dispatched
 //! to the fleet yields the same diagnostics as an in-process check, and
-//! that a garbage-speaking peer cannot take the coordinator down. Two
-//! latency checks close it: a tiny job costs its simulation plus a few
+//! that a garbage-speaking peer cannot take the coordinator down, and
+//! that a journaled job checkpoints each finished cell once. Two latency
+//! checks close it: a tiny job costs its simulation plus a few
 //! milliseconds, and a worker returns as soon as its coordinator stops.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use strex::campaign::{Campaign, CampaignResult, CampaignShard, ShardSpec};
 use strex::config::{SchedulerKind, SimConfig};
 use strex::dispatch::{
-    read_message, run_worker, submit, submit_scenario, write_message, DispatchConfig, Message,
-    ServeOptions, Server, SystemClock, WorkerCaps, WorkerOptions,
+    read_message, replay_journal_file, run_worker, submit, submit_scenario, write_message,
+    DispatchConfig, Message, ServeOptions, Server, SystemClock, WorkerOptions,
 };
 use strex::scenario::{EvaluatorRegistry, Scenario};
 use strex_oltp::workload::{Workload, WorkloadKind};
@@ -51,11 +53,13 @@ fn tiny_runner(campaign: &str, spec: ShardSpec) -> Result<CampaignShard, String>
 }
 
 /// Binds an ephemeral-port server for the tiny campaign and runs it to
-/// `max_jobs` on a background thread. Returns the address and the join
-/// handle (the run result surfaces on join).
+/// `max_jobs` on a background thread, journaling to `journal` if given.
+/// Returns the address and the join handle (the run result surfaces on
+/// join).
 fn spawn_server(
     cfg: DispatchConfig,
     max_jobs: usize,
+    journal: Option<PathBuf>,
 ) -> (SocketAddr, std::thread::JoinHandle<usize>) {
     let server = Server::bind(
         "127.0.0.1:0",
@@ -69,7 +73,7 @@ fn spawn_server(
         server
             .run(ServeOptions {
                 max_jobs: Some(max_jobs),
-                journal: None,
+                journal,
                 stop: None,
             })
             .expect("serve")
@@ -93,7 +97,7 @@ fn spawn_worker(addr: SocketAddr, name: &str) -> std::thread::JoinHandle<usize> 
 
 #[test]
 fn coordinator_and_two_workers_match_sequential_bit_for_bit() {
-    let (addr, server) = spawn_server(DispatchConfig::default(), 1);
+    let (addr, server) = spawn_server(DispatchConfig::default(), 1, None);
     let w1 = spawn_worker(addr, "w1");
     let w2 = spawn_worker(addr, "w2");
 
@@ -118,7 +122,7 @@ fn worker_killed_mid_shard_requeues_and_the_job_still_merges_identically() {
     // completing it — while it is the only worker, so the shard it holds
     // is provably in flight when it dies. The real worker starts only
     // after the death; the job must still finish, bit-identical.
-    let (addr, server) = spawn_server(DispatchConfig::default(), 1);
+    let (addr, server) = spawn_server(DispatchConfig::default(), 1, None);
 
     let submitter = std::thread::spawn(move || submit(addr, CAMPAIGN, 2).expect("dispatched"));
 
@@ -127,7 +131,7 @@ fn worker_killed_mid_shard_requeues_and_the_job_still_merges_identically() {
         &mut faulty,
         &Message::Register {
             name: "faulty".into(),
-            caps: WorkerCaps::detect(),
+            cores: 1,
         },
     )
     .expect("register");
@@ -159,7 +163,7 @@ fn worker_killed_mid_shard_requeues_and_the_job_still_merges_identically() {
 
 #[test]
 fn garbage_speaking_peer_does_not_take_the_coordinator_down() {
-    let (addr, server) = spawn_server(DispatchConfig::default(), 1);
+    let (addr, server) = spawn_server(DispatchConfig::default(), 1, None);
 
     // A peer that speaks garbage is disconnected; the coordinator keeps
     // serving.
@@ -228,7 +232,7 @@ fn scenario_file_dispatched_to_the_fleet_matches_the_in_process_check() {
     let _ = std::fs::remove_file(&path);
     let scenario = Scenario::from_json(&text).expect("valid scenario");
 
-    let (addr, server) = spawn_server(DispatchConfig::default(), 1);
+    let (addr, server) = spawn_server(DispatchConfig::default(), 1, None);
     let w1 = spawn_worker(addr, "w1");
     let w2 = spawn_worker(addr, "w2");
 
@@ -259,7 +263,7 @@ fn scenario_file_dispatched_to_the_fleet_matches_the_in_process_check() {
 
 #[test]
 fn submitting_twice_concurrently_coalesces_onto_one_job() {
-    let (addr, server) = spawn_server(DispatchConfig::default(), 1);
+    let (addr, server) = spawn_server(DispatchConfig::default(), 1, None);
 
     // Both submissions go out while no worker exists, so the job cannot
     // complete before the second one attaches — both land as waiters on
@@ -277,6 +281,33 @@ fn submitting_twice_concurrently_coalesces_onto_one_job() {
     // One job completed, not two: both submissions keyed onto it.
     assert_eq!(server.join().expect("server"), 1);
     assert_eq!(worker.join().expect("worker"), 2, "the matrix ran once");
+}
+
+#[test]
+fn a_journaled_job_checkpoints_each_finished_cell_once() {
+    // A shard's progress is the cells it finished, each reported once: a
+    // journal-backed job over the four-cell document below writes one
+    // checkpoint record per matrix cell, each carrying that cell alone.
+    let journal =
+        std::env::temp_dir().join(format!("strex-loopback-journal-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let (addr, server) = spawn_server(DispatchConfig::default(), 1, Some(journal.clone()));
+    let worker = spawn_worker(addr, "w");
+    submit_scenario(addr, &tiny_tpce_job("journaled"), 2).expect("dispatched scenario");
+    assert_eq!(server.join().expect("server"), 1);
+    assert_eq!(worker.join().expect("worker"), 2);
+
+    let ledger = replay_journal_file(&journal).expect("readable journal");
+    let _ = std::fs::remove_file(&journal);
+    let mut reported: Vec<usize> = ledger
+        .into_iter()
+        .filter_map(|entry| match entry.msg {
+            Message::Checkpoint { cell, .. } => Some(cell.0),
+            _ => None,
+        })
+        .collect();
+    reported.sort_unstable();
+    assert_eq!(reported, [0, 1, 2, 3], "one record per matrix cell");
 }
 
 /// A four-cell TPC-E document over a one-transaction pool: a few
@@ -317,7 +348,7 @@ fn a_tiny_job_costs_its_simulation_plus_a_few_milliseconds() {
         submit_refill_ms: 0, // twenty back-to-back jobs would empty the bucket
         ..DispatchConfig::default()
     };
-    let (addr, server) = spawn_server(cfg, JOBS);
+    let (addr, server) = spawn_server(cfg, JOBS, None);
     // Default options, so checkpoint frames flow between the shards'
     // cells as they do in a deployed fleet.
     let worker = std::thread::spawn(move || {

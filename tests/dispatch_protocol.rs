@@ -6,12 +6,12 @@
 //! bit-identical-merge guarantee lean on).
 
 use std::io::BufReader;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use strex::campaign::{CampaignShard, ShardSpec};
-use strex::dispatch::{read_message, JobSpec, Message, ProtoError, RejectReason, WorkerCaps};
+use strex::campaign::{CampaignCell, CampaignShard, ShardSpec};
+use strex::dispatch::{read_message, JobSpec, Message, ProtoError, RejectReason};
 use strex::scenario::Scenario;
 
 /// Short strings over the whole scalar range (surrogates excluded, plus
@@ -69,27 +69,53 @@ fn job_specs() -> impl Strategy<Value = JobSpec> {
     ]
 }
 
-fn worker_caps() -> impl Strategy<Value = WorkerCaps> {
-    (1usize..256, any::<bool>()).prop_map(|(cores, scenarios)| WorkerCaps { cores, scenarios })
+/// The tiny scenario's one simulated cell, run once: the payload of
+/// generated `checkpoint` frames and `assign` frames' `done` cells.
+fn sample_cell() -> CampaignCell {
+    static CELL: OnceLock<CampaignCell> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let s = tiny_scenario();
+        let result = s.campaign(&s.workloads()).run().expect("valid matrix");
+        result.cells()[0].clone()
+    })
+    .clone()
+}
+
+/// A drawn shard spec: `count` in 1..64, a valid index below it.
+fn shard_specs() -> impl Strategy<Value = ShardSpec> {
+    (1usize..64, 0usize..64).prop_map(|(count, i)| ShardSpec {
+        index: i % count,
+        count,
+    })
 }
 
 fn control_messages() -> impl Strategy<Value = Message> {
     prop_oneof![
         (job_specs(), 1usize..64).prop_map(|(work, shards)| Message::Submit { work, shards }),
-        (wire_text(), worker_caps()).prop_map(|(name, caps)| Message::Register { name, caps }),
+        (wire_text(), 1usize..256).prop_map(|(name, cores)| Message::Register { name, cores }),
         Just(Message::Heartbeat),
         Just(Message::StatusRequest),
-        (wire_text(), job_specs(), 1usize..64, 0usize..64).prop_map(
-            |(job, work, count, index_seed)| Message::Assign {
-                job,
-                work,
-                spec: ShardSpec {
-                    index: index_seed % count,
-                    count,
-                },
-                checkpoint: None,
-            }
-        ),
+        (
+            wire_text(),
+            job_specs(),
+            shard_specs(),
+            prop::collection::vec(0usize..4096, 0..4)
+        )
+            .prop_map(|(job, work, spec, mut cells)| {
+                cells.sort_unstable();
+                cells.dedup();
+                let done = cells.into_iter().map(|i| (i, sample_cell())).collect();
+                Message::Assign {
+                    job,
+                    work,
+                    spec,
+                    done,
+                }
+            }),
+        (wire_text(), shard_specs(), 0usize..4096).prop_map(|(job, spec, index)| {
+            let cell = Box::new((index, sample_cell()));
+            Message::Checkpoint { job, spec, cell }
+        }),
         (0usize..RejectReason::ALL.len(), wire_text()).prop_map(|(pick, message)| {
             Message::Reject {
                 reason: RejectReason::ALL[pick],
@@ -180,8 +206,8 @@ proptest! {
     }
 
     #[test]
-    fn known_types_with_mangled_payloads_are_typed_errors(pick in 0usize..5, junk_pick in 0usize..6) {
-        let kind = ["submit", "register", "assign", "shard_done", "result"][pick];
+    fn known_types_with_mangled_payloads_are_typed_errors(pick in 0usize..6, junk_pick in 0usize..6) {
+        let kind = ["submit", "register", "assign", "checkpoint", "shard_done", "result"][pick];
         // None of these fragments completes any message type's payload:
         // wrong field types, missing required fields, invalid shard specs.
         let junk = [
@@ -269,48 +295,55 @@ fn a_payload_frame_trickled_byte_by_byte_parses_once_whole() {
     );
 }
 
-/// `checkpoint` frames and the `Assign` resume field: a parse → re-emit
-/// round trip must be byte-identical (cells and cursor fidelity is
-/// covered by `tests/checkpoint_resume.rs`; this is the frame layer).
+/// `checkpoint` frames and the `assign` frame's `done` cells: a parse →
+/// re-emit round trip must be byte-identical (resume from the decoded
+/// cells is covered by `tests/checkpoint_resume.rs`; this is the frame
+/// layer).
 mod checkpoint_frames {
     use super::*;
-    use strex::campaign::ShardCheckpoint;
 
     fn checkpoint_msg() -> Message {
         Message::Checkpoint {
             job: "job-9".into(),
-            checkpoint: ShardCheckpoint::new(ShardSpec::new(1, 3).expect("valid")),
+            spec: ShardSpec::new(1, 3).expect("valid"),
+            cell: Box::new((5, sample_cell())),
         }
     }
 
-    fn assign_with_checkpoint() -> Message {
+    fn assign_with_done_cells() -> Message {
         Message::Assign {
             job: "job-9".into(),
             work: JobSpec::Catalog("tiny".into()),
             spec: ShardSpec::new(1, 3).expect("valid"),
-            checkpoint: Some(ShardCheckpoint::new(ShardSpec::new(1, 3).expect("valid"))),
+            done: vec![(2, sample_cell()), (5, sample_cell())],
         }
     }
 
     #[test]
     fn checkpoint_frames_round_trip_byte_identically() {
-        for msg in [checkpoint_msg(), assign_with_checkpoint()] {
+        for msg in [checkpoint_msg(), assign_with_done_cells()] {
             let json = msg.to_frame();
             let parsed = Message::parse_frame(&json).expect("own JSON parses");
             assert_eq!(parsed.to_frame(), json);
         }
+        // One cell per checkpoint frame, in the shard cell layout.
+        let frame = checkpoint_msg().to_frame();
+        assert_eq!(frame.matches("\"report\":").count(), 1, "{frame}");
+        assert!(frame.contains("\"cell\":{\"index\":5,"), "{frame}");
     }
 
     #[test]
-    fn a_v2_assign_without_the_checkpoint_field_still_parses() {
-        // A fresh assignment carries no `checkpoint`; the absent field
-        // means "start from the first cell".
+    fn an_assign_without_done_cells_is_a_fresh_shard() {
+        // A fresh assignment carries no `done`: the absent field means
+        // "run every cell", and an empty list is never written.
         let frame =
             "{\"type\":\"assign\",\"job\":\"j\",\"campaign\":\"tiny\",\"index\":0,\"count\":2}\n";
-        match Message::parse_frame(frame).expect("fresh assign parses") {
-            Message::Assign { checkpoint, .. } => assert!(checkpoint.is_none()),
-            other => panic!("expected Assign, got {other:?}"),
-        }
+        let msg = Message::parse_frame(frame).expect("fresh assign parses");
+        assert!(
+            matches!(&msg, Message::Assign { done, .. } if done.is_empty()),
+            "{msg:?}"
+        );
+        assert_eq!(msg.to_frame(), frame, "no empty done array");
     }
 }
 
