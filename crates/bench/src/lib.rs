@@ -1,8 +1,7 @@
 //! # strex-bench
 //!
 //! Experiment harness for the STREX (ISCA 2013) reproduction: one function
-//! per table and figure of the paper's evaluation section, plus Criterion
-//! microbenchmarks of the substrates.
+//! per table and figure of the paper's evaluation section.
 //!
 //! The `repro` binary drives everything:
 //!

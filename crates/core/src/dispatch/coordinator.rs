@@ -18,10 +18,10 @@
 //! A submission carries a [`JobSpec`] — a catalog name or a full
 //! scenario document — and is keyed by [`job_key`] over the spec's
 //! canonical text, so retrying a submission (same work, same shard
-//! count) attaches to the in-flight job or returns the cached result
-//! instead of running the matrix twice. A new job's shards enter a FIFO
-//! queue; idle registered workers are assigned one shard each;
-//! completions fill per-index slots. Delivery is
+//! count) attaches to the in-flight job or, while the result is among the
+//! last [`MAX_FINISHED`] cached, returns it instead of running the matrix
+//! twice. A new job's shards enter a FIFO queue; idle registered workers
+//! are assigned one shard each; completions fill per-index slots. Delivery is
 //! **at-least-once**: a dead worker's shard is re-queued, a straggler's
 //! shard is re-assigned while the original may still finish — so the
 //! same shard index can legitimately complete twice. The slot either-or
@@ -348,10 +348,12 @@ pub struct Coordinator {
     catalog: Vec<String>,
     jobs: BTreeMap<String, Job>,
     workers: BTreeMap<ConnId, WorkerState>,
-    /// Serialized results of finished jobs, by job key — the idempotency
-    /// cache. A re-submission of a finished spec is answered from here
-    /// without touching a worker.
-    finished: BTreeMap<String, Message>,
+    /// Serialized results of the last [`MAX_FINISHED`] finished jobs, by
+    /// job key, oldest first — the idempotency cache. A re-submission of
+    /// a spec still here is answered without touching a worker; one whose
+    /// result was evicted runs again, and determinism gives it the same
+    /// bytes.
+    finished: VecDeque<(String, Message)>,
     /// Submitter identity per connection, reported by the shell at
     /// accept; removed on disconnect.
     peers: BTreeMap<ConnId, String>,
@@ -368,6 +370,11 @@ pub struct Coordinator {
 /// allocate unbounded queues.
 pub const MAX_SHARDS: usize = 4096;
 
+/// How many finished results the idempotency cache keeps; the oldest is
+/// evicted first. A long-lived coordinator otherwise holds every result it
+/// ever served.
+pub const MAX_FINISHED: usize = 64;
+
 impl Coordinator {
     /// A coordinator accepting the campaign names in `catalog` (scenario
     /// submissions are always accepted — they carry their own matrix).
@@ -377,7 +384,7 @@ impl Coordinator {
             catalog: catalog.into_iter().collect(),
             jobs: BTreeMap::new(),
             workers: BTreeMap::new(),
-            finished: BTreeMap::new(),
+            finished: VecDeque::new(),
             peers: BTreeMap::new(),
             buckets: BTreeMap::new(),
             registry: EvaluatorRegistry::with_defaults(),
@@ -534,7 +541,7 @@ impl Coordinator {
             return;
         }
         let key = job_key(&work.canonical(), shards);
-        if let Some(result) = self.finished.get(&key) {
+        if let Some((_, result)) = self.finished.iter().find(|(done, _)| *done == key) {
             // Idempotent replay: answered from the cache, no worker touched.
             self.counters.submissions += 1;
             actions.push(Action::Send(conn, result.clone()));
@@ -650,7 +657,10 @@ impl Coordinator {
                 actions.push(Action::Send(waiter, outcome.clone()));
                 actions.push(Action::Close(waiter));
             }
-            self.finished.insert(job_id.clone(), outcome);
+            self.finished.push_back((job_id.clone(), outcome));
+            if self.finished.len() > MAX_FINISHED {
+                self.finished.pop_front();
+            }
             actions.push(Action::JobCompleted { job: job_id });
         }
     }
@@ -870,7 +880,8 @@ impl Coordinator {
     ///
     /// Only submitter/worker *data* frames are journaled (never
     /// `register`/`heartbeat`), so replay re-creates jobs, completion
-    /// slots, reported cells, the finished-result cache and the token
+    /// slots, reported cells, the finished-result cache (evicting in the
+    /// same order, since it sees the same completions) and the token
     /// buckets — but no phantom workers, and `assign_pending` stays a
     /// no-op throughout.
     pub fn replay_journal(&mut self, entries: Vec<JournalEntry>) {

@@ -64,7 +64,7 @@ pub use client::{
 pub use clock::{Clock, FakeClock, SystemClock};
 pub use coordinator::{
     job_key, Action, ConnId, Coordinator, DispatchConfig, Event, ServeOptions, ServeSummary,
-    Server, WorkerLossReason, MAX_SHARDS,
+    Server, WorkerLossReason, MAX_FINISHED, MAX_SHARDS,
 };
 pub use journal::{replay_journal_file, Journal, JournalEntry};
 pub use proto::{

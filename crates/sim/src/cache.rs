@@ -43,6 +43,29 @@
 //! selection is a mask (`index & (sets - 1)`), which is why set counts
 //! must be powers of two — all of the paper's geometries (Table 2)
 //! qualify, and [`CacheGeometry::try_new`] rejects the rest.
+//!
+//! # Hot path
+//!
+//! Every per-access operation — the scan, `install`, [`access`],
+//! [`access_write`], [`access_untagged`], [`hit_in_place`], [`fill`],
+//! [`fill_if_absent`], [`peek_victim`] and the [`Replacement`] updates
+//! they call — is `#[inline(always)]`, so the way scan, the victim choice,
+//! the install and the replacement update stay in the caller's registers.
+//! `#[inline]` is only a hint across the crate boundary: out of line,
+//! `install` stored its `(way, Option<Victim>)` result field by field and
+//! `access` reloaded it as one 16-byte word, a failed store-to-load
+//! forward on every miss fill and the hottest instruction in a sampling
+//! profile of the quick matrix. README's Performance section has the A/B.
+//! CI's "Per-access cache path stays inlined" step fails if `nm` finds
+//! any of these compiled as a function of its own in `repro`.
+//!
+//! [`access`]: SetAssocCache::access
+//! [`access_write`]: SetAssocCache::access_write
+//! [`access_untagged`]: SetAssocCache::access_untagged
+//! [`hit_in_place`]: SetAssocCache::hit_in_place
+//! [`fill`]: SetAssocCache::fill
+//! [`fill_if_absent`]: SetAssocCache::fill_if_absent
+//! [`peek_victim`]: SetAssocCache::peek_victim
 
 use std::fmt;
 
@@ -412,12 +435,12 @@ impl SetAssocCache {
         self.geom
     }
 
-    #[inline]
+    #[inline(always)]
     fn set_of(&self, block: BlockAddr) -> usize {
         ((block.index() >> self.set_shift) & self.set_mask) as usize
     }
 
-    #[inline]
+    #[inline(always)]
     fn set_base(&self, set: usize) -> usize {
         set * self.assoc
     }
@@ -439,7 +462,7 @@ impl SetAssocCache {
     /// scan in the cache; every public operation runs it exactly once.
     /// Dispatches to a mask kernel for the associativities the paper's
     /// geometries use (Table 2: 8-way L1s, 16-way L2).
-    #[inline]
+    #[inline(always)]
     fn scan(&self, set: usize, needle: u64) -> (Option<usize>, Option<usize>) {
         let base = self.set_base(set);
         let tags = &self.tags[base..base + self.assoc];
@@ -468,7 +491,7 @@ impl SetAssocCache {
         )
     }
 
-    #[inline]
+    #[inline(always)]
     fn find(&self, block: BlockAddr) -> Option<(usize, usize)> {
         let set = self.set_of(block);
         let base = self.set_base(set);
@@ -481,7 +504,7 @@ impl SetAssocCache {
 
     /// Installs `needle` into `set`, preferring the scanned invalid way and
     /// evicting otherwise. Returns the way used and any victim.
-    #[inline]
+    #[inline(always)]
     fn install(
         &mut self,
         set: usize,
@@ -542,6 +565,7 @@ impl SetAssocCache {
     /// exactly with the eviction performed by a subsequent
     /// [`access`](SetAssocCache::access) or [`fill`](SetAssocCache::fill) of
     /// the same block, provided no other mutation intervenes.
+    #[inline(always)]
     pub fn peek_victim(&self, block: BlockAddr) -> Option<Victim> {
         let set = self.set_of(block);
         let (hit, invalid) = self.scan(set, pack(block));
@@ -560,7 +584,7 @@ impl SetAssocCache {
 
     /// Accesses `block`, tagging the frame with `aux` whether the access hits
     /// or misses (STREX tags blocks with the current phase on *every* touch).
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, block: BlockAddr, aux: u8) -> Probe {
         let set = self.set_of(block);
         let needle = pack(block);
@@ -600,7 +624,7 @@ impl SetAssocCache {
     /// skipped stores would re-write the values already there: the
     /// observable state is identical to using `access(block, 0)` and
     /// dropping the probe.
-    #[inline]
+    #[inline(always)]
     pub fn access_untagged(&mut self, block: BlockAddr) -> bool {
         let set = self.set_of(block);
         let needle = pack(block);
@@ -633,7 +657,7 @@ impl SetAssocCache {
     /// Accesses `block` for writing; like [`access`](SetAssocCache::access)
     /// but also marks the frame dirty. The probe already names the frame,
     /// so no second lookup happens.
-    #[inline]
+    #[inline(always)]
     pub fn access_write(&mut self, block: BlockAddr, aux: u8) -> Probe {
         let probe = self.access(block, aux);
         let idx = self.set_base(probe.set) + probe.way;
@@ -647,7 +671,7 @@ impl SetAssocCache {
     /// is a read, or a write to a frame already dirty, applies their hit
     /// bookkeeping (replacement update, `aux` retag) and returns `true`.
     /// Otherwise leaves the cache untouched and returns `false`.
-    #[inline]
+    #[inline(always)]
     pub fn hit_in_place(&mut self, block: BlockAddr, aux: u8, write: bool) -> bool {
         let set = self.set_of(block);
         let Some(way) = self.scan(set, pack(block)).0 else {
@@ -670,6 +694,7 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics in debug builds if the block is already resident.
+    #[inline(always)]
     pub fn fill(&mut self, block: BlockAddr, aux: u8) -> Option<Victim> {
         let set = self.set_of(block);
         let needle = pack(block);
@@ -685,7 +710,7 @@ impl SetAssocCache {
     /// matching the prefetcher's "already here, nothing to do" semantics —
     /// and the returned probe has `hit == true`. On a miss the block is
     /// installed and the probe carries any victim.
-    #[inline]
+    #[inline(always)]
     pub fn fill_if_absent(&mut self, block: BlockAddr, aux: u8) -> Probe {
         let set = self.set_of(block);
         let needle = pack(block);

@@ -127,6 +127,7 @@ impl MemorySystem {
 
     /// Credits `n` retired instructions to `core` (the driver calls this as
     /// it consumes fetch groups; MPKI denominators come from here).
+    #[inline]
     pub fn add_instructions(&mut self, core: CoreId, n: u64) {
         self.stats.cores[core.as_usize()].instructions += n;
     }
@@ -135,6 +136,7 @@ impl MemorySystem {
     /// `phase_tag` whether the access hits or misses (STREX semantics).
     ///
     /// Returns the stall cycles, hit flag and any demand-fill victim.
+    #[inline]
     pub fn fetch_inst(
         &mut self,
         core: CoreId,
@@ -197,6 +199,7 @@ impl MemorySystem {
     /// builds assert that agreement for the accessed block on entry.
     /// Every other access consults the directory first, carries out what
     /// it decides, then probes the L1-D.
+    #[inline]
     pub fn access_data(
         &mut self,
         core: CoreId,
@@ -330,6 +333,7 @@ impl MemorySystem {
     /// the L2 to avoid thrashing the L1-D).
     ///
     /// `blocks` is the architectural-state size in cache blocks.
+    #[inline]
     pub fn context_transfer(&mut self, core: CoreId, blocks: u64) -> u64 {
         // The nearest slice is the local one: zero hops, pipelined writes.
         let _ = core;
@@ -339,6 +343,7 @@ impl MemorySystem {
     // ----- L1-I introspection used by STREX, SLICC and the analyses -----
 
     /// Would a fill of `block` evict something, and if so what?
+    #[inline]
     pub fn l1i_peek_victim(&self, core: CoreId, block: BlockAddr) -> Option<Victim> {
         self.l1i[core.as_usize()].peek_victim(block)
     }

@@ -111,6 +111,7 @@ impl SharedL2 {
 
     /// Serves a demand access from `core` arriving at `now`; returns the
     /// total latency (network + slice hit or memory fill).
+    #[inline]
     pub fn access(&mut self, core: CoreId, block: BlockAddr, now: Cycle) -> u64 {
         self.stats.l2_accesses += 1;
         let slice = self.slice_of(block);
@@ -129,6 +130,7 @@ impl SharedL2 {
 
     /// Accepts a dirty writeback from an L1 (charged to the L2 only as a
     /// statistic; writebacks are off the critical path).
+    #[inline]
     pub fn writeback(&mut self, core: CoreId, block: BlockAddr) {
         let _ = core;
         self.stats.writebacks += 1;

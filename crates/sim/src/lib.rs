@@ -48,7 +48,6 @@ pub mod interconnect;
 pub mod l2;
 pub mod memory;
 pub mod prefetch;
-pub mod refcache;
 pub mod replacement;
 pub mod signature;
 pub mod stats;

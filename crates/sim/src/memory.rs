@@ -165,6 +165,7 @@ impl Dram {
     /// can wait behind at most a few bank-occupancy slots. The cap also
     /// keeps the cycle-approximate core skew (cores are simulated in
     /// batches) from manufacturing phantom queueing.
+    #[inline]
     pub fn access(&mut self, block: BlockAddr, now: Cycle) -> u64 {
         self.stats.requests += 1;
         let row = self.row_of(block);

@@ -50,6 +50,10 @@
 //! `u64` word. Every other associativity up to [`MAX_ASSOC`] runs the same
 //! updates over a runtime-length slice and finds the victim by a linear
 //! search for the first maximal way.
+//!
+//! The per-access methods ([`Replacement::on_hit`], `on_fill`, `evict`,
+//! `victim_way` and the stack moves) are `#[inline(always)]` for the
+//! reason the [`crate::cache`] module doc's "Hot path" section gives.
 
 use std::fmt;
 
@@ -166,20 +170,20 @@ impl Replacement {
         self.assoc
     }
 
-    #[inline]
+    #[inline(always)]
     fn set_meta(&mut self, set: usize) -> &mut [u8] {
         let base = set * self.assoc;
         &mut self.meta[base..base + self.assoc]
     }
 
-    #[inline]
+    #[inline(always)]
     fn set_meta_ref(&self, set: usize) -> &[u8] {
         let base = set * self.assoc;
         &self.meta[base..base + self.assoc]
     }
 
     /// Records a hit on `way` of `set`.
-    #[inline]
+    #[inline(always)]
     pub fn on_hit(&mut self, set: usize, way: usize) {
         match self.kind {
             ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip => {
@@ -192,7 +196,7 @@ impl Replacement {
     }
 
     /// Records that a new block was installed in `way` of `set`.
-    #[inline]
+    #[inline(always)]
     pub fn on_fill(&mut self, set: usize, way: usize) {
         match self.kind {
             ReplacementKind::Lru => self.promote_to_mru(set, way),
@@ -228,14 +232,14 @@ impl Replacement {
     /// deepest LRU stack position, or the largest RRPV (the first way RRIP
     /// aging would bring to `RRPV_MAX`) — with ties going to the lowest
     /// index.
-    #[inline]
+    #[inline(always)]
     pub fn victim_way(&self, set: usize) -> usize {
         fixed(self.set_meta_ref(set), victim)
     }
 
     /// Chooses and returns the victim way of `set`, applying any policy
     /// mutation that eviction implies (RRIP aging).
-    #[inline]
+    #[inline(always)]
     pub fn evict(&mut self, set: usize) -> usize {
         let way = self.victim_way(set);
         if matches!(self.kind, ReplacementKind::Srrip | ReplacementKind::Brrip) {
@@ -262,13 +266,13 @@ impl Replacement {
     }
 
     /// Moves `way` to stack depth 0 and pushes shallower entries down.
-    #[inline]
+    #[inline(always)]
     fn promote_to_mru(&mut self, set: usize, way: usize) {
         fixed_mut(self.set_meta(set), |meta| promote(meta, way));
     }
 
     /// Moves `way` to the deepest stack position, pulling deeper entries up.
-    #[inline]
+    #[inline(always)]
     fn demote_to_lru(&mut self, set: usize, way: usize) {
         fixed_mut(self.set_meta(set), |meta| demote(meta, way));
     }

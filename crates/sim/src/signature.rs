@@ -72,12 +72,14 @@ impl CacheSignature {
         }
     }
 
+    #[inline]
     fn hash1(block: BlockAddr) -> usize {
         // Fibonacci hashing on the block index.
         let h = block.index().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         (h >> 53) as usize % SIGNATURE_BITS
     }
 
+    #[inline]
     fn hash2(block: BlockAddr) -> usize {
         let h = block
             .index()
@@ -91,6 +93,7 @@ impl CacheSignature {
     ///
     /// The victim is logged before the fill is counted, so the multiset
     /// stays within its `frames + 127` bound at every step.
+    #[inline]
     pub fn on_fill(&mut self, block: BlockAddr, victim: Option<BlockAddr>) {
         if let Some(victim) = victim {
             self.evicted
@@ -118,6 +121,7 @@ impl CacheSignature {
     /// Membership test. A resident block always tests positive; hash
     /// collisions and blocks evicted since the last rebuild point are
     /// false positives, as in the hardware filter.
+    #[inline]
     pub fn may_contain(&self, block: BlockAddr) -> bool {
         self.counts[Self::hash1(block)] != 0 && self.counts[Self::hash2(block)] != 0
     }

@@ -1,11 +1,11 @@
 //! Property-based tests of the replacement policies and cache invariants,
 //! including differential tests of the SoA single-probe cache against the
-//! reference (pre-optimization) implementation.
+//! reference (pre-optimization) implementation, `RefSetAssocCache`, which
+//! lives at the end of this file.
 
 use proptest::prelude::*;
 use strex_sim::addr::{BlockAddr, BLOCK_SIZE};
-use strex_sim::cache::{CacheGeometry, SetAssocCache};
-use strex_sim::refcache::RefSetAssocCache;
+use strex_sim::cache::{CacheGeometry, SetAssocCache, Victim};
 use strex_sim::replacement::{Replacement, ReplacementKind};
 
 fn any_kind() -> impl Strategy<Value = ReplacementKind> {
@@ -273,4 +273,209 @@ proptest! {
             prop_assert_eq!(a, b, "flushed cache diverged from fresh cache");
         }
     }
+}
+
+// ----- The reference cache -----
+//
+// The seed's set-associative cache, which the SoA single-probe
+// `strex_sim::cache` replaced, kept as the differential reference for
+// `soa_cache_matches_reference`: the unit-level half of the bit-identity
+// guarantee the golden report snapshot enforces end to end. It is a
+// frame-struct (array-of-structs) design whose operations scan the set
+// several times (`contains` then `access`, `find` twice in
+// `access_write`, a residency scan plus an invalid-way scan in
+// `peek_victim`) — exactly the costs the SoA rewrite removed.
+
+#[derive(Copy, Clone, Debug, Default)]
+struct Frame {
+    block: BlockAddr,
+    valid: bool,
+    dirty: bool,
+    aux: u8,
+}
+
+/// Outcome of [`RefSetAssocCache::access`].
+#[derive(Copy, Clone, Eq, PartialEq, Debug)]
+enum RefAccessOutcome {
+    /// The block was resident.
+    Hit,
+    /// The block was installed; `evicted` names the displaced block, if any.
+    Miss { evicted: Option<Victim> },
+}
+
+impl RefAccessOutcome {
+    fn is_hit(self) -> bool {
+        matches!(self, RefAccessOutcome::Hit)
+    }
+
+    fn evicted(self) -> Option<Victim> {
+        match self {
+            RefAccessOutcome::Hit => None,
+            RefAccessOutcome::Miss { evicted } => evicted,
+        }
+    }
+}
+
+/// The seed's frame-struct cache (see the comment above).
+#[derive(Clone, Debug)]
+struct RefSetAssocCache {
+    geom: CacheGeometry,
+    frames: Vec<Frame>,
+    repl: Replacement,
+}
+
+impl RefSetAssocCache {
+    fn new(geom: CacheGeometry, repl: ReplacementKind) -> Self {
+        RefSetAssocCache {
+            geom,
+            frames: vec![Frame::default(); geom.blocks()],
+            repl: Replacement::new(repl, geom.sets(), geom.assoc()),
+        }
+    }
+
+    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
+        let base = set * self.geom.assoc();
+        base..base + self.geom.assoc()
+    }
+
+    fn find(&self, block: BlockAddr) -> Option<(usize, usize)> {
+        let set = self.geom.set_of(block);
+        for (way, idx) in self.set_range(set).enumerate() {
+            let f = &self.frames[idx];
+            if f.valid && f.block == block {
+                return Some((set, way));
+            }
+        }
+        None
+    }
+
+    fn contains(&self, block: BlockAddr) -> bool {
+        self.find(block).is_some()
+    }
+
+    fn aux(&self, block: BlockAddr) -> Option<u8> {
+        self.find(block)
+            .map(|(set, way)| self.frames[set * self.geom.assoc() + way].aux)
+    }
+
+    fn peek_victim(&self, block: BlockAddr) -> Option<Victim> {
+        if self.contains(block) {
+            return None;
+        }
+        let set = self.geom.set_of(block);
+        for idx in self.set_range(set) {
+            if !self.frames[idx].valid {
+                return None;
+            }
+        }
+        let way = self.repl.victim_way(set);
+        let f = &self.frames[set * self.geom.assoc() + way];
+        Some(Victim {
+            block: f.block,
+            aux: f.aux,
+            dirty: f.dirty,
+        })
+    }
+
+    fn access(&mut self, block: BlockAddr, aux: u8) -> RefAccessOutcome {
+        if let Some((set, way)) = self.find(block) {
+            self.repl.on_hit(set, way);
+            self.frames[set * self.geom.assoc() + way].aux = aux;
+            return RefAccessOutcome::Hit;
+        }
+        let evicted = self.fill(block, aux);
+        RefAccessOutcome::Miss { evicted }
+    }
+
+    fn access_write(&mut self, block: BlockAddr, aux: u8) -> RefAccessOutcome {
+        let outcome = self.access(block, aux);
+        if let Some((set, way)) = self.find(block) {
+            self.frames[set * self.geom.assoc() + way].dirty = true;
+        }
+        outcome
+    }
+
+    fn fill(&mut self, block: BlockAddr, aux: u8) -> Option<Victim> {
+        debug_assert!(!self.contains(block), "fill of resident block");
+        let set = self.geom.set_of(block);
+        let assoc = self.geom.assoc();
+        let mut target = None;
+        for (way, idx) in self.set_range(set).enumerate() {
+            if !self.frames[idx].valid {
+                target = Some((way, None));
+                break;
+            }
+        }
+        let (way, victim) = match target {
+            Some(t) => t,
+            None => {
+                let way = self.repl.evict(set);
+                let f = &self.frames[set * assoc + way];
+                (
+                    way,
+                    Some(Victim {
+                        block: f.block,
+                        aux: f.aux,
+                        dirty: f.dirty,
+                    }),
+                )
+            }
+        };
+        self.frames[set * assoc + way] = Frame {
+            block,
+            valid: true,
+            dirty: false,
+            aux,
+        };
+        self.repl.on_fill(set, way);
+        victim
+    }
+
+    fn invalidate(&mut self, block: BlockAddr) -> Option<Victim> {
+        if let Some((set, way)) = self.find(block) {
+            let idx = set * self.geom.assoc() + way;
+            let f = self.frames[idx];
+            self.frames[idx].valid = false;
+            self.frames[idx].dirty = false;
+            self.repl.on_invalidate(set, way);
+            Some(Victim {
+                block: f.block,
+                aux: f.aux,
+                dirty: f.dirty,
+            })
+        } else {
+            None
+        }
+    }
+
+    fn clean(&mut self, block: BlockAddr) -> bool {
+        if let Some((set, way)) = self.find(block) {
+            let idx = set * self.geom.assoc() + way;
+            let was = self.frames[idx].dirty;
+            self.frames[idx].dirty = false;
+            was
+        } else {
+            false
+        }
+    }
+
+    fn occupancy(&self) -> usize {
+        self.frames.iter().filter(|f| f.valid).count()
+    }
+}
+
+#[test]
+fn behaves_like_the_seed() {
+    let mut c = RefSetAssocCache::new(CacheGeometry::new(256, 2), ReplacementKind::Lru);
+    let b = BlockAddr::new(4);
+    assert!(!c.access(b, 1).is_hit());
+    assert!(c.access(b, 2).is_hit());
+    assert_eq!(c.aux(b), Some(2));
+    // Blocks 0, 2 and 6 map to set 0 (2 sets x 2 ways), so the fill of 6
+    // evicts.
+    c.access(BlockAddr::new(0), 0);
+    c.access(BlockAddr::new(2), 0);
+    let peek = c.peek_victim(BlockAddr::new(6));
+    let got = c.access(BlockAddr::new(6), 0).evicted();
+    assert_eq!(peek, got);
 }

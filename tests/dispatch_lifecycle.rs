@@ -13,8 +13,8 @@ use strex::campaign::{Campaign, CampaignCell, CampaignResult, CampaignShard, Sha
 use strex::config::{SchedulerKind, SimConfig};
 use strex::dispatch::proto::MAX_FRAME;
 use strex::dispatch::{
-    job_key, Action, Clock, Coordinator, DispatchConfig, Event, FakeClock, JobSpec, Message,
-    RejectReason, WorkerLossReason,
+    job_key, Action, Clock, Coordinator, DispatchConfig, Event, FakeClock, JobSpec, JournalEntry,
+    Message, RejectReason, WorkerLossReason, MAX_FINISHED,
 };
 use strex_oltp::workload::{Workload, WorkloadKind};
 
@@ -485,6 +485,71 @@ fn finished_jobs_answer_resubmissions_from_the_cache() {
     assert_eq!(cached.to_json(), first.to_json());
     assert!(replay.iter().any(|a| matches!(a, Action::Close(77))));
     assert_eq!(c.open_jobs(), 0, "no new job was opened");
+}
+
+/// The `Result` frame sent to `conn` within `actions`, as wire text.
+fn result_frame_to(actions: &[Action], conn: u64) -> Option<String> {
+    actions.iter().find_map(|a| match a {
+        Action::Send(to, msg @ Message::Result { .. }) if *to == conn => Some(msg.to_frame()),
+        _ => None,
+    })
+}
+
+#[test]
+fn the_result_cache_keeps_the_newest_results_and_reruns_an_evicted_job() {
+    // MAX_FINISHED + 1 distinct one-shard jobs, one catalog name each;
+    // every name runs the tiny matrix, so its one shard is computed once.
+    let names: Vec<String> = (0..=MAX_FINISHED)
+        .map(|i| format!("{CAMPAIGN}-{i}"))
+        .collect();
+    let submit = |name: &str| Message::Submit {
+        work: JobSpec::Catalog(name.to_string()),
+        shards: 1,
+    };
+    let shard = tiny_shard(ShardSpec { index: 0, count: 1 });
+    let clock = Arc::new(FakeClock::new());
+    let mut lived = Coordinator::new(cfg(), names.clone());
+    register(&mut lived, &clock, WORKER_A, "a");
+    // Every data frame, journaled as the serve shell does, then handled.
+    let mut journal = Vec::new();
+    let mut deliver = |c: &mut Coordinator, conn: u64, msg: Message| {
+        journal.push(JournalEntry {
+            now_ms: clock.now_ms(),
+            conn,
+            peer: format!("conn:{conn}"),
+            msg: msg.clone(),
+        });
+        step(c, &clock, Event::Message(conn, msg))
+    };
+    let mut first = None;
+    for (conn, name) in (100..).zip(&names) {
+        let submitted = deliver(&mut lived, conn, submit(name));
+        let (job, _) = assignment_to(&submitted, WORKER_A).expect("a new job is dispatched");
+        let shard = shard.clone();
+        let delivered = deliver(&mut lived, WORKER_A, Message::ShardDone { job, shard });
+        let frame = result_frame_to(&delivered, conn).expect("result delivered");
+        first.get_or_insert(frame);
+    }
+    let first = first.expect("at least one job");
+
+    // Replay sees the same completions in the same order, so it evicts
+    // the same result.
+    let mut replayed = Coordinator::new(cfg(), names.clone());
+    replayed.replay_journal(journal);
+    register(&mut replayed, &clock, WORKER_A, "a");
+
+    for c in [&mut lived, &mut replayed] {
+        // The newest result is still cached: answered with no `assign`.
+        let newest = step(c, &clock, Event::Message(500, submit(&names[MAX_FINISHED])));
+        assert!(assignment_to(&newest, WORKER_A).is_none(), "{newest:?}");
+        assert!(result_frame_to(&newest, 500).is_some(), "{newest:?}");
+        // The first was evicted: its resubmission dispatches the shard
+        // again, and the re-run delivers the same bytes.
+        let again = step(c, &clock, Event::Message(501, submit(&names[0])));
+        assert!(assignment_to(&again, WORKER_A).is_some(), "{again:?}");
+        let delivered = complete_assignments(c, &clock, &again);
+        assert_eq!(result_frame_to(&delivered, 501), Some(first.clone()));
+    }
 }
 
 #[test]
