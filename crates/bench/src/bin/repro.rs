@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! repro [fig1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|table3|table4|config|all] [--quick] [--json]
-//! repro scale
 //! repro check PATH [--connect ADDR [--shards N]]
 //! repro serve --listen ADDR [--jobs N] [--journal PATH] [--timeout-ms MS]
 //!            [--burst N] [--refill-ms MS] [--max-pending N]
@@ -20,16 +19,6 @@
 //! With `--json` the figure 5/6 scheduler campaign is additionally emitted
 //! as one JSON document (`CampaignResult::to_json`: every cell's key and
 //! full report).
-//!
-//! `scale` is the scale-out mode: it sweeps the sharded campaign
-//! executor's worker count over the quick matrix (1, 2, 4, … up to the
-//! host's parallelism) in interleaved rounds with the sequential
-//! reference, checks every run bit-identical to it, and prints aggregate
-//! events/sec, events/sec-per-core and scaling efficiency per point. It
-//! always runs the quick matrix (the sweep multiplies it by the worker
-//! counts), so `--quick` and `--json` are rejected rather than silently
-//! ignored. One host fans out on threads; work that crosses processes or
-//! hosts goes through the dispatcher below.
 //!
 //! `check` evaluates declarative scenarios (`strex::scenario`; format
 //! reference in `docs/SCENARIOS.md`): `PATH` is one scenario JSON file
@@ -95,15 +84,6 @@ fn main() -> ExitCode {
             eprintln!("unknown flag `{flag}`; known flags: --quick --json");
             return ExitCode::FAILURE;
         }
-    }
-    if args.iter().any(|a| a == "scale") {
-        // Standalone mode: no silently ignored targets or flags (scale
-        // always runs the quick matrix and has no JSON form).
-        if let Some(extra) = args.iter().find(|a| a.as_str() != "scale") {
-            eprintln!("scale is standalone and always uses the quick matrix; unexpected `{extra}`");
-            return ExitCode::FAILURE;
-        }
-        return scale_mode();
     }
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
@@ -178,43 +158,6 @@ fn main() -> ExitCode {
     if want("future") {
         println!("{}", future_work(effort).0);
     }
-    ExitCode::SUCCESS
-}
-
-/// Sweeps the sharded campaign executor's worker count over the quick
-/// matrix and prints the scale-out table: aggregate events/sec,
-/// events/sec-per-core (per *effective* core), and scaling efficiency
-/// against the 1-worker reference measured in the same rounds.
-fn scale_mode() -> ExitCode {
-    use strex_bench::perf;
-
-    let avail = perf::host_cores();
-    // 1, 2, 4, … below the host's parallelism, then the host maximum itself.
-    let mut sweep: Vec<usize> = std::iter::successors(Some(1usize), |w| Some(w * 2))
-        .take_while(|&w| w < avail)
-        .collect();
-    sweep.push(avail);
-
-    println!("Sharded campaign executor scale-out — quick matrix, {avail} host cores");
-    println!(
-        "(medians of interleaved rounds with the 1-worker reference; every run is checked \
-         bit-identical to it)\n"
-    );
-    println!("workers  eff.cores  events/sec  events/sec-per-core  efficiency");
-    for s in perf::campaign_scaling_sweep(&sweep) {
-        println!(
-            "{:>7}  {:>9}  {:>10.0}  {:>19.0}  {:>10.3}",
-            s.workers,
-            s.effective_cores,
-            s.events_per_sec,
-            s.events_per_sec_per_core(),
-            s.efficiency(),
-        );
-    }
-    println!(
-        "\nefficiency = events/sec over (1-worker events/sec x effective cores); \
-         effective cores = min(workers, host cores)."
-    );
     ExitCode::SUCCESS
 }
 
@@ -406,12 +349,7 @@ fn serve_mode(rest: &[String]) -> ExitCode {
                 }
             },
             "--timeout-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) if ms >= 1 => {
-                    cfg.worker_timeout_ms = ms;
-                    // Keep the advertised cadence consistent with the
-                    // timeout (workers beat 4x faster than they may die).
-                    cfg.heartbeat_interval_ms = (ms / 4).max(1);
-                }
+                Some(ms) if ms >= 1 => cfg.worker_timeout_ms = ms,
                 _ => {
                     eprintln!("--timeout-ms needs a positive millisecond count");
                     return ExitCode::FAILURE;

@@ -1,13 +1,15 @@
 //! Simulation configuration (Sections 4.3 and 5.1 of the paper): scheduler
 //! parameters, the top-level [`SimConfig`], and its validating builder.
 
+use strex_sim::coherence::SharerMask;
 use strex_sim::config::SystemConfig;
 
 use crate::error::ConfigError;
 
-/// Most cores a configuration may request: `CoreId` is a `u16`, so core
-/// indices 0..=65535 are addressable.
-pub const MAX_CORES: usize = u16::MAX as usize + 1;
+/// Most cores a configuration may request: the MESI directory tracks a
+/// block's sharers in one [`SharerMask`] bit per core. Scenarios and the
+/// dispatcher share this limit, so every layer accepts the same systems.
+pub const MAX_CORES: usize = SharerMask::BITS as usize;
 
 /// STREX parameters.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -538,7 +540,8 @@ mod tests {
     }
 
     #[test]
-    fn max_cores_is_exactly_the_u16_space() {
+    fn max_cores_is_exactly_the_sharer_mask_width() {
+        assert_eq!(MAX_CORES, 64);
         let mut cfg = SimConfig::default();
         cfg.system.n_cores = MAX_CORES;
         assert_eq!(cfg.validate(), Ok(()));

@@ -78,6 +78,7 @@ use std::time::Duration;
 
 use crate::campaign::{fnv64, merge, CampaignCell, CampaignShard, ShardSpec};
 use crate::scenario::EvaluatorRegistry;
+use crate::sched::registry;
 
 use super::clock::Clock;
 use super::journal::{replay_journal_file, Journal, JournalEntry};
@@ -101,11 +102,6 @@ pub struct DispatchConfig {
     /// A worker silent (no frame of any kind) for longer than this is
     /// dead: it is dropped and its in-flight shard re-queued.
     pub worker_timeout_ms: u64,
-    /// Cadence workers send [`Message::Heartbeat`] at. The coordinator
-    /// does not enforce it directly — it only feeds `worker_timeout_ms`
-    /// — but the serve CLI hands it to workers so the two stay
-    /// consistent (timeout is a multiple of the cadence).
-    pub heartbeat_interval_ms: u64,
     /// A shard assigned for longer than this is re-queued even if its
     /// worker is still heartbeating (straggler hedge). The original
     /// worker keeps running — whichever completion arrives first wins,
@@ -134,7 +130,6 @@ impl Default for DispatchConfig {
     fn default() -> Self {
         DispatchConfig {
             worker_timeout_ms: 10_000,
-            heartbeat_interval_ms: 1_000,
             shard_deadline_ms: 600_000,
             submit_burst: 10,
             submit_refill_ms: 1_000,
@@ -520,16 +515,28 @@ impl Coordinator {
             );
             return;
         }
-        if let JobSpec::Catalog(name) = &work {
-            if !self.catalog.contains(name) {
-                self.reject(
-                    conn,
+        // Refuse work no worker can run before it is queued: a worker
+        // that cannot run a shard exits, the shard is re-queued for the
+        // next one, and the job circles the fleet forever. A scenario's
+        // axes are checked as its campaign checks them, without
+        // generating a single trace.
+        let refusal = match &work {
+            JobSpec::Catalog(name) => (!self.catalog.contains(name)).then(|| {
+                (
                     RejectReason::UnknownCampaign,
                     format!("unknown campaign {name:?}"),
-                    actions,
-                );
-                return;
-            }
+                )
+            }),
+            JobSpec::Scenario(s) => s.campaign(&[]).cells(registry::global()).err().map(|e| {
+                (
+                    RejectReason::InvalidScenario,
+                    format!("scenario {:?}: {e}", s.name),
+                )
+            }),
+        };
+        if let Some((reason, message)) = refusal {
+            self.reject(conn, reason, message, actions);
+            return;
         }
         if shards == 0 || shards > MAX_SHARDS {
             self.reject(
@@ -1222,6 +1229,54 @@ mod tests {
             assert_eq!(c.open_jobs(), 0);
         }
         assert_eq!(c.status(0).counters.rejections, 3);
+    }
+
+    #[test]
+    fn scenarios_no_worker_can_run_are_rejected_before_queueing() {
+        use crate::scenario::Scenario;
+
+        let scenario = |scheduler: &str| {
+            let doc = r#"{"name": "t",
+                "matrix": {"workloads": ["TPC-C-1"], "pool": 8, "seed": 42,
+                           "schedulers": ["baseline", "SCHED"], "cores": [2]},
+                "assertions": [{"kind": "throughput_at_least",
+                    "cell": {"workload": "TPC-C-1", "scheduler": "baseline", "cores": 2},
+                    "min": 0.0}]}"#;
+            let s = Scenario::from_json(&doc.replace("SCHED", scheduler)).expect("parses");
+            Message::Submit {
+                work: JobSpec::Scenario(Arc::new(s)),
+                shards: 2,
+            }
+        };
+        let mut c = Coordinator::new(DispatchConfig::default(), Vec::<String>::new());
+        let register = Message::Register {
+            name: "w".into(),
+            cores: 1,
+        };
+        assert!(c.handle(0, Event::Message(1, register)).is_empty());
+
+        // The document parses, but no worker has a scheduler "nope".
+        let actions = c.handle(1, Event::Message(7, scenario("nope")));
+        match &actions[..] {
+            [Action::Send(
+                7,
+                Message::Reject {
+                    reason: RejectReason::InvalidScenario,
+                    message,
+                },
+            ), Action::Close(7)] => assert!(message.contains("nope"), "{message}"),
+            other => panic!("expected an invalid_scenario reject, got {other:?}"),
+        }
+        assert_eq!(c.open_jobs(), 0, "nothing was queued");
+        assert_eq!(c.status(1).counters.rejections, 1);
+
+        // The same document with a real scheduler goes to the idle worker.
+        let actions = c.handle(2, Event::Message(8, scenario("strex")));
+        assert!(
+            matches!(&actions[..], [Action::Send(1, Message::Assign { .. })]),
+            "{actions:?}"
+        );
+        assert_eq!(c.open_jobs(), 1);
     }
 
     #[test]

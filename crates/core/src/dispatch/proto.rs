@@ -115,7 +115,9 @@ pub enum RejectReason {
     UnknownCampaign,
     /// The shard count is zero or above [`super::MAX_SHARDS`].
     InvalidShards,
-    /// The inline scenario document did not validate.
+    /// The inline scenario parsed, but its matrix names a scheduler or a
+    /// configuration no worker can run. (A document that does not parse
+    /// makes the whole frame malformed.)
     InvalidScenario,
     /// The submitter's token bucket is empty; retry after the refill
     /// interval.
@@ -991,17 +993,8 @@ mod tests {
     }
 
     fn tiny_shard_done() -> Message {
-        use crate::campaign::{CampaignPerf, CampaignShard};
-        let shard = CampaignShard::from_parts(
-            ShardSpec { index: 1, count: 3 },
-            vec![],
-            CampaignPerf {
-                workers: 2,
-                wall_seconds: 0.25,
-                total_events: 7,
-            },
-        )
-        .expect("valid spec");
+        let shard = CampaignShard::from_parts(ShardSpec { index: 1, count: 3 }, vec![])
+            .expect("valid spec");
         Message::ShardDone {
             job: "ab12".into(),
             shard,
@@ -1009,17 +1002,9 @@ mod tests {
     }
 
     fn tiny_result() -> Message {
-        use crate::campaign::{merge, CampaignPerf};
-        let one = CampaignShard::from_parts(
-            ShardSpec { index: 0, count: 1 },
-            vec![],
-            CampaignPerf {
-                workers: 2,
-                wall_seconds: 0.25,
-                total_events: 7,
-            },
-        )
-        .expect("valid spec");
+        use crate::campaign::merge;
+        let one = CampaignShard::from_parts(ShardSpec { index: 0, count: 1 }, vec![])
+            .expect("valid spec");
         Message::Result {
             job: "ab12".into(),
             result: merge([one]).expect("merges"),

@@ -86,7 +86,8 @@ pub struct WorkerOptions {
     /// Defaults to the host's available parallelism.
     pub cores: usize,
     /// Heartbeat cadence. Keep well below the coordinator's
-    /// `worker_timeout_ms` (the serve CLI uses timeout / 4).
+    /// `worker_timeout_ms`; `repro work` beats at the default, once a
+    /// second.
     pub heartbeat_interval_ms: u64,
 }
 

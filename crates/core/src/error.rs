@@ -12,8 +12,8 @@ use std::fmt;
 pub enum ConfigError {
     /// The system has no cores.
     ZeroCores,
-    /// More cores than core IDs (`CoreId` is a `u16`, so at most
-    /// [`MAX_CORES`](crate::config::MAX_CORES) cores are addressable).
+    /// More cores than the coherence directory can track (one sharer-mask
+    /// bit per core, so at most [`MAX_CORES`](crate::config::MAX_CORES)).
     TooManyCores {
         /// The rejected core count.
         requested: usize,
@@ -90,7 +90,7 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroCores => write!(f, "core count must be at least 1"),
             ConfigError::TooManyCores { requested } => write!(
                 f,
-                "core count {requested} exceeds the {} addressable by a u16 CoreId",
+                "core count {requested} exceeds the {} cores the directory's sharer mask tracks",
                 crate::config::MAX_CORES
             ),
             ConfigError::ZeroTeamSize => write!(f, "STREX team size must be at least 1"),

@@ -87,8 +87,8 @@ pub mod team;
 pub mod thread;
 
 pub use campaign::{
-    fnv64, merge, scaling_efficiency, Campaign, CampaignCell, CampaignPerf, CampaignResult,
-    CampaignShard, CellKey, MergeError, ShardSpec,
+    fnv64, merge, Campaign, CampaignCell, CampaignPerf, CampaignResult, CampaignShard, CellKey,
+    MergeError, ShardSpec,
 };
 pub use config::{SchedulerKind, SimConfig, SimConfigBuilder, SliccParams, StrexParams};
 pub use dispatch::DispatchError;

@@ -49,7 +49,7 @@ use strex_oltp::cache::WorkloadCache;
 use strex_oltp::workload::{Workload, WorkloadKind};
 
 use crate::campaign::{Campaign, CampaignResult};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MAX_CORES};
 use crate::json::JsonWriter;
 use crate::jsonval::{JsonError, JsonValue};
 use crate::report::Report;
@@ -58,11 +58,6 @@ use crate::report::Report;
 /// on every push; a matrix bigger than this belongs in the full
 /// reproduction (`repro all`), not a check file.
 pub const MAX_POOL: usize = 100_000;
-
-/// Largest core count a scenario cell may request (far below the
-/// simulator's own [`crate::config::MAX_CORES`], for the same CI-budget
-/// reason as [`MAX_POOL`]).
-pub const MAX_SCENARIO_CORES: usize = 256;
 
 /// Largest STREX team size a scenario may sweep. The default
 /// configuration's formation window is 30; larger teams would need a
@@ -662,7 +657,7 @@ impl CellSelector {
             field(map, path, "cores")?,
             &join(path, "cores"),
             1,
-            MAX_SCENARIO_CORES,
+            MAX_CORES,
             "core count",
         )?;
         let team_size = match map.get("team_size") {
@@ -919,7 +914,7 @@ impl Matrix {
             Ok(name.to_string())
         })?;
         let cores = vec_field(map, path, "cores", |v, p| {
-            bounded_usize(v, p, 1, MAX_SCENARIO_CORES, "core count")
+            bounded_usize(v, p, 1, MAX_CORES, "core count")
         })?;
         let team_sizes = match map.get("team_sizes") {
             Some(_) => Some(vec_field(map, path, "team_sizes", |v, p| {

@@ -127,9 +127,12 @@ impl Directory {
     ///
     /// # Panics
     ///
-    /// Panics if `n_cores` exceeds the 64-core sharer-mask capacity.
+    /// Panics if `n_cores` exceeds the sharer mask's width (64 cores).
     pub fn new(n_cores: usize) -> Self {
-        assert!(n_cores <= 64, "sharer mask supports at most 64 cores");
+        assert!(
+            n_cores <= SharerMask::BITS as usize,
+            "sharer mask supports at most 64 cores"
+        );
         Directory {
             lines: BlockMap::default(),
             n_cores,

@@ -12,7 +12,9 @@ use crate::ids::CoreId;
 /// Pairwise round-trip latencies are precomputed at construction: the
 /// coordinate arithmetic costs two integer divisions per endpoint, and the
 /// L2 consults the torus on every slice access, so the hot path is a
-/// single table load instead.
+/// single table load instead. The table holds `nodes²` entries; a
+/// simulated system has at most 64 cores (one per sharer-mask bit), so at
+/// most 4,096.
 ///
 /// # Examples
 ///
@@ -63,21 +65,15 @@ impl Torus {
             round_trips: std::sync::Arc::from(Vec::new()),
         };
         let n = t.nodes();
-        // Bound the table to sane on-chip sizes; beyond that, fall back to
-        // the coordinate arithmetic (the directory caps real systems at 64
-        // cores anyway).
-        if n <= 256 {
-            let mut table = Vec::with_capacity(n * n);
-            for a in 0..n {
-                for b in 0..n {
-                    table.push(
-                        2 * t.hops_computed(CoreId::new(a as u16), CoreId::new(b as u16))
-                            * hop_latency,
-                    );
-                }
+        let mut table = Vec::with_capacity(n * n);
+        for a in 0..n {
+            for b in 0..n {
+                table.push(
+                    2 * t.hops_computed(CoreId::new(a as u16), CoreId::new(b as u16)) * hop_latency,
+                );
             }
-            t.round_trips = std::sync::Arc::from(table);
         }
+        t.round_trips = std::sync::Arc::from(table);
         t
     }
 
@@ -122,16 +118,10 @@ impl Torus {
         self.hops(a, b) * self.hop_latency
     }
 
-    /// Round-trip latency in cycles (request + response): one table load
-    /// for on-chip node counts.
+    /// Round-trip latency in cycles (request + response): one table load.
     #[inline]
     pub fn round_trip(&self, a: CoreId, b: CoreId) -> u64 {
-        let n = self.nodes();
-        if self.round_trips.len() == n * n {
-            self.round_trips[a.as_usize() * n + b.as_usize()]
-        } else {
-            2 * self.hops_computed(a, b) * self.hop_latency
-        }
+        self.round_trips[a.as_usize() * self.nodes() + b.as_usize()]
     }
 }
 

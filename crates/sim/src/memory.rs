@@ -80,17 +80,11 @@ pub struct Dram {
     cfg: DramConfig,
     banks: Vec<Bank>,
     stats: DramStats,
-    /// Shift/mask fast path for the bank/row mapping when both the row
-    /// size and the bank count are powers of two (the Table 2 defaults);
-    /// `None` falls back to division.
-    pow2: Option<DramPow2>,
-}
-
-/// Precomputed shifts/masks for power-of-two DRAM address mapping.
-#[derive(Copy, Clone, Debug)]
-struct DramPow2 {
+    /// Block-index bits below the bank field (log2 of the row size).
     row_shift: u32,
+    /// Bank-field mask (bank count − 1).
     bank_mask: u64,
+    /// Block-index bits below the row number (row bits + bank bits).
     row_of_shift: u32,
 }
 
@@ -105,24 +99,27 @@ impl Dram {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero channels or banks.
+    /// Panics if the configuration has zero channels or banks, or if the
+    /// row size or the total bank count is not a power of two (the bank
+    /// and row of a block are bit fields of its index).
     pub fn new(cfg: DramConfig) -> Self {
         assert!(
             cfg.channels > 0 && cfg.banks_per_channel > 0,
             "DRAM needs at least one bank"
         );
         let total_banks = (cfg.channels * cfg.banks_per_channel) as u64;
-        let pow2 =
-            (cfg.row_blocks.is_power_of_two() && total_banks.is_power_of_two()).then(|| DramPow2 {
-                row_shift: cfg.row_blocks.trailing_zeros(),
-                bank_mask: total_banks - 1,
-                row_of_shift: cfg.row_blocks.trailing_zeros() + total_banks.trailing_zeros(),
-            });
+        assert!(
+            cfg.row_blocks.is_power_of_two() && total_banks.is_power_of_two(),
+            "DRAM row size ({}) and bank count ({total_banks}) must be powers of two",
+            cfg.row_blocks
+        );
         Dram {
             cfg,
-            banks: vec![Bank::default(); cfg.channels * cfg.banks_per_channel],
+            banks: vec![Bank::default(); total_banks as usize],
             stats: DramStats::default(),
-            pow2,
+            row_shift: cfg.row_blocks.trailing_zeros(),
+            bank_mask: total_banks - 1,
+            row_of_shift: cfg.row_blocks.trailing_zeros() + total_banks.trailing_zeros(),
         }
     }
 
@@ -140,21 +137,12 @@ impl Dram {
     fn bank_of(&self, block: BlockAddr) -> usize {
         // Channel interleaving on low block bits, bank on the next bits —
         // adjacent blocks spread over channels, rows stay within a bank.
-        match self.pow2 {
-            Some(p) => ((block.index() >> p.row_shift) & p.bank_mask) as usize,
-            None => {
-                let total = self.banks.len() as u64;
-                (block.index() / self.cfg.row_blocks % total) as usize
-            }
-        }
+        ((block.index() >> self.row_shift) & self.bank_mask) as usize
     }
 
     #[inline]
     fn row_of(&self, block: BlockAddr) -> u64 {
-        match self.pow2 {
-            Some(p) => block.index() >> p.row_of_shift,
-            None => block.index() / (self.cfg.row_blocks * self.banks.len() as u64),
-        }
+        block.index() >> self.row_of_shift
     }
 
     /// Serves a block request arriving at `now`; returns the access latency
@@ -250,6 +238,15 @@ mod tests {
             d.config().row_hit_latency + d.config().row_conflict_penalty,
             "new row in same bank pays the conflict penalty"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn a_non_power_of_two_shape_is_refused() {
+        Dram::new(DramConfig {
+            banks_per_channel: 3,
+            ..DramConfig::default()
+        });
     }
 
     #[test]

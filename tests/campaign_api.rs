@@ -237,7 +237,6 @@ mod deterministic_sharding {
             }
             let merged = merge(shards).map_err(|e| TestCaseError::fail(e.to_string()))?;
             prop_assert_eq!(merged.to_json(), sequential_json());
-            prop_assert_eq!(merged.perf().workers, count);
         }
     }
 
@@ -285,12 +284,23 @@ mod deterministic_sharding {
         assert_eq!(parsed.spec(), shard.spec());
         assert_eq!(parsed.to_json(), json, "byte-identical round trip");
         assert_eq!(parsed.cells().len(), shard.cells().len());
-        assert_eq!(parsed.perf().total_events, shard.perf().total_events);
         for ((ia, ca), (ib, cb)) in shard.cells().iter().zip(parsed.cells()) {
             assert_eq!(ia, ib);
             assert_eq!(ca.key, cb.key, "workload_idx crosses the wire");
             assert_eq!(ca.report.to_json(), cb.report.to_json());
         }
+        // Older workers also sent their own timing as a `perf` object; a
+        // journal holding such a `shard_done` frame still replays, to the
+        // same shard.
+        let head = r#"{"shard":{"index":0,"count":2},"#;
+        let old = json.replacen(
+            head,
+            &format!(r#"{head}"perf":{{"workers":1,"wall_seconds":0.5,"total_events":7}},"#),
+            1,
+        );
+        assert_ne!(old, json);
+        let parsed = CampaignShard::from_json(&old).expect("an old frame parses");
+        assert_eq!(parsed.to_json(), json);
     }
 }
 

@@ -76,7 +76,6 @@ impl ShardRunner for TinyRunner {
 fn chaos_cfg() -> DispatchConfig {
     DispatchConfig {
         worker_timeout_ms: 2_000,
-        heartbeat_interval_ms: 200,
         shard_deadline_ms: 4_000,
         submit_refill_ms: 0, // rate limiting off: retries are the point
         ..DispatchConfig::default()

@@ -46,7 +46,6 @@ fn tiny_sequential() -> CampaignResult {
 fn cfg() -> DispatchConfig {
     DispatchConfig {
         worker_timeout_ms: 1_000,
-        heartbeat_interval_ms: 250,
         shard_deadline_ms: 60_000,
         // Rate limiting off (refill 0 snaps the bucket full) so lifecycle
         // tests exercise one mechanism at a time; the rate-limit tests

@@ -247,16 +247,8 @@ fn a_frame_split_across_reads_still_parses_once_whole() {
 }
 
 fn tiny_shard_done() -> Message {
-    let shard = CampaignShard::from_parts(
-        ShardSpec::new(1, 3).expect("valid"),
-        Vec::new(),
-        strex::campaign::CampaignPerf {
-            workers: 2,
-            wall_seconds: 0.25,
-            total_events: 7,
-        },
-    )
-    .expect("valid shard");
+    let shard = CampaignShard::from_parts(ShardSpec::new(1, 3).expect("valid"), Vec::new())
+        .expect("valid shard");
     Message::ShardDone {
         job: "job-1".into(),
         shard,

@@ -72,6 +72,38 @@ fn malformed_documents_are_typed_errors_not_panics() {
 }
 
 #[test]
+fn core_counts_past_the_sharer_mask_are_typed_errors_at_every_layer() {
+    use strex::config::SimConfig;
+    use strex::ConfigError;
+
+    // The coherence directory tracks one sharer bit per core in a u64, so
+    // 64 cores is the limit everywhere: a scenario or a configuration
+    // asking for 65 is refused with a typed error, never accepted and
+    // left to panic inside the simulator.
+    let matrix = VALID.replace(r#""cores": [2, 4]"#, r#""cores": [2, 65]"#);
+    match Scenario::from_json(&matrix) {
+        Err(ScenarioError::OutOfRange { path, .. }) => assert_eq!(path, "matrix.cores[1]"),
+        other => panic!("65 matrix cores must be out of range, got {other:?}"),
+    }
+    let selector = VALID.replacen(r#""cores": 4"#, r#""cores": 65"#, 1);
+    match Scenario::from_json(&selector) {
+        Err(ScenarioError::OutOfRange { path, .. }) => {
+            assert_eq!(path, "assertions[0].cell.cores")
+        }
+        other => panic!("a 65-core cell selector must be out of range, got {other:?}"),
+    }
+    assert!(
+        Scenario::from_json(&VALID.replace(r#""cores": [2, 4]"#, r#""cores": [2, 64]"#)).is_ok()
+    );
+
+    assert_eq!(
+        SimConfig::builder().cores(65).build(),
+        Err(ConfigError::TooManyCores { requested: 65 })
+    );
+    assert!(SimConfig::builder().cores(64).build().is_ok());
+}
+
+#[test]
 fn truncations_of_a_valid_document_never_panic() {
     // Every prefix of a valid document is either an error (almost all)
     // or—never—a panic. Byte-indexed truncation lands mid-UTF-8 for the
@@ -132,7 +164,7 @@ mod properties {
         (
             arb_workload(),
             arb_name(),
-            1usize..=256,
+            1usize..=64,
             prop_oneof![Just(None), (1usize..=30).prop_map(Some)],
         )
             .prop_map(|(workload, scheduler, cores, team_size)| CellSelector {
@@ -186,7 +218,7 @@ mod properties {
             ),
             (
                 prop::collection::vec(arb_name(), 1..4),
-                prop::collection::vec(1usize..=256, 1..4),
+                prop::collection::vec(1usize..=64, 1..4),
                 prop_oneof![
                     Just(None),
                     prop::collection::vec(1usize..=30, 1..3).prop_map(Some)
