@@ -322,11 +322,14 @@ fn check_mode(rest: &[String]) -> ExitCode {
 /// The coordinator half of the dispatcher: binds `--listen ADDR`, accepts
 /// campaign submissions and worker registrations, and serves until
 /// `--jobs N` jobs complete (forever without it). Workers silent for
-/// `--timeout-ms` (default 10s) are dropped and their shards re-queued.
+/// `--timeout-ms` (default 10s) are dropped and their shards re-queued;
+/// a timeout under three `repro work` heartbeats is refused, since it
+/// would drop idle workers between beats.
 fn serve_mode(rest: &[String]) -> ExitCode {
     use std::sync::Arc;
-    use strex::dispatch::{DispatchConfig, ServeOptions, Server, SystemClock};
+    use strex::dispatch::{DispatchConfig, ServeOptions, Server, SystemClock, WorkerOptions};
 
+    let heartbeat_ms = WorkerOptions::default().heartbeat_interval_ms;
     let mut listen: Option<String> = None;
     let mut jobs: Option<usize> = None;
     let mut journal: Option<std::path::PathBuf> = None;
@@ -349,9 +352,13 @@ fn serve_mode(rest: &[String]) -> ExitCode {
                 }
             },
             "--timeout-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) if ms >= 1 => cfg.worker_timeout_ms = ms,
+                Some(ms) if ms >= 3 * heartbeat_ms => cfg.worker_timeout_ms = ms,
                 _ => {
-                    eprintln!("--timeout-ms needs a positive millisecond count");
+                    eprintln!(
+                        "--timeout-ms needs at least {} ms: `repro work` heartbeats every \
+                         {heartbeat_ms} ms, so a shorter timeout drops idle workers",
+                        3 * heartbeat_ms
+                    );
                     return ExitCode::FAILURE;
                 }
             },

@@ -6,9 +6,10 @@ use strex_sim::config::SystemConfig;
 
 use crate::error::ConfigError;
 
-/// Most cores a configuration may request: the MESI directory tracks a
-/// block's sharers in one [`SharerMask`] bit per core. Scenarios and the
-/// dispatcher share this limit, so every layer accepts the same systems.
+/// Most cores a configuration may request: a MESI decision reads a
+/// block's holders off the L1-Ds into one [`SharerMask`] bit per core.
+/// Scenarios and the dispatcher share this limit, so every layer accepts
+/// the same systems.
 pub const MAX_CORES: usize = SharerMask::BITS as usize;
 
 /// STREX parameters.
@@ -281,6 +282,10 @@ impl SimConfig {
                 });
             }
         }
+        self.system
+            .dram
+            .check_shape()
+            .map_err(ConfigError::InvalidDramShape)?;
         // The L2 geometry is derived here (per-slice caches are built
         // later from these two fields), so run the full fallible
         // constructor: uneven capacities must surface as an error now,
@@ -511,6 +516,40 @@ mod tests {
                 sets: 3
             })
         );
+    }
+
+    #[test]
+    fn dram_shapes_are_typed_errors() {
+        use strex_sim::memory::DramShapeError;
+
+        // (banks per channel, row size in blocks, expected failure)
+        for (banks_per_channel, row_blocks, error) in [
+            (0, 128, DramShapeError::NoBanks),
+            (
+                3,
+                128,
+                DramShapeError::NonPowerOfTwo {
+                    row_blocks: 128,
+                    banks: 6,
+                },
+            ),
+            (
+                8,
+                100,
+                DramShapeError::NonPowerOfTwo {
+                    row_blocks: 100,
+                    banks: 16,
+                },
+            ),
+        ] {
+            let mut system = SystemConfig::with_cores(2);
+            system.dram.banks_per_channel = banks_per_channel;
+            system.dram.row_blocks = row_blocks;
+            assert_eq!(
+                SimConfig::builder().system(system).build(),
+                Err(ConfigError::InvalidDramShape(error))
+            );
+        }
     }
 
     #[test]

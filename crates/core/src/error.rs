@@ -12,8 +12,8 @@ use std::fmt;
 pub enum ConfigError {
     /// The system has no cores.
     ZeroCores,
-    /// More cores than the coherence directory can track (one sharer-mask
-    /// bit per core, so at most [`MAX_CORES`](crate::config::MAX_CORES)).
+    /// More cores than a coherence sharer mask has bits (one bit per
+    /// core, so at most [`MAX_CORES`](crate::config::MAX_CORES)).
     TooManyCores {
         /// The rejected core count.
         requested: usize,
@@ -62,6 +62,9 @@ pub enum ConfigError {
         /// The rejected set count.
         sets: usize,
     },
+    /// The DRAM shape cannot be addressed: no banks, or a row size or
+    /// bank count that is not a power of two.
+    InvalidDramShape(strex_sim::memory::DramShapeError),
     /// The scheduler name is not present in the registry consulted.
     UnknownScheduler {
         /// The name that failed to resolve.
@@ -90,7 +93,7 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroCores => write!(f, "core count must be at least 1"),
             ConfigError::TooManyCores { requested } => write!(
                 f,
-                "core count {requested} exceeds the {} cores the directory's sharer mask tracks",
+                "core count {requested} exceeds the {} cores a coherence sharer mask holds",
                 crate::config::MAX_CORES
             ),
             ConfigError::ZeroTeamSize => write!(f, "STREX team size must be at least 1"),
@@ -117,6 +120,7 @@ impl fmt::Display for ConfigError {
                 f,
                 "{cache} cache has {sets} sets; set counts must be powers of two"
             ),
+            ConfigError::InvalidDramShape(e) => write!(f, "invalid DRAM shape: {e}"),
             ConfigError::UnknownScheduler { name } => {
                 write!(f, "scheduler {name:?} is not registered")
             }

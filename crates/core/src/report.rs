@@ -10,7 +10,7 @@ use crate::jsonval::{JsonValue, WireError};
 #[derive(Clone, Debug)]
 pub struct Report {
     /// Scheduler name used.
-    pub scheduler: &'static str,
+    pub scheduler: String,
     /// Workload name.
     pub workload: String,
     /// Cores simulated.
@@ -28,7 +28,7 @@ pub struct Report {
     /// Migrations (SLICC) performed.
     pub migrations: u64,
     /// Which scheduler a hybrid selected ("STREX"/"SLICC"), if applicable.
-    pub hybrid_choice: Option<&'static str>,
+    pub hybrid_choice: Option<String>,
 }
 
 impl Report {
@@ -120,7 +120,7 @@ impl Report {
     pub(crate) fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("scheduler");
-        w.string(self.scheduler);
+        w.string(&self.scheduler);
         w.key("workload");
         w.string(&self.workload);
         w.key("n_cores");
@@ -134,7 +134,7 @@ impl Report {
         w.key("migrations");
         w.number_u64(self.migrations);
         w.key("hybrid_choice");
-        w.opt_string(self.hybrid_choice);
+        w.opt_string(self.hybrid_choice.as_deref());
         w.key("metrics");
         w.begin_object();
         w.key("i_mpki");
@@ -202,11 +202,11 @@ impl Report {
         };
         let hybrid_choice = match v.req("hybrid_choice")? {
             JsonValue::Null => None,
-            JsonValue::String(s) => Some(intern_scheduler_name(s)?),
+            JsonValue::String(s) => Some(s.clone()),
             _ => return Err(WireError::new("`hybrid_choice` is not a string or null")),
         };
         Ok(Report {
-            scheduler: intern_scheduler_name(v.req_str("scheduler")?)?,
+            scheduler: v.req_str("scheduler")?.to_string(),
             workload: v.req_str("workload")?.to_string(),
             n_cores: v.req_u64("n_cores")? as usize,
             makespan: v.req_u64("makespan")?,
@@ -293,47 +293,13 @@ fn core_stats_from_json(v: &JsonValue) -> Result<CoreStats, WireError> {
     })
 }
 
-/// Maps a parsed scheduler name onto the `&'static str` the [`Report`]
-/// carries. The built-in policy names come from a fixed table; an unknown
-/// name (a custom registry policy crossing the wire) is leaked once and
-/// memoized, so long-running parsers stay bounded by the number of
-/// *distinct* custom policy names they ever see — mirroring how factories
-/// hold `&'static` names locally. Because the wire is a trust boundary,
-/// the memo table is capped: a document stream minting endless fresh
-/// names gets a [`WireError`], not an unbounded leak.
-pub(crate) fn intern_scheduler_name(name: &str) -> Result<&'static str, WireError> {
-    const BUILT_IN: &[&str] = &["Base", "STREX", "SLICC", "STREX+SLICC"];
-    // Far more distinct custom policies than any real registry holds;
-    // only hostile or corrupt input gets anywhere near it.
-    const MAX_CUSTOM: usize = 1024;
-    for &s in BUILT_IN {
-        if s == name {
-            return Ok(s);
-        }
-    }
-    static CUSTOM: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
-    let mut interned = CUSTOM.lock().expect("interner poisoned");
-    if let Some(&s) = interned.iter().find(|&&s| s == name) {
-        return Ok(s);
-    }
-    if interned.len() >= MAX_CUSTOM {
-        return Err(WireError::new(format!(
-            "refusing to intern scheduler name {name:?}: more than {MAX_CUSTOM} distinct \
-             custom names seen, which no real registry produces"
-        )));
-    }
-    let s: &'static str = Box::leak(name.to_string().into_boxed_str());
-    interned.push(s);
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn report(makespan: Cycle, latencies: Vec<Cycle>) -> Report {
         Report {
-            scheduler: "test",
+            scheduler: "test".to_string(),
             workload: "w".to_string(),
             n_cores: 2,
             makespan,
@@ -409,11 +375,11 @@ mod tests {
         r.stats.cores[1].d_misses = 56;
         r.stats.shared.l2_accesses = 78;
         r.context_switches = 9;
-        r.hybrid_choice = Some("STREX");
+        r.hybrid_choice = Some("STREX".to_string());
         let json = r.to_json();
         let parsed = Report::from_json(&json).expect("own output parses");
         assert_eq!(parsed.to_json(), json, "byte-identical round trip");
-        assert_eq!(parsed.hybrid_choice, Some("STREX"));
+        assert_eq!(parsed.hybrid_choice.as_deref(), Some("STREX"));
         assert_eq!(parsed.stats.cores.len(), 2);
 
         // Structural errors are loud, not panics.

@@ -48,8 +48,9 @@
 //!
 //! Every per-access operation — the scan, `install`, [`access`],
 //! [`access_write`], [`access_untagged`], [`hit_in_place`], [`fill`],
-//! [`fill_if_absent`], [`peek_victim`] and the [`Replacement`] updates
-//! they call — is `#[inline(always)]`, so the way scan, the victim choice,
+//! [`fill_if_absent`], [`peek_victim`], [`dirty`] (the MESI holder probe
+//! runs it once per L1-D) and the [`Replacement`] updates they call — is
+//! `#[inline(always)]`, so the way scan, the victim choice,
 //! the install and the replacement update stay in the caller's registers.
 //! `#[inline]` is only a hint across the crate boundary: out of line,
 //! `install` stored its `(way, Option<Victim>)` result field by field and
@@ -66,6 +67,7 @@
 //! [`fill`]: SetAssocCache::fill
 //! [`fill_if_absent`]: SetAssocCache::fill_if_absent
 //! [`peek_victim`]: SetAssocCache::peek_victim
+//! [`dirty`]: SetAssocCache::dirty
 
 use std::fmt;
 
@@ -494,12 +496,7 @@ impl SetAssocCache {
     #[inline(always)]
     fn find(&self, block: BlockAddr) -> Option<(usize, usize)> {
         let set = self.set_of(block);
-        let base = self.set_base(set);
-        let needle = pack(block);
-        self.tags[base..base + self.assoc]
-            .iter()
-            .position(|&tag| tag == needle)
-            .map(|way| (set, way))
+        self.scan(set, pack(block)).0.map(|way| (set, way))
     }
 
     /// Installs `needle` into `set`, preferring the scanned invalid way and
@@ -767,13 +764,13 @@ impl SetAssocCache {
     }
 
     /// Whether a resident block is dirty; `None` if it is not resident.
+    #[inline(always)]
     pub fn dirty(&self, block: BlockAddr) -> Option<bool> {
         self.find(block)
             .map(|(set, way)| self.meta[self.set_base(set) + way] & META_DIRTY != 0)
     }
 
-    /// Iterates over all resident blocks (used by the coherence check and
-    /// the temporal-overlap analysis of Figure 2).
+    /// Iterates over all resident blocks.
     pub fn resident_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
         self.tags
             .iter()

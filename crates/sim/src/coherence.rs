@@ -1,89 +1,33 @@
-//! MESI coherence directory for the private L1-D caches (Table 2).
+//! MESI coherence for the private L1-D caches (Table 2).
 //!
-//! The directory tracks, per data block, which cores hold the block and
-//! whether one of them holds it modified. Its role in the reproduction is to
-//! produce the paper's D-MPKI behaviour: with conventional scheduling, more
-//! cores ⇒ more concurrent sharers of the same index roots, lock words and
-//! catalog metadata ⇒ more invalidations ⇒ more data misses (Section 5.2).
-//! STREX serializes same-type transactions on one core, collapsing that
-//! sharing back into a single L1-D.
+//! Coherence produces the paper's D-MPKI behaviour: with conventional
+//! scheduling, more cores ⇒ more concurrent sharers of the same index
+//! roots, lock words and catalog metadata ⇒ more invalidations ⇒ more data
+//! misses (Section 5.2). STREX serializes same-type transactions on one
+//! core, collapsing that sharing back into a single L1-D.
 //!
-//! The directory decides; the memory hierarchy, which owns the caches,
-//! carries out the invalidations and downgrades on the L1-D frames. The
-//! two must agree: the directory lists a core for a block if and only if
-//! that core's L1-D holds it, and marks it `Modified` by that core if and
-//! only if the copy is dirty. [`MemorySystem::access_data`] relies on that
-//! agreement to serve an L1-D hit that needs no coherence action (a read,
-//! or a write to a dirty frame) without consulting the directory.
-//! [`MemorySystem::coherence_violations`] checks it; debug builds assert
-//! it for the accessed block on every data access and for the whole
-//! hierarchy at the end of every simulation loop.
+//! The L1-Ds are the directory. Which cores hold a block, and which one
+//! holds it dirty, is read off their frames
+//! ([`MemorySystem::l1d_holders`]); [`decide`] turns that state into the
+//! action an access needs, and the memory hierarchy carries it out on the
+//! frames. There is no second record of the sharers, so there is nothing
+//! that has to agree with the caches. A dirty block has one holder
+//! because a write invalidates every other copy first and a read of a
+//! dirty block cleans it.
 //!
-//! [`MemorySystem::access_data`]: crate::hierarchy::MemorySystem::access_data
-//! [`MemorySystem::coherence_violations`]: crate::hierarchy::MemorySystem::coherence_violations
+//! [`MemorySystem::l1d_holders`]: crate::hierarchy::MemorySystem::l1d_holders
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-use crate::addr::BlockAddr;
 use crate::ids::CoreId;
 
-/// Deterministic multiply-mix hasher for block addresses.
-///
-/// The directory performs one map lookup per data access that misses or
-/// changes state, which makes the default SipHash a measurable cost on
-/// the simulation hot path. Block addresses are simulator-internal (no
-/// untrusted input, no DoS surface), and the one iteration of the map
-/// ([`Directory::blocks`], for the coherence check) is sorted by its
-/// caller, so the bucket layout is unobservable: swapping the hasher
-/// cannot change any simulation result.
-#[derive(Clone, Default)]
-struct BlockAddrHasher {
-    hash: u64,
-}
-
-impl Hasher for BlockAddrHasher {
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        // Fibonacci multiply, then fold the strong high bits back down so
-        // bucket indices (low bits) are well mixed too.
-        let h = (self.hash ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.hash = h ^ (h >> 32);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-type BlockMap<V> = HashMap<BlockAddr, V, BuildHasherDefault<BlockAddrHasher>>;
-
-/// Sharer bitmask; supports up to 64 cores (the paper uses at most 16).
+/// Sharer bitmask, one bit per core; supports up to 64 cores (the paper
+/// uses at most 16).
 pub type SharerMask = u64;
 
-/// Directory state for one block.
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-enum LineState {
-    /// One or more cores hold the block clean.
-    Shared(SharerMask),
-    /// Exactly one core holds the block, possibly dirty.
-    Modified(CoreId),
-}
-
 /// What the requesting core must do to complete an access.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoherenceAction {
     /// Cores whose L1-D copy must be invalidated before the access proceeds.
-    pub invalidate: Vec<CoreId>,
+    pub invalidate: SharerMask,
     /// Core that must write its dirty copy back (supplies the data).
     pub writeback_from: Option<CoreId>,
     /// Whether this access was a coherence-induced transfer (the block was
@@ -91,282 +35,203 @@ pub struct CoherenceAction {
     pub coherence_transfer: bool,
 }
 
-impl CoherenceAction {
-    fn none() -> Self {
-        CoherenceAction {
-            invalidate: Vec::new(),
-            writeback_from: None,
-            coherence_transfer: false,
-        }
-    }
-}
-
-/// The MESI directory.
+/// The MESI action an access by `core` needs, given the cores whose L1-Ds
+/// hold the block (`holders`) and the one holding it dirty, if any.
+///
+/// * No holder: nothing to do.
+/// * Clean holders: a read is a transfer if another core holds the block;
+///   a write invalidates the other holders and is a transfer only if the
+///   writer held nothing.
+/// * Another core holds it dirty: that core writes it back and supplies
+///   it; a write also invalidates its copy.
+/// * The requester holds it dirty: nothing to do.
+///
+/// The requester is never asked to invalidate its own copy.
 ///
 /// # Examples
 ///
 /// ```
-/// use strex_sim::addr::BlockAddr;
-/// use strex_sim::coherence::Directory;
+/// use strex_sim::coherence::decide;
 /// use strex_sim::ids::CoreId;
 ///
-/// let mut dir = Directory::new(4);
-/// let b = BlockAddr::new(9);
-/// dir.on_read(CoreId::new(0), b);
-/// let act = dir.on_write(CoreId::new(1), b);
-/// assert_eq!(act.invalidate, vec![CoreId::new(0)]);
+/// // Core 0 holds the block clean; core 1 writes it.
+/// let act = decide(CoreId::new(1), 0b01, None, true);
+/// assert_eq!(act.invalidate, 0b01);
+/// assert!(act.coherence_transfer);
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct Directory {
-    lines: BlockMap<LineState>,
-    n_cores: usize,
-}
-
-impl Directory {
-    /// Creates a directory for `n_cores` cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_cores` exceeds the sharer mask's width (64 cores).
-    pub fn new(n_cores: usize) -> Self {
-        assert!(
-            n_cores <= SharerMask::BITS as usize,
-            "sharer mask supports at most 64 cores"
-        );
-        Directory {
-            lines: BlockMap::default(),
-            n_cores,
-        }
-    }
-
-    fn mask(core: CoreId) -> SharerMask {
-        1u64 << core.as_usize()
-    }
-
-    fn sharers(mask: SharerMask, except: CoreId) -> Vec<CoreId> {
-        (0..64u16)
-            .filter(|&i| mask & (1 << i) != 0 && i != except.value())
-            .map(CoreId::new)
-            .collect()
-    }
-
-    /// Records a read by `core` and returns the required coherence action.
-    pub fn on_read(&mut self, core: CoreId, block: BlockAddr) -> CoherenceAction {
-        match self.lines.get_mut(&block) {
-            None => {
-                self.lines
-                    .insert(block, LineState::Shared(Self::mask(core)));
-                CoherenceAction::none()
-            }
-            Some(LineState::Shared(mask)) => {
-                let transfer = *mask & !Self::mask(core) != 0 && *mask & Self::mask(core) == 0;
-                *mask |= Self::mask(core);
-                CoherenceAction {
-                    invalidate: Vec::new(),
-                    writeback_from: None,
-                    coherence_transfer: transfer,
-                }
-            }
-            Some(state @ LineState::Modified(_)) => {
-                let owner = match *state {
-                    LineState::Modified(o) => o,
-                    LineState::Shared(_) => unreachable!(),
-                };
-                if owner == core {
-                    return CoherenceAction::none();
-                }
-                // Downgrade M -> S: owner writes back, both become sharers.
-                *state = LineState::Shared(Self::mask(core) | Self::mask(owner));
-                CoherenceAction {
-                    invalidate: Vec::new(),
-                    writeback_from: Some(owner),
-                    coherence_transfer: true,
-                }
+pub fn decide(
+    core: CoreId,
+    holders: SharerMask,
+    dirty_owner: Option<CoreId>,
+    is_write: bool,
+) -> CoherenceAction {
+    debug_assert!(
+        dirty_owner.is_none_or(|owner| holders == 1 << owner.as_usize()),
+        "a dirty block has one holder: {holders:#b} hold it, {dirty_owner:?} dirty"
+    );
+    let me = 1 << core.as_usize();
+    match dirty_owner {
+        Some(owner) if owner == core => CoherenceAction::default(),
+        Some(owner) => CoherenceAction {
+            invalidate: if is_write { 1 << owner.as_usize() } else { 0 },
+            writeback_from: Some(owner),
+            coherence_transfer: true,
+        },
+        None => {
+            let others = holders & !me;
+            CoherenceAction {
+                invalidate: if is_write { others } else { 0 },
+                writeback_from: None,
+                coherence_transfer: others != 0 && holders & me == 0,
             }
         }
-    }
-
-    /// Records a write by `core` and returns the required coherence action.
-    pub fn on_write(&mut self, core: CoreId, block: BlockAddr) -> CoherenceAction {
-        match self.lines.get_mut(&block) {
-            None => {
-                self.lines.insert(block, LineState::Modified(core));
-                CoherenceAction::none()
-            }
-            Some(state @ LineState::Shared(_)) => {
-                let mask = match *state {
-                    LineState::Shared(m) => m,
-                    LineState::Modified(_) => unreachable!(),
-                };
-                let others = Self::sharers(mask, core);
-                let transfer = !others.is_empty() && mask & Self::mask(core) == 0;
-                *state = LineState::Modified(core);
-                CoherenceAction {
-                    invalidate: others,
-                    writeback_from: None,
-                    coherence_transfer: transfer,
-                }
-            }
-            Some(state @ LineState::Modified(_)) => {
-                let owner = match *state {
-                    LineState::Modified(o) => o,
-                    LineState::Shared(_) => unreachable!(),
-                };
-                if owner == core {
-                    return CoherenceAction::none();
-                }
-                *state = LineState::Modified(core);
-                CoherenceAction {
-                    invalidate: vec![owner],
-                    writeback_from: Some(owner),
-                    coherence_transfer: true,
-                }
-            }
-        }
-    }
-
-    /// Records that `core` evicted `block` from its L1-D.
-    pub fn on_evict(&mut self, core: CoreId, block: BlockAddr) {
-        if let Some(state) = self.lines.get_mut(&block) {
-            match state {
-                LineState::Shared(mask) => {
-                    *mask &= !Self::mask(core);
-                    if *mask == 0 {
-                        self.lines.remove(&block);
-                    }
-                }
-                LineState::Modified(owner) => {
-                    if *owner == core {
-                        self.lines.remove(&block);
-                    }
-                }
-            }
-        }
-    }
-
-    /// What the directory says the L1-Ds hold of `block`: the mask of
-    /// holding cores, and whether the one holder has it dirty (`Modified`).
-    /// `(0, false)` when no core holds it.
-    pub(crate) fn holders(&self, block: BlockAddr) -> (SharerMask, bool) {
-        match self.lines.get(&block) {
-            None => (0, false),
-            Some(&LineState::Shared(mask)) => (mask, false),
-            Some(&LineState::Modified(owner)) => (Self::mask(owner), true),
-        }
-    }
-
-    /// Every block the directory has a line for, in unspecified order.
-    pub(crate) fn blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.lines.keys().copied()
-    }
-
-    /// Returns how many cores currently share `block`.
-    pub fn sharer_count(&self, block: BlockAddr) -> usize {
-        match self.lines.get(&block) {
-            None => 0,
-            Some(LineState::Shared(mask)) => mask.count_ones() as usize,
-            Some(LineState::Modified(_)) => 1,
-        }
-    }
-
-    /// Number of cores the directory was built for.
-    pub fn n_cores(&self) -> usize {
-        self.n_cores
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::{Addr, BlockAddr};
+    use crate::cache::CacheGeometry;
+    use crate::config::SystemConfig;
+    use crate::hierarchy::MemorySystem;
 
-    fn b(i: u64) -> BlockAddr {
-        BlockAddr::new(i)
-    }
     fn c(i: u16) -> CoreId {
         CoreId::new(i)
     }
 
+    fn mask(cores: &[u16]) -> SharerMask {
+        cores.iter().fold(0, |m, &i| m | 1 << i)
+    }
+
+    fn action(invalidate: &[u16], writeback_from: Option<u16>, transfer: bool) -> CoherenceAction {
+        CoherenceAction {
+            invalidate: mask(invalidate),
+            writeback_from: writeback_from.map(c),
+            coherence_transfer: transfer,
+        }
+    }
+
+    /// A 4-core system whose L1-Ds are one set of two ways, so a third
+    /// block on a core evicts.
+    fn tiny() -> MemorySystem {
+        let mut cfg = SystemConfig::with_cores(4);
+        cfg.l1d_geometry = CacheGeometry::new(128, 2);
+        MemorySystem::new(cfg)
+    }
+
     #[test]
     fn cold_read_no_action() {
-        let mut d = Directory::new(4);
-        let act = d.on_read(c(0), b(1));
-        assert_eq!(act, CoherenceAction::none());
-        assert_eq!(d.sharer_count(b(1)), 1);
+        for write in [false, true] {
+            assert_eq!(decide(c(0), 0, None, write), CoherenceAction::default());
+        }
     }
 
     #[test]
     fn read_sharing_accumulates() {
-        let mut d = Directory::new(4);
-        d.on_read(c(0), b(1));
-        let act = d.on_read(c(1), b(1));
-        assert!(act.coherence_transfer, "data supplied by another cache");
-        assert!(act.invalidate.is_empty());
-        assert_eq!(d.sharer_count(b(1)), 2);
+        // (reader, clean holders, transfer)
+        for (reader, holders, transfer) in [
+            (1, &[0][..], true),
+            (2, &[0, 1], true),
+            (1, &[0, 1], false), // a read hit
+        ] {
+            assert_eq!(
+                decide(c(reader), mask(holders), None, false),
+                action(&[], None, transfer),
+                "core {reader} reads a block held by {holders:?}"
+            );
+        }
     }
 
     #[test]
     fn write_invalidates_sharers() {
-        let mut d = Directory::new(4);
-        d.on_read(c(0), b(1));
-        d.on_read(c(1), b(1));
-        d.on_read(c(2), b(1));
-        let act = d.on_write(c(0), b(1));
-        let mut inv = act.invalidate.clone();
-        inv.sort();
-        assert_eq!(inv, vec![c(1), c(2)]);
-        assert_eq!(d.sharer_count(b(1)), 1);
+        // (writer, clean holders, invalidated, transfer)
+        for (writer, holders, invalidated, transfer) in [
+            (0, &[0, 1, 2][..], &[1, 2][..], false), // an upgrade
+            (3, &[0, 1, 2], &[0, 1, 2], true),       // a write miss
+            (0, &[0], &[], false),                   // the sole holder
+        ] {
+            assert_eq!(
+                decide(c(writer), mask(holders), None, true),
+                action(invalidated, None, transfer),
+                "core {writer} writes a block held by {holders:?}"
+            );
+        }
     }
 
     #[test]
     fn read_of_modified_downgrades() {
-        let mut d = Directory::new(4);
-        d.on_write(c(0), b(1));
-        let act = d.on_read(c(1), b(1));
-        assert_eq!(act.writeback_from, Some(c(0)));
-        assert!(act.coherence_transfer);
-        assert_eq!(d.sharer_count(b(1)), 2);
+        assert_eq!(
+            decide(c(1), mask(&[0]), Some(c(0)), false),
+            action(&[], Some(0), true)
+        );
     }
 
     #[test]
     fn write_of_modified_steals_ownership() {
-        let mut d = Directory::new(4);
-        d.on_write(c(0), b(1));
-        let act = d.on_write(c(1), b(1));
-        assert_eq!(act.invalidate, vec![c(0)]);
-        assert_eq!(act.writeback_from, Some(c(0)));
-        assert_eq!(d.sharer_count(b(1)), 1);
+        assert_eq!(
+            decide(c(1), mask(&[0]), Some(c(0)), true),
+            action(&[0], Some(0), true)
+        );
     }
 
     #[test]
     fn repeat_access_by_owner_is_silent() {
-        let mut d = Directory::new(4);
-        d.on_write(c(0), b(1));
-        assert_eq!(d.on_write(c(0), b(1)), CoherenceAction::none());
-        assert_eq!(d.on_read(c(0), b(1)), CoherenceAction::none());
+        for write in [false, true] {
+            assert_eq!(
+                decide(c(0), mask(&[0]), Some(c(0)), write),
+                CoherenceAction::default()
+            );
+        }
     }
 
     #[test]
-    fn eviction_removes_sharer() {
-        let mut d = Directory::new(4);
-        d.on_read(c(0), b(1));
-        d.on_read(c(1), b(1));
-        d.on_evict(c(0), b(1));
-        assert_eq!(d.sharer_count(b(1)), 1);
-        d.on_evict(c(1), b(1));
-        assert_eq!(d.sharer_count(b(1)), 0);
-    }
-
-    #[test]
-    fn eviction_of_modified_clears_line() {
-        let mut d = Directory::new(4);
-        d.on_write(c(2), b(7));
-        d.on_evict(c(2), b(7));
-        assert_eq!(d.sharer_count(b(7)), 0);
+    fn the_requester_is_never_invalidated() {
+        for core in 0..4u16 {
+            for holders in 0..16u64 {
+                let owners = (0..4u16).filter(|&o| holders == 1 << o).map(Some);
+                for dirty_owner in owners.chain([None]) {
+                    for write in [false, true] {
+                        let act = decide(c(core), holders, dirty_owner.map(c), write);
+                        assert_eq!(act.invalidate & mask(&[core]), 0, "{act:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "at most 64 cores")]
     fn too_many_cores_panics() {
-        let _ = Directory::new(65);
+        let _ = MemorySystem::new(SystemConfig::with_cores(65));
+    }
+
+    #[test]
+    fn eviction_removes_sharer() {
+        let mut m = tiny();
+        let b = BlockAddr::new(1);
+        m.access_data(c(0), Addr::new(64), false, 0);
+        m.access_data(c(1), Addr::new(64), false, 0);
+        assert_eq!(m.l1d_holders(b), (mask(&[0, 1]), None));
+        // Two more blocks through core 0's one set push block 1 out.
+        m.access_data(c(0), Addr::new(128), false, 0);
+        m.access_data(c(0), Addr::new(192), false, 0);
+        assert_eq!(m.l1d_holders(b), (mask(&[1]), None));
+        // Core 1 is now the sole holder: its write invalidates no one.
+        let w = m.access_data(c(1), Addr::new(64), true, 10);
+        assert!(w.hit && !w.coherence);
+        assert_eq!(m.stats().cores[1].upgrade_invalidations, 0);
+    }
+
+    #[test]
+    fn eviction_of_modified_clears_line() {
+        let mut m = tiny();
+        let b = BlockAddr::new(7);
+        m.access_data(c(2), Addr::new(7 * 64), true, 0);
+        assert_eq!(m.l1d_holders(b), (mask(&[2]), Some(c(2))));
+        m.access_data(c(2), Addr::new(8 * 64), false, 0);
+        m.access_data(c(2), Addr::new(9 * 64), false, 0);
+        assert_eq!(m.l1d_holders(b), (0, None));
+        assert_eq!(m.shared_stats().writebacks, 1, "the dirty victim");
     }
 }

@@ -1,6 +1,11 @@
 //! The complete CMP memory system: per-core L1-I/L1-D, MESI coherence,
 //! shared NUCA L2, DRAM, prefetchers and cache signatures.
 //!
+//! The L1-Ds are the coherence directory: a data access that needs a MESI
+//! decision reads the block's holders off them
+//! ([`MemorySystem::l1d_holders`]) and asks [`coherence::decide`] what to
+//! do.
+//!
 //! [`MemorySystem`] is the single mutable substrate the schedulers in the
 //! `strex` crate drive. Its API is shaped by what the paper's mechanisms
 //! observe:
@@ -15,7 +20,7 @@
 
 use crate::addr::{Addr, BlockAddr};
 use crate::cache::{SetAssocCache, Victim};
-use crate::coherence::Directory;
+use crate::coherence::{self, SharerMask};
 use crate::config::SystemConfig;
 use crate::ids::{CoreId, Cycle};
 use crate::interconnect::Torus;
@@ -68,7 +73,6 @@ pub struct MemorySystem {
     l1i: Vec<SetAssocCache>,
     l1d: Vec<SetAssocCache>,
     signatures: Vec<CacheSignature>,
-    directory: Directory,
     l2: SharedL2,
     torus: Torus,
     stats: SystemStats,
@@ -76,8 +80,16 @@ pub struct MemorySystem {
 
 impl MemorySystem {
     /// Builds the hierarchy described by `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has more cores than a [`SharerMask`] has bits (64).
     pub fn new(cfg: SystemConfig) -> Self {
         let n = cfg.n_cores;
+        assert!(
+            n <= SharerMask::BITS as usize,
+            "sharer mask supports at most 64 cores"
+        );
         let torus = Torus::with_hop_latency(n, cfg.hop_latency);
         MemorySystem {
             l1i: (0..n)
@@ -89,7 +101,6 @@ impl MemorySystem {
             signatures: (0..n)
                 .map(|_| CacheSignature::new(cfg.l1i_geometry.blocks()))
                 .collect(),
-            directory: Directory::new(n),
             l2: SharedL2::new(
                 n,
                 cfg.l2_bytes_per_core,
@@ -192,13 +203,11 @@ impl MemorySystem {
     ///
     /// A hit that needs no coherence action, a read or a write to a frame
     /// already dirty, is served by the L1-D alone
-    /// ([`SetAssocCache::hit_in_place`]). While the directory agrees with
-    /// the L1-Ds (see [`crate::coherence`]), its `on_read`/`on_write`
-    /// would change nothing for such a hit and ask for no invalidation,
-    /// write-back or transfer, so skipping it changes no result. Debug
-    /// builds assert that agreement for the accessed block on entry.
-    /// Every other access consults the directory first, carries out what
-    /// it decides, then probes the L1-D.
+    /// ([`SetAssocCache::hit_in_place`]): for such a hit
+    /// [`coherence::decide`] asks for no invalidation, write-back or
+    /// transfer. Every other access reads the block's holders off the
+    /// L1-Ds ([`l1d_holders`](MemorySystem::l1d_holders)), carries out
+    /// what `decide` asks for, then probes the L1-D.
     #[inline]
     pub fn access_data(
         &mut self,
@@ -210,7 +219,6 @@ impl MemorySystem {
         let c = core.as_usize();
         let block = addr.block();
         self.stats.cores[c].d_accesses += 1;
-        debug_assert_eq!(self.coherence_violation(block), None);
 
         if self.l1d[c].hit_in_place(block, 0, is_write) {
             return DataAccess {
@@ -219,12 +227,9 @@ impl MemorySystem {
                 coherence: false,
             };
         }
-        let action = if is_write {
-            self.directory.on_write(core, block)
-        } else {
-            self.directory.on_read(core, block)
-        };
-        // Carry out invalidations and downgrades decided by the directory.
+        let (holders, dirty_owner) = self.l1d_holders(block);
+        let action = coherence::decide(core, holders, dirty_owner, is_write);
+        // Carry out the write-back and invalidations `decide` asked for.
         let mut remote_penalty = 0u64;
         if let Some(owner) = action.writeback_from {
             if self.l1d[owner.as_usize()].clean(block) {
@@ -232,11 +237,14 @@ impl MemorySystem {
             }
             remote_penalty = remote_penalty.max(self.torus.round_trip(core, owner));
         }
-        for &victim_core in &action.invalidate {
+        let mut invalidate = action.invalidate;
+        while invalidate != 0 {
+            let victim_core = CoreId::new(invalidate.trailing_zeros() as u16);
+            invalidate &= invalidate - 1;
             self.l1d[victim_core.as_usize()].invalidate(block);
             remote_penalty = remote_penalty.max(self.torus.round_trip(core, victim_core));
         }
-        if !action.invalidate.is_empty() {
+        if action.invalidate != 0 {
             self.stats.cores[c].upgrade_invalidations += 1;
         }
 
@@ -260,13 +268,10 @@ impl MemorySystem {
         if action.coherence_transfer {
             self.stats.cores[c].d_coherence_misses += 1;
         }
-        // Miss: the block was installed by `access` above; the displaced
-        // frame must leave the directory and write back if dirty.
-        if let Some(v) = probe.evicted {
-            self.directory.on_evict(core, v.block);
-            if v.dirty {
-                self.l2.writeback(core, v.block);
-            }
+        // Miss: the block was installed by `access` above; a dirty
+        // displaced frame writes back.
+        if let Some(v) = probe.evicted.filter(|v| v.dirty) {
+            self.l2.writeback(core, v.block);
         }
         let transfer = if action.coherence_transfer {
             // Cache-to-cache transfer: network plus one L2-directory hop.
@@ -283,49 +288,22 @@ impl MemorySystem {
         }
     }
 
-    /// Every disagreement between the MESI directory and the L1-Ds, one
-    /// line per block, in block order; empty when they agree. A block
-    /// disagrees when the directory's `Shared(mask)` is not exactly the
-    /// set of cores holding it clean, or its `Modified(c)` is not "`c` is
-    /// the sole holder, dirty". The L1-D hit path of
-    /// [`access_data`](MemorySystem::access_data) relies on agreement.
-    pub fn coherence_violations(&self) -> Vec<String> {
-        let mut blocks: Vec<BlockAddr> = self
-            .directory
-            .blocks()
-            .chain(self.l1d.iter().flat_map(SetAssocCache::resident_blocks))
-            .collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        blocks
-            .into_iter()
-            .filter_map(|block| self.coherence_violation(block))
-            .collect()
-    }
-
-    /// The disagreement between the directory and the L1-Ds on `block`.
-    fn coherence_violation(&self, block: BlockAddr) -> Option<String> {
-        let (mut clean, mut dirty) = (0u64, 0u64);
+    /// The cores whose L1-Ds hold `block`, one bit per core, and the one
+    /// holding it dirty, if any: one tag probe per L1-D. This is the
+    /// state [`coherence::decide`] decides from.
+    #[inline]
+    pub fn l1d_holders(&self, block: BlockAddr) -> (SharerMask, Option<CoreId>) {
+        let mut holders: SharerMask = 0;
+        let mut dirty_owner = None;
         for (k, l1d) in self.l1d.iter().enumerate() {
-            match l1d.dirty(block) {
-                Some(true) => dirty |= 1 << k,
-                Some(false) => clean |= 1 << k,
-                None => {}
+            if let Some(dirty) = l1d.dirty(block) {
+                holders |= 1 << k;
+                if dirty {
+                    dirty_owner = Some(CoreId::new(k as u16));
+                }
             }
         }
-        let (mask, modified) = self.directory.holders(block);
-        let listed = if modified { (0, mask) } else { (mask, 0) };
-        (listed != (clean, dirty)).then(|| {
-            let state = if modified {
-                format!("Modified({})", mask.trailing_zeros())
-            } else {
-                format!("Shared({mask:#b})")
-            };
-            format!(
-                "block {block}: directory {state}, but the L1-Ds hold it \
-                 clean on {clean:#b} and dirty on {dirty:#b}"
-            )
-        })
+        (holders, dirty_owner)
     }
 
     /// Charges the latency of saving or restoring one thread context
@@ -451,24 +429,6 @@ mod tests {
         assert!(!r.hit);
         assert!(r.coherence, "served by the dirty owner");
         assert!(m.shared_stats().writebacks >= 1);
-    }
-
-    #[test]
-    fn coherence_check_reports_each_disagreement() {
-        let mut m = sys(2);
-        let (a, b) = (Addr::new(4096), Addr::new(8192));
-        m.access_data(CoreId::new(0), a, true, 0);
-        m.access_data(CoreId::new(1), a, false, 10); // downgrade: Shared
-        m.access_data(CoreId::new(1), b, true, 20); // Modified by core 1
-        assert_eq!(m.coherence_violations(), Vec::<String>::new());
-        // A sharer's copy vanishes behind the directory's back.
-        m.l1d[0].invalidate(a.block());
-        // The owner's copy goes clean without a downgrade.
-        m.l1d[1].clean(b.block());
-        let violations = m.coherence_violations();
-        assert_eq!(violations.len(), 2, "{violations:?}");
-        assert!(violations[0].contains("Shared(0b11)"), "{}", violations[0]);
-        assert!(violations[1].contains("Modified(1)"), "{}", violations[1]);
     }
 
     #[test]

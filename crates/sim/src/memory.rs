@@ -8,6 +8,8 @@
 //! timestamp, which captures bank-conflict serialization without a full
 //! controller model (documented substitution; identical for all schedulers).
 
+use std::fmt;
+
 use crate::addr::BlockAddr;
 use crate::ids::Cycle;
 
@@ -44,6 +46,53 @@ impl Default for DramConfig {
         }
     }
 }
+
+impl DramConfig {
+    /// Checks the shape [`Dram::new`] needs: at least one bank, and a
+    /// power-of-two row size and total bank count (the bank and row of a
+    /// block are bit fields of its index).
+    pub fn check_shape(&self) -> Result<(), DramShapeError> {
+        let banks = self.channels.saturating_mul(self.banks_per_channel) as u64;
+        if banks == 0 {
+            Err(DramShapeError::NoBanks)
+        } else if !self.row_blocks.is_power_of_two() || !banks.is_power_of_two() {
+            Err(DramShapeError::NonPowerOfTwo {
+                row_blocks: self.row_blocks,
+                banks,
+            })
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// Why a [`DramConfig`] shape is unusable.
+#[derive(Copy, Clone, Eq, PartialEq, Debug)]
+pub enum DramShapeError {
+    /// Zero channels or zero banks per channel.
+    NoBanks,
+    /// The row size or the total bank count is not a power of two.
+    NonPowerOfTwo {
+        /// The rejected row size, in cache blocks.
+        row_blocks: u64,
+        /// The rejected total bank count (channels × banks per channel).
+        banks: u64,
+    },
+}
+
+impl fmt::Display for DramShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DramShapeError::NoBanks => write!(f, "DRAM needs at least one bank"),
+            DramShapeError::NonPowerOfTwo { row_blocks, banks } => write!(
+                f,
+                "DRAM row size ({row_blocks}) and bank count ({banks}) must be powers of two"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DramShapeError {}
 
 #[derive(Copy, Clone, Debug, Default)]
 struct Bank {
@@ -99,20 +148,12 @@ impl Dram {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero channels or banks, or if the
-    /// row size or the total bank count is not a power of two (the bank
-    /// and row of a block are bit fields of its index).
+    /// Panics if the shape fails [`DramConfig::check_shape`].
     pub fn new(cfg: DramConfig) -> Self {
-        assert!(
-            cfg.channels > 0 && cfg.banks_per_channel > 0,
-            "DRAM needs at least one bank"
-        );
+        if let Err(e) = cfg.check_shape() {
+            panic!("{e}");
+        }
         let total_banks = (cfg.channels * cfg.banks_per_channel) as u64;
-        assert!(
-            cfg.row_blocks.is_power_of_two() && total_banks.is_power_of_two(),
-            "DRAM row size ({}) and bank count ({total_banks}) must be powers of two",
-            cfg.row_blocks
-        );
         Dram {
             cfg,
             banks: vec![Bank::default(); total_banks as usize],

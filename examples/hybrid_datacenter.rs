@@ -48,7 +48,7 @@ fn main() {
         println!(
             "{:>5}  {:>9}  {:>8.2}  {:>7.1}  {:>7.2}",
             cell.key.cores,
-            r.hybrid_choice.unwrap_or("?"),
+            r.hybrid_choice.as_deref().unwrap_or("?"),
             r.relative_throughput(&base2),
             r.i_mpki(),
             r.d_mpki()

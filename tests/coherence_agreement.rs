@@ -1,18 +1,25 @@
-//! The MESI directory agrees with what the L1-Ds hold.
+//! The L1-Ds keep the MESI invariants.
 //!
-//! `MemorySystem::access_data` serves an L1-D read hit, or a write hit on
-//! a dirty frame, without consulting the directory. That is exact only
-//! while the directory lists a core for a block if and only if the core's
-//! L1-D holds it, and marks it `Modified` by the core if and only if the
-//! copy is dirty. The property below checks that after every access of a
-//! random multi-core stream; the scheduler matrix runs whole cells, whose
-//! end-of-loop check in debug builds walks the full hierarchy.
+//! The L1-Ds are the coherence directory: `MemorySystem::access_data`
+//! reads a block's holders off them and `coherence::decide` picks the
+//! action from that. The property below checks, after every access of a
+//! random multi-core stream, what MESI promises of the caches:
+//!
+//! * a block held dirty is held by no other core;
+//! * after a write, the writer is the sole holder, dirty;
+//! * after a read, the reader holds the block and no other core holds it
+//!   dirty.
+//!
+//! The scheduler matrix runs whole cells; in debug builds `decide`
+//! asserts the first invariant on every access that needs a decision.
 
 use proptest::prelude::*;
 use strex::config::{SchedulerKind, SimConfig};
 use strex::driver::run;
 use strex_oltp::workload::{Workload, WorkloadKind};
-use strex_sim::{Addr, CacheGeometry, CoreId, MemorySystem, ReplacementKind, SystemConfig};
+use strex_sim::{
+    Addr, BlockAddr, CacheGeometry, CoreId, MemorySystem, ReplacementKind, SystemConfig,
+};
 
 /// Distinct data blocks the property draws from: eight per set of its
 /// 4-set, 2-way L1-D, so every core keeps evicting.
@@ -24,10 +31,10 @@ proptest! {
     /// Random reads and writes from 2-16 cores over a small block universe
     /// force evictions, upgrades (a write to a block others share),
     /// downgrades (a read of a block another core holds dirty) and
-    /// ownership steals. The directory must agree with the L1-Ds after
+    /// ownership steals. The L1-Ds must keep the MESI invariants after
     /// every access, under every L1-D replacement policy.
     #[test]
-    fn directory_agrees_with_l1ds_after_every_access(
+    fn l1ds_keep_the_mesi_invariants_after_every_access(
         cores in 2usize..17,
         kind in 0..ReplacementKind::ALL.len(),
         ops in prop::collection::vec((0usize..16, 0..BLOCKS, any::<bool>()), 300..500),
@@ -39,8 +46,30 @@ proptest! {
         for (i, (core, block, write)) in ops.into_iter().enumerate() {
             let core = CoreId::new((core % cores) as u16);
             mem.access_data(core, Addr::new(block * 64), write, i as u64 * 10);
-            let violations = mem.coherence_violations();
-            prop_assert!(violations.is_empty(), "after access {}: {:?}", i, violations);
+            let me = 1u64 << core.as_usize();
+            let (holders, dirty_owner) = mem.l1d_holders(BlockAddr::new(block));
+            if write {
+                prop_assert_eq!(
+                    (holders, dirty_owner), (me, Some(core)),
+                    "after access {}: the writer is not the sole, dirty holder", i
+                );
+            } else {
+                prop_assert!(holders & me != 0, "after access {}: the reader lacks the block", i);
+                prop_assert!(
+                    dirty_owner.is_none_or(|owner| owner == core),
+                    "after access {}: another core holds the block dirty", i
+                );
+            }
+            for b in 0..BLOCKS {
+                let (holders, dirty_owner) = mem.l1d_holders(BlockAddr::new(b));
+                if let Some(owner) = dirty_owner {
+                    prop_assert_eq!(
+                        holders, 1 << owner.as_usize(),
+                        "after access {}: block {} is dirty on {} and held by {:#b}",
+                        i, b, owner, holders
+                    );
+                }
+            }
         }
         let stats = mem.stats();
         let total = |f: fn(&strex_sim::CoreStats) -> u64| stats.cores.iter().map(f).sum::<u64>();
@@ -51,9 +80,9 @@ proptest! {
 }
 
 /// Every scheduler at 2, 4 and 16 cores over small TPC-C-1, TPC-E and
-/// MapReduce pools. In debug builds `sim_loop` ends every cell by
-/// asserting that the directory agrees with the L1-Ds, and every data
-/// access asserts it for the accessed block.
+/// MapReduce pools keeps the directory, which is the L1-Ds, in agreement
+/// with MESI: in debug builds every data access that needs a MESI
+/// decision asserts that a block held dirty has no other holder.
 #[test]
 fn every_scheduler_keeps_the_directory_in_agreement() {
     for kind in [

@@ -6,8 +6,7 @@ use strex::team::form_teams;
 use strex_oltp::engine::{Arena, BTree, RecordingSink};
 use strex_sim::addr::{Addr, AddrRange, BlockAddr};
 use strex_sim::cache::{CacheGeometry, SetAssocCache};
-use strex_sim::coherence::Directory;
-use strex_sim::ids::{CoreId, ThreadId, TxnTypeId};
+use strex_sim::ids::{ThreadId, TxnTypeId};
 use strex_sim::replacement::ReplacementKind;
 
 fn any_replacement() -> impl Strategy<Value = ReplacementKind> {
@@ -45,37 +44,6 @@ proptest! {
             seen.sort_unstable();
             seen.dedup();
             prop_assert_eq!(before, seen.len(), "duplicate resident block");
-        }
-    }
-
-    /// MESI invariant: a block is either unshared, shared by N readers, or
-    /// owned by exactly one writer — and sharer counts never exceed the
-    /// number of cores that touched it.
-    #[test]
-    fn directory_sharer_bounds(
-        ops in prop::collection::vec((0u16..8, 0u64..32, any::<bool>()), 1..300),
-    ) {
-        let mut dir = Directory::new(8);
-        for (core, blk, is_write) in ops {
-            let core = CoreId::new(core);
-            let block = BlockAddr::new(blk);
-            let action = if is_write {
-                dir.on_write(core, block)
-            } else {
-                dir.on_read(core, block)
-            };
-            if is_write {
-                prop_assert_eq!(
-                    dir.sharer_count(block), 1,
-                    "writer must be the sole holder"
-                );
-            } else {
-                prop_assert!(dir.sharer_count(block) >= 1);
-            }
-            prop_assert!(dir.sharer_count(block) <= 8);
-            // A coherence action never asks the requester to invalidate
-            // itself.
-            prop_assert!(!action.invalidate.contains(&core));
         }
     }
 

@@ -137,9 +137,9 @@ fn mapreduce_is_unaffected_by_strex() {
 fn hybrid_selects_strex_on_few_cores_and_slicc_on_many() {
     let w = Workload::preset_small(WorkloadKind::Tpce, 16, 4);
     let few = run(&w, &cfg(2, SchedulerKind::Hybrid));
-    assert_eq!(few.hybrid_choice, Some("STREX"));
+    assert_eq!(few.hybrid_choice.as_deref(), Some("STREX"));
     let many = run(&w, &cfg(16, SchedulerKind::Hybrid));
-    assert_eq!(many.hybrid_choice, Some("SLICC"));
+    assert_eq!(many.hybrid_choice.as_deref(), Some("SLICC"));
 }
 
 #[test]
