@@ -2,10 +2,14 @@
 //! must be bit-identical across refactors of the cache/driver hot path.
 //!
 //! Every `SchedulerKind` × `ReplacementKind` combination runs a fixed-seed
-//! preset workload; the integer report fields (makespan, per-transaction
-//! latencies, miss counters, context switches) are rendered to a canonical
-//! text form and compared against the committed snapshot, which was
-//! recorded from the pre-optimization seed implementation.
+//! TPC-C-1 preset at 4 cores; the integer report fields (makespan,
+//! per-transaction latencies, miss counters, context switches) are
+//! rendered to a canonical text form and compared against the committed
+//! snapshot, which was recorded from the pre-optimization seed
+//! implementation. A second block runs every scheduler over MapReduce at
+//! 2 and 16 cores under LRU: a quarter of MapReduce's data accesses miss
+//! the L1-D, so these are the cells where MESI invalidations, write-backs
+//! and cache-to-cache transfers are densest.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -20,6 +24,7 @@ use std::fmt::Write as _;
 
 use strex::config::{SchedulerKind, SimConfig};
 use strex::driver::run;
+use strex::report::Report;
 use strex_oltp::workload::{Workload, WorkloadKind};
 use strex_sim::config::SystemConfig;
 use strex_sim::replacement::ReplacementKind;
@@ -28,10 +33,56 @@ const SNAPSHOT_PATH: &str = "tests/golden/report_snapshot.txt";
 const GOLDEN_SEED: u64 = 20130624;
 const CORES: usize = 4;
 const POOL: usize = 8;
+const MAPREDUCE_POOL: usize = 16;
+const MAPREDUCE_CORES: [usize; 2] = [2, 16];
+
+fn run_cell(
+    workload: &Workload,
+    sched: SchedulerKind,
+    repl: ReplacementKind,
+    cores: usize,
+) -> Report {
+    let mut system = SystemConfig::with_cores(cores);
+    system.l1i_replacement = repl;
+    system.l1d_replacement = repl;
+    let cfg = SimConfig::builder()
+        .system(system)
+        .scheduler(sched)
+        .build()
+        .expect("golden configuration is valid");
+    run(workload, &cfg)
+}
+
+/// The report's integer fields, in the snapshot's canonical order.
+fn fields(r: &Report) -> String {
+    let agg = r.stats.aggregate();
+    let latencies: Vec<String> = r.latencies.iter().map(|l| l.to_string()).collect();
+    format!(
+        "makespan={} latencies=[{}] \
+         instructions={} i_accesses={} i_misses={} i_mpki={:.6} \
+         d_accesses={} d_misses={} d_coherence_misses={} \
+         l2_accesses={} l2_misses={} writebacks={} \
+         context_switches={} migrations={}",
+        r.makespan,
+        latencies.join(","),
+        agg.instructions,
+        agg.i_accesses,
+        agg.i_misses,
+        r.i_mpki(),
+        agg.d_accesses,
+        agg.d_misses,
+        agg.d_coherence_misses,
+        r.stats.shared.l2_accesses,
+        r.stats.shared.l2_misses,
+        r.stats.shared.writebacks,
+        r.context_switches,
+        r.migrations,
+    )
+}
 
 fn render_all() -> String {
-    let workload = Workload::preset_small(WorkloadKind::TpccW1, POOL, GOLDEN_SEED);
     let mut out = String::new();
+    let workload = Workload::preset_small(WorkloadKind::TpccW1, POOL, GOLDEN_SEED);
     let _ = writeln!(
         out,
         "# golden reports: workload={} pool={POOL} seed={GOLDEN_SEED} cores={CORES}",
@@ -39,39 +90,24 @@ fn render_all() -> String {
     );
     for sched in SchedulerKind::ALL {
         for repl in ReplacementKind::ALL {
-            let mut system = SystemConfig::with_cores(CORES);
-            system.l1i_replacement = repl;
-            system.l1d_replacement = repl;
-            let cfg = SimConfig::builder()
-                .system(system)
-                .scheduler(sched)
-                .build()
-                .expect("golden configuration is valid");
-            let r = run(&workload, &cfg);
-            let agg = r.stats.aggregate();
-            let latencies: Vec<String> = r.latencies.iter().map(|l| l.to_string()).collect();
+            let r = run_cell(&workload, sched, repl, CORES);
+            let _ = writeln!(out, "scheduler={} repl={repl} {}", sched.key(), fields(&r));
+        }
+    }
+    let workload = Workload::preset_small(WorkloadKind::MapReduce, MAPREDUCE_POOL, GOLDEN_SEED);
+    let _ = writeln!(
+        out,
+        "# golden reports: workload={} pool={MAPREDUCE_POOL} seed={GOLDEN_SEED} repl=LRU",
+        workload.name()
+    );
+    for cores in MAPREDUCE_CORES {
+        for sched in SchedulerKind::ALL {
+            let r = run_cell(&workload, sched, ReplacementKind::Lru, cores);
             let _ = writeln!(
                 out,
-                "scheduler={} repl={repl} makespan={} latencies=[{}] \
-                 instructions={} i_accesses={} i_misses={} i_mpki={:.6} \
-                 d_accesses={} d_misses={} d_coherence_misses={} \
-                 l2_accesses={} l2_misses={} writebacks={} \
-                 context_switches={} migrations={}",
+                "scheduler={} cores={cores} {}",
                 sched.key(),
-                r.makespan,
-                latencies.join(","),
-                agg.instructions,
-                agg.i_accesses,
-                agg.i_misses,
-                r.i_mpki(),
-                agg.d_accesses,
-                agg.d_misses,
-                agg.d_coherence_misses,
-                r.stats.shared.l2_accesses,
-                r.stats.shared.l2_misses,
-                r.stats.shared.writebacks,
-                r.context_switches,
-                r.migrations,
+                fields(&r)
             );
         }
     }
