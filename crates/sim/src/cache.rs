@@ -10,7 +10,7 @@
 //! 2. **Victim monitoring.** STREX must observe which block a fill is about
 //!    to evict *and its phase tag*. [`SetAssocCache::peek_victim`] answers
 //!    that question without side effects, and is guaranteed to agree with
-//!    the victim subsequently chosen by [`SetAssocCache::fill`].
+//!    the victim the next [`SetAssocCache::access`] of that block evicts.
 //!
 //! # Layout: one tag array, one scan
 //!
@@ -47,9 +47,9 @@
 //! # Hot path
 //!
 //! Every per-access operation — the scan, `install`, [`access`],
-//! [`access_write`], [`access_untagged`], [`hit_in_place`], [`fill`],
-//! [`fill_if_absent`], [`peek_victim`], [`dirty`] (the MESI holder probe
-//! runs it once per L1-D) and the [`Replacement`] updates they call — is
+//! [`access_write`], [`access_untagged`], [`fill_if_absent`],
+//! [`peek_victim`], [`snoop`] (a data access that needs MESI runs it once
+//! per other L1-D) and the [`Replacement`] updates they call — is
 //! `#[inline(always)]`, so the way scan, the victim choice,
 //! the install and the replacement update stay in the caller's registers.
 //! `#[inline]` is only a hint across the crate boundary: out of line,
@@ -63,11 +63,9 @@
 //! [`access`]: SetAssocCache::access
 //! [`access_write`]: SetAssocCache::access_write
 //! [`access_untagged`]: SetAssocCache::access_untagged
-//! [`hit_in_place`]: SetAssocCache::hit_in_place
-//! [`fill`]: SetAssocCache::fill
 //! [`fill_if_absent`]: SetAssocCache::fill_if_absent
 //! [`peek_victim`]: SetAssocCache::peek_victim
-//! [`dirty`]: SetAssocCache::dirty
+//! [`snoop`]: SetAssocCache::snoop
 
 use std::fmt;
 
@@ -268,6 +266,11 @@ pub struct Probe {
     /// The block displaced by a miss fill, `None` on a hit or when an
     /// invalid way absorbed the fill.
     pub evicted: Option<Victim>,
+    /// Whether the frame was dirty before this probe: the resident frame's
+    /// dirty bit on a hit, `false` on a miss. A data write that hits a
+    /// dirty frame needs no coherence action; one that hits a clean frame
+    /// must snoop the other L1-Ds.
+    pub dirty: bool,
 }
 
 impl Probe {
@@ -500,7 +503,9 @@ impl SetAssocCache {
     }
 
     /// Installs `needle` into `set`, preferring the scanned invalid way and
-    /// evicting otherwise. Returns the way used and any victim.
+    /// evicting otherwise. Returns the way used and any victim. Every caller
+    /// installs only after its scan of `set` missed, so no block is ever
+    /// resident in two ways.
     #[inline(always)]
     fn install(
         &mut self,
@@ -543,25 +548,14 @@ impl SetAssocCache {
             .map(|(set, way)| self.meta[self.set_base(set) + way] as u8)
     }
 
-    /// Overwrites the aux tag of a resident block; returns `false` if the
-    /// block is not resident.
-    pub fn set_aux(&mut self, block: BlockAddr, aux: u8) -> bool {
-        if let Some((set, way)) = self.find(block) {
-            let idx = self.set_base(set) + way;
-            self.meta[idx] = (self.meta[idx] & META_DIRTY) | aux as u16;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Reports which block a fill of `block` would displace.
     ///
     /// Returns `None` when `block` is already resident or the set still has
     /// an invalid way (the fill would be eviction-free). The answer agrees
     /// exactly with the eviction performed by a subsequent
-    /// [`access`](SetAssocCache::access) or [`fill`](SetAssocCache::fill) of
-    /// the same block, provided no other mutation intervenes.
+    /// [`access`](SetAssocCache::access) or
+    /// [`fill_if_absent`](SetAssocCache::fill_if_absent) of the same block,
+    /// provided no other mutation intervenes.
     #[inline(always)]
     pub fn peek_victim(&self, block: BlockAddr) -> Option<Victim> {
         let set = self.set_of(block);
@@ -590,12 +584,14 @@ impl SetAssocCache {
             Some(way) => {
                 self.repl.on_hit(set, way);
                 let idx = self.set_base(set) + way;
-                self.meta[idx] = (self.meta[idx] & META_DIRTY) | aux as u16;
+                let dirty = self.meta[idx] & META_DIRTY;
+                self.meta[idx] = dirty | aux as u16;
                 Probe {
                     hit: true,
                     set,
                     way,
                     evicted: None,
+                    dirty: dirty != 0,
                 }
             }
             None => {
@@ -605,6 +601,7 @@ impl SetAssocCache {
                     set,
                     way,
                     evicted,
+                    dirty: false,
                 }
             }
         }
@@ -653,51 +650,14 @@ impl SetAssocCache {
 
     /// Accesses `block` for writing; like [`access`](SetAssocCache::access)
     /// but also marks the frame dirty. The probe already names the frame,
-    /// so no second lookup happens.
+    /// so no second lookup happens, and its [`dirty`](Probe::dirty) is the
+    /// bit as it was before the write.
     #[inline(always)]
     pub fn access_write(&mut self, block: BlockAddr, aux: u8) -> Probe {
         let probe = self.access(block, aux);
         let idx = self.set_base(probe.set) + probe.way;
         self.meta[idx] |= META_DIRTY;
         probe
-    }
-
-    /// The hits of [`access`](SetAssocCache::access) and
-    /// [`access_write`](SetAssocCache::access_write) that leave the dirty
-    /// bit as it is, in one scan: if `block` is resident and the access
-    /// is a read, or a write to a frame already dirty, applies their hit
-    /// bookkeeping (replacement update, `aux` retag) and returns `true`.
-    /// Otherwise leaves the cache untouched and returns `false`.
-    #[inline(always)]
-    pub fn hit_in_place(&mut self, block: BlockAddr, aux: u8, write: bool) -> bool {
-        let set = self.set_of(block);
-        let Some(way) = self.scan(set, pack(block)).0 else {
-            return false;
-        };
-        let idx = self.set_base(set) + way;
-        let dirty = self.meta[idx] & META_DIRTY;
-        if write && dirty == 0 {
-            return false;
-        }
-        self.repl.on_hit(set, way);
-        self.meta[idx] = dirty | aux as u16;
-        true
-    }
-
-    /// Installs `block` (which must not be resident), returning any victim.
-    /// The invalid-way preference falls out of the same single scan that
-    /// (in debug builds) checks non-residency.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the block is already resident.
-    #[inline(always)]
-    pub fn fill(&mut self, block: BlockAddr, aux: u8) -> Option<Victim> {
-        let set = self.set_of(block);
-        let needle = pack(block);
-        let (hit, invalid) = self.scan(set, needle);
-        debug_assert!(hit.is_none(), "fill of resident block");
-        self.install(set, invalid, needle, aux).1
     }
 
     /// Installs `block` unless it is already resident (one probe for what
@@ -718,6 +678,7 @@ impl SetAssocCache {
                 set,
                 way,
                 evicted: None,
+                dirty: self.meta[self.set_base(set) + way] & META_DIRTY != 0,
             },
             None => {
                 let (way, evicted) = self.install(set, invalid, needle, aux);
@@ -726,45 +687,46 @@ impl SetAssocCache {
                     set,
                     way,
                     evicted,
+                    dirty: false,
                 }
             }
         }
     }
 
-    /// Invalidates `block` if resident (coherence), returning its frame info.
-    pub fn invalidate(&mut self, block: BlockAddr) -> Option<Victim> {
-        if let Some((set, way)) = self.find(block) {
-            let idx = self.set_base(set) + way;
-            let meta = self.meta[idx];
-            let victim = Victim {
-                block: unpack(self.tags[idx]),
-                aux: meta as u8,
-                dirty: meta & META_DIRTY != 0,
-            };
+    /// Another core's access to `block` as this (private data) cache
+    /// sees it, in one scan: a write invalidates the frame, a read clears
+    /// its dirty bit (the copy is written back and now shared). Returns
+    /// whether the frame was dirty, or `None` if `block` is not resident.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use strex_sim::addr::BlockAddr;
+    /// use strex_sim::cache::{CacheGeometry, SetAssocCache};
+    /// use strex_sim::replacement::ReplacementKind;
+    ///
+    /// let mut l1d = SetAssocCache::new(CacheGeometry::new(4096, 4), ReplacementKind::Lru);
+    /// let b = BlockAddr::new(7);
+    /// l1d.access_write(b, 0);
+    /// assert_eq!(l1d.snoop(b, false), Some(true)); // a remote read cleans it
+    /// assert_eq!(l1d.snoop(b, true), Some(false)); // a remote write invalidates it
+    /// assert_eq!(l1d.snoop(b, true), None);
+    /// ```
+    #[inline(always)]
+    pub fn snoop(&mut self, block: BlockAddr, write: bool) -> Option<bool> {
+        let set = self.set_of(block);
+        let way = self.scan(set, pack(block)).0?;
+        let idx = self.set_base(set) + way;
+        let dirty = self.meta[idx] & META_DIRTY != 0;
+        self.meta[idx] &= !META_DIRTY;
+        if write {
             self.tags[idx] = TAG_INVALID;
-            self.meta[idx] &= !META_DIRTY;
             self.repl.on_invalidate(set, way);
-            Some(victim)
-        } else {
-            None
         }
-    }
-
-    /// Clears the dirty bit of a resident block (coherence downgrade),
-    /// returning whether it was dirty.
-    pub fn clean(&mut self, block: BlockAddr) -> bool {
-        if let Some((set, way)) = self.find(block) {
-            let idx = self.set_base(set) + way;
-            let was = self.meta[idx] & META_DIRTY != 0;
-            self.meta[idx] &= !META_DIRTY;
-            was
-        } else {
-            false
-        }
+        Some(dirty)
     }
 
     /// Whether a resident block is dirty; `None` if it is not resident.
-    #[inline(always)]
     pub fn dirty(&self, block: BlockAddr) -> Option<bool> {
         self.find(block)
             .map(|(set, way)| self.meta[self.set_base(set) + way] & META_DIRTY != 0)
@@ -931,21 +893,16 @@ mod tests {
         let b = BlockAddr::new(6);
         let miss = c.access_write(b, 0);
         assert!(!miss.hit);
-        let peek_dirty = |c: &SetAssocCache, b| {
-            // Evict-free introspection via invalidate on a clone.
-            let mut probe = c.clone();
-            probe.invalidate(b).map(|v| v.dirty)
-        };
-        assert_eq!(peek_dirty(&c, b), Some(true), "miss fill marked dirty");
+        assert_eq!(c.dirty(b), Some(true), "miss fill marked dirty");
         // A clean read hit on another block must not disturb it; a write
         // hit on a clean block must dirty that block only.
         let other = BlockAddr::new(4); // same set
         c.access(other, 0);
-        assert_eq!(peek_dirty(&c, other), Some(false));
+        assert_eq!(c.dirty(other), Some(false));
         let hit = c.access_write(other, 0);
         assert!(hit.hit);
-        assert_eq!(peek_dirty(&c, other), Some(true), "hit marked dirty");
-        assert_eq!(peek_dirty(&c, b), Some(true), "first block still dirty");
+        assert_eq!(c.dirty(other), Some(true), "hit marked dirty");
+        assert_eq!(c.dirty(b), Some(true), "first block still dirty");
     }
 
     #[test]
@@ -964,42 +921,41 @@ mod tests {
     }
 
     #[test]
-    fn hit_in_place_serves_reads_and_dirty_writes_only() {
+    fn probe_reports_the_prior_dirty_bit() {
         let mut c = small();
-        let (b, other) = (BlockAddr::new(4), BlockAddr::new(6)); // set 0
-        assert!(!c.hit_in_place(b, 1, false), "miss");
-        assert!(!c.contains(b), "a miss installs nothing");
-        c.access(b, 1);
-        c.access(other, 1);
-        assert!(!c.hit_in_place(b, 2, true), "write to a clean frame");
-        assert_eq!((c.aux(b), c.dirty(b)), (Some(1), Some(false)), "untouched");
-        assert!(c.hit_in_place(b, 3, false), "read hit");
-        assert_eq!((c.aux(b), c.dirty(b)), (Some(3), Some(false)), "retagged");
-        let victim = c.peek_victim(BlockAddr::new(8)).expect("set full");
-        assert_eq!(victim.block, other, "the hit made block 4 MRU");
-        c.access_write(other, 3);
-        assert!(c.hit_in_place(other, 4, true), "write to a dirty frame");
-        assert_eq!((c.aux(other), c.dirty(other)), (Some(4), Some(true)));
-        assert_eq!(c.peek_victim(BlockAddr::new(8)).map(|v| v.block), Some(b));
+        let b = BlockAddr::new(4);
+        assert!(!c.access_write(b, 0).dirty, "a miss fill was not dirty");
+        assert!(c.access(b, 0).dirty, "a read hit sees the write");
+        assert_eq!(c.dirty(b), Some(true), "and leaves it dirty");
+        assert!(c.access_write(b, 0).dirty, "a write hit on a dirty frame");
+        assert_eq!(c.snoop(b, false), Some(true));
+        assert!(!c.access_write(b, 0).dirty, "a write hit on a clean frame");
+        assert!(c.fill_if_absent(b, 0).dirty, "a prefetch finds it resident");
     }
 
     #[test]
     fn invalidate_frees_way() {
         let mut c = small();
         c.access(BlockAddr::new(0), 0);
-        c.access(BlockAddr::new(2), 0);
-        assert!(c.invalidate(BlockAddr::new(0)).is_some());
+        c.access_write(BlockAddr::new(2), 0);
+        assert_eq!(c.snoop(BlockAddr::new(0), true), Some(false));
+        assert_eq!(c.snoop(BlockAddr::new(2), true), Some(true));
+        assert_eq!(c.snoop(BlockAddr::new(2), true), None, "already gone");
         assert!(!c.contains(BlockAddr::new(0)));
-        // Set has a free way again: no victim for the next fill.
+        // Set has free ways again: no victim for the next fills.
         assert!(c.access(BlockAddr::new(4), 0).evicted().is_none());
+        assert!(c.access(BlockAddr::new(6), 0).evicted().is_none());
     }
 
     #[test]
     fn clean_clears_dirty() {
         let mut c = small();
-        c.access_write(BlockAddr::new(0), 0);
-        assert!(c.clean(BlockAddr::new(0)));
-        assert!(!c.clean(BlockAddr::new(0)));
+        let b = BlockAddr::new(0);
+        c.access_write(b, 3);
+        assert_eq!(c.snoop(b, false), Some(true));
+        assert_eq!((c.dirty(b), c.aux(b)), (Some(false), Some(3)), "kept");
+        assert_eq!(c.snoop(b, false), Some(false));
+        assert_eq!(c.snoop(BlockAddr::new(2), false), None, "not resident");
     }
 
     #[test]
@@ -1021,9 +977,6 @@ mod tests {
         let mut c = small();
         c.access(BlockAddr::new(5), 9);
         assert_eq!(c.aux(BlockAddr::new(5)), Some(9));
-        assert!(c.set_aux(BlockAddr::new(5), 11));
-        assert_eq!(c.aux(BlockAddr::new(5)), Some(11));
-        assert!(!c.set_aux(BlockAddr::new(99), 1));
         assert_eq!(c.aux(BlockAddr::new(99)), None);
     }
 

@@ -1,10 +1,10 @@
 //! The complete CMP memory system: per-core L1-I/L1-D, MESI coherence,
 //! shared NUCA L2, DRAM, prefetchers and cache signatures.
 //!
-//! The L1-Ds are the coherence directory: a data access that needs a MESI
-//! decision reads the block's holders off them
-//! ([`MemorySystem::l1d_holders`]) and asks [`coherence::decide`] what to
-//! do.
+//! The L1-Ds are the coherence directory: a data access that misses, or
+//! writes a clean frame, snoops every other L1-D once
+//! ([`SetAssocCache::snoop`]), which invalidates or cleans the copy it
+//! finds and reports whether it was dirty (see [`crate::coherence`]).
 //!
 //! [`MemorySystem`] is the single mutable substrate the schedulers in the
 //! `strex` crate drive. Its API is shaped by what the paper's mechanisms
@@ -15,12 +15,10 @@
 //!   (the returned [`InstFetch::evicted`]).
 //! * **SLICC** consults remote cache signatures
 //!   ([`MemorySystem::l1i_signature`]) and counts recent misses.
-//! * The **overlap analysis** (Figure 2) asks how many L1-Is hold a block
-//!   ([`MemorySystem::l1i_holder_count`]).
 
 use crate::addr::{Addr, BlockAddr};
 use crate::cache::{SetAssocCache, Victim};
-use crate::coherence::{self, SharerMask};
+use crate::coherence::SharerMask;
 use crate::config::SystemConfig;
 use crate::ids::{CoreId, Cycle};
 use crate::interconnect::Torus;
@@ -121,11 +119,6 @@ impl MemorySystem {
         &self.cfg
     }
 
-    /// Number of cores.
-    pub fn n_cores(&self) -> usize {
-        self.cfg.n_cores
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &SystemStats {
         &self.stats
@@ -201,13 +194,14 @@ impl MemorySystem {
 
     /// Performs a data access on `core`.
     ///
-    /// A hit that needs no coherence action, a read or a write to a frame
-    /// already dirty, is served by the L1-D alone
-    /// ([`SetAssocCache::hit_in_place`]): for such a hit
-    /// [`coherence::decide`] asks for no invalidation, write-back or
-    /// transfer. Every other access reads the block's holders off the
-    /// L1-Ds ([`l1d_holders`](MemorySystem::l1d_holders)), carries out
-    /// what `decide` asks for, then probes the L1-D.
+    /// The requester's L1-D is probed once. A read hit, or a write hit on
+    /// a frame already dirty, is done: MESI lets no other L1-D hold the
+    /// block dirty, nor, for the dirty frame, at all. Otherwise every other
+    /// L1-D is snooped once ([`SetAssocCache::snoop`]): a write invalidates
+    /// each copy, and a dirty copy is written back to the L2, which then
+    /// supplies it. The access waits for the farthest core it wrote back
+    /// from or invalidated. A miss that another L1-D held is a
+    /// cache-to-cache transfer, a coherence miss.
     #[inline]
     pub fn access_data(
         &mut self,
@@ -220,78 +214,86 @@ impl MemorySystem {
         let block = addr.block();
         self.stats.cores[c].d_accesses += 1;
 
-        if self.l1d[c].hit_in_place(block, 0, is_write) {
-            return DataAccess {
-                stall: self.cfg.l1_hit_extra,
-                hit: true,
-                coherence: false,
-            };
-        }
-        let (holders, dirty_owner) = self.l1d_holders(block);
-        let action = coherence::decide(core, holders, dirty_owner, is_write);
-        // Carry out the write-back and invalidations `decide` asked for.
-        let mut remote_penalty = 0u64;
-        if let Some(owner) = action.writeback_from {
-            if self.l1d[owner.as_usize()].clean(block) {
-                self.l2.writeback(owner, block);
-            }
-            remote_penalty = remote_penalty.max(self.torus.round_trip(core, owner));
-        }
-        let mut invalidate = action.invalidate;
-        while invalidate != 0 {
-            let victim_core = CoreId::new(invalidate.trailing_zeros() as u16);
-            invalidate &= invalidate - 1;
-            self.l1d[victim_core.as_usize()].invalidate(block);
-            remote_penalty = remote_penalty.max(self.torus.round_trip(core, victim_core));
-        }
-        if action.invalidate != 0 {
-            self.stats.cores[c].upgrade_invalidations += 1;
-        }
-
         let l1d = &mut self.l1d[c];
         let probe = if is_write {
             l1d.access_write(block, 0)
         } else {
             l1d.access(block, 0)
         };
+        if probe.hit && (!is_write || probe.dirty) {
+            return DataAccess {
+                stall: self.cfg.l1_hit_extra,
+                hit: true,
+                coherence: false,
+            };
+        }
+
+        let mut holders = 0u32;
+        let mut dirty_holder = false;
+        let mut remote_penalty = 0u64;
+        for (k, l1d) in self.l1d.iter_mut().enumerate() {
+            if k == c {
+                continue;
+            }
+            let Some(dirty) = l1d.snoop(block, is_write) else {
+                continue;
+            };
+            holders += 1;
+            dirty_holder |= dirty;
+            let holder = CoreId::new(k as u16);
+            if dirty {
+                self.l2.writeback(holder, block);
+            }
+            if dirty || is_write {
+                remote_penalty = remote_penalty.max(self.torus.round_trip(core, holder));
+            }
+        }
+        debug_assert!(
+            !dirty_holder || (holders == 1 && !probe.hit),
+            "a dirty block has one holder: core {c} {} it, {holders} other cores held it",
+            if probe.hit { "holds" } else { "lacks" }
+        );
+        if is_write && holders != 0 {
+            self.stats.cores[c].upgrade_invalidations += 1;
+        }
         if probe.hit {
-            let stall = self.cfg.l1_hit_extra + remote_penalty;
+            // An upgrade: the requester wrote a clean copy it shares.
             self.stats.cores[c].d_stall_cycles += remote_penalty;
             return DataAccess {
-                stall,
+                stall: self.cfg.l1_hit_extra + remote_penalty,
                 hit: true,
                 coherence: false,
             };
         }
 
         self.stats.cores[c].d_misses += 1;
-        if action.coherence_transfer {
+        let transfer = holders != 0;
+        if transfer {
             self.stats.cores[c].d_coherence_misses += 1;
         }
-        // Miss: the block was installed by `access` above; a dirty
+        // Miss: the block was installed by the probe above; a dirty
         // displaced frame writes back.
         if let Some(v) = probe.evicted.filter(|v| v.dirty) {
             self.l2.writeback(core, v.block);
         }
-        let transfer = if action.coherence_transfer {
+        let latency = if transfer {
             // Cache-to-cache transfer: network plus one L2-directory hop.
             remote_penalty + self.cfg.l2_hit_latency
         } else {
             self.l2.access(core, block, now)
         };
-        let stall = self.cfg.l1_hit_extra + transfer;
+        let stall = self.cfg.l1_hit_extra + latency;
         self.stats.cores[c].d_stall_cycles += stall;
         DataAccess {
             stall,
             hit: false,
-            coherence: action.coherence_transfer,
+            coherence: transfer,
         }
     }
 
     /// The cores whose L1-Ds hold `block`, one bit per core, and the one
-    /// holding it dirty, if any: one tag probe per L1-D. This is the
-    /// state [`coherence::decide`] decides from.
-    #[inline]
+    /// holding it dirty, if any: one tag probe per L1-D. Observation only;
+    /// [`access_data`](MemorySystem::access_data) snoops the caches itself.
     pub fn l1d_holders(&self, block: BlockAddr) -> (SharerMask, Option<CoreId>) {
         let mut holders: SharerMask = 0;
         let mut dirty_owner = None;
@@ -336,11 +338,6 @@ impl MemorySystem {
         self.l1i[core.as_usize()].aux(block)
     }
 
-    /// Number of L1-I caches currently holding `block` (Figure 2).
-    pub fn l1i_holder_count(&self, block: BlockAddr) -> usize {
-        self.l1i.iter().filter(|c| c.contains(block)).count()
-    }
-
     /// The Bloom signature of `core`'s L1-I (SLICC's migration oracle).
     pub fn l1i_signature(&self, core: CoreId) -> &CacheSignature {
         &self.signatures[core.as_usize()]
@@ -378,9 +375,8 @@ mod tests {
         m.fetch_inst(CoreId::new(0), b, 0, 0);
         assert!(m.l1i_contains(CoreId::new(0), b));
         assert!(!m.l1i_contains(CoreId::new(1), b));
-        assert_eq!(m.l1i_holder_count(b), 1);
         m.fetch_inst(CoreId::new(1), b, 0, 0);
-        assert_eq!(m.l1i_holder_count(b), 2);
+        assert!(m.l1i_contains(CoreId::new(0), b) && m.l1i_contains(CoreId::new(1), b));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * private per-core 32 KB / 8-way L1 instruction and data caches with
 //!   64-byte blocks and pluggable replacement policies
 //!   ([`replacement::ReplacementKind`]: LRU, LIP, BIP, SRRIP, BRRIP);
-//! * MESI coherence across the L1-Ds, decided from what they hold
-//!   ([`coherence::decide`]);
+//! * MESI coherence across the L1-Ds, which are its directory: an access
+//!   that needs it snoops each other L1-D once ([`coherence`]);
 //! * a shared NUCA L2 (1 MB per core, 16-way, 16-cycle hit) whose slices are
 //!   interleaved across a 2-D torus ([`l2::SharedL2`], [`interconnect::Torus`]);
 //! * a DDR3-style DRAM latency model ([`memory::Dram`]);

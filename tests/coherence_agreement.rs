@@ -1,17 +1,19 @@
 //! The L1-Ds keep the MESI invariants.
 //!
 //! The L1-Ds are the coherence directory: `MemorySystem::access_data`
-//! reads a block's holders off them and `coherence::decide` picks the
-//! action from that. The property below checks, after every access of a
-//! random multi-core stream, what MESI promises of the caches:
+//! probes the requester's L1-D once and, unless that is a read hit or a
+//! write hit on a dirty frame, snoops every other L1-D once, invalidating
+//! or cleaning the copies it finds. The property below checks, after every
+//! access of a random multi-core stream, what MESI promises of the caches:
 //!
 //! * a block held dirty is held by no other core;
 //! * after a write, the writer is the sole holder, dirty;
 //! * after a read, the reader holds the block and no other core holds it
 //!   dirty.
 //!
-//! The scheduler matrix runs whole cells; in debug builds `decide`
-//! asserts the first invariant on every access that needs a decision.
+//! The scheduler matrix runs whole cells; in debug builds `access_data`
+//! asserts the first invariant whenever a snoop finds a dirty copy: no
+//! other core, the requester included, holds the block.
 
 use proptest::prelude::*;
 use strex::config::{SchedulerKind, SimConfig};
@@ -81,8 +83,8 @@ proptest! {
 
 /// Every scheduler at 2, 4 and 16 cores over small TPC-C-1, TPC-E and
 /// MapReduce pools keeps the directory, which is the L1-Ds, in agreement
-/// with MESI: in debug builds every data access that needs a MESI
-/// decision asserts that a block held dirty has no other holder.
+/// with MESI: in debug builds every data access whose snoop finds a dirty
+/// copy asserts that no other core, the requester included, holds one.
 #[test]
 fn every_scheduler_keeps_the_directory_in_agreement() {
     for kind in [
