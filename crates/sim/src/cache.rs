@@ -695,8 +695,9 @@ impl SetAssocCache {
 
     /// Another core's access to `block` as this (private data) cache
     /// sees it, in one scan: a write invalidates the frame, a read clears
-    /// its dirty bit (the copy is written back and now shared). Returns
-    /// whether the frame was dirty, or `None` if `block` is not resident.
+    /// its dirty bit (the caller writes a dirty copy back, and the copy
+    /// stays, shared). Returns whether the frame was dirty, or `None` if
+    /// `block` is not resident.
     ///
     /// # Examples
     ///

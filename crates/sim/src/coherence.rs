@@ -75,15 +75,8 @@ mod tests {
     /// one); the access; what they hold after; its `(hit, coherence)` and
     /// stall; and how many upgrade invalidations and L2 write-backs it
     /// adds.
-    type Case = (
-        &'static str,
-        bool,
-        &'static str,
-        (bool, bool),
-        u64,
-        u64,
-        u64,
-    );
+    type Case = (State, bool, State, (bool, bool), u64, u64, u64);
+    type State = &'static str;
 
     /// Every MESI-reachable case of one block across four cores: the
     /// requester holds nothing, a clean copy or a dirty copy; the other
@@ -176,11 +169,6 @@ mod tests {
         }
     }
 
-    /// What the cores other than the requester hold before the access.
-    fn others(case: &Case) -> &str {
-        &case.0[1..]
-    }
-
     #[test]
     fn cold_read_no_action() {
         check(|case| case.0 == "----");
@@ -188,27 +176,27 @@ mod tests {
 
     #[test]
     fn repeat_access_by_owner_is_silent() {
-        check(|case| !case.0.starts_with('-') && others(case) == "---");
+        check(|case| !case.0.starts_with('-') && &case.0[1..] == "---");
     }
 
     #[test]
     fn read_sharing_accumulates() {
-        check(|case| !case.1 && others(case).contains('C'));
+        check(|case| !case.1 && case.0[1..].contains('C'));
     }
 
     #[test]
     fn write_invalidates_sharers() {
-        check(|case| case.1 && others(case).contains('C'));
+        check(|case| case.1 && case.0[1..].contains('C'));
     }
 
     #[test]
     fn read_of_modified_downgrades() {
-        check(|case| !case.1 && others(case).contains('D'));
+        check(|case| !case.1 && case.0[1..].contains('D'));
     }
 
     #[test]
     fn write_of_modified_steals_ownership() {
-        check(|case| case.1 && others(case).contains('D'));
+        check(|case| case.1 && case.0[1..].contains('D'));
     }
 
     /// The tests above run [`CASES`] with core 0 requesting. Here cores

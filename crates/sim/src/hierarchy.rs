@@ -272,7 +272,9 @@ impl MemorySystem {
             self.stats.cores[c].d_coherence_misses += 1;
         }
         // Miss: the block was installed by the probe above; a dirty
-        // displaced frame writes back.
+        // displaced frame writes back. The L2's replacement state depends
+        // on its order of calls: a remote owner's write-back (in the
+        // snoop loop), then this victim's, then the access.
         if let Some(v) = probe.evicted.filter(|v| v.dirty) {
             self.l2.writeback(core, v.block);
         }

@@ -24,7 +24,6 @@ use std::fmt::Write as _;
 
 use strex::config::{SchedulerKind, SimConfig};
 use strex::driver::run;
-use strex::report::Report;
 use strex_oltp::workload::{Workload, WorkloadKind};
 use strex_sim::config::SystemConfig;
 use strex_sim::replacement::ReplacementKind;
@@ -34,14 +33,9 @@ const GOLDEN_SEED: u64 = 20130624;
 const CORES: usize = 4;
 const POOL: usize = 8;
 const MAPREDUCE_POOL: usize = 16;
-const MAPREDUCE_CORES: [usize; 2] = [2, 16];
 
-fn run_cell(
-    workload: &Workload,
-    sched: SchedulerKind,
-    repl: ReplacementKind,
-    cores: usize,
-) -> Report {
+/// One cell's report as the snapshot's integer fields, in canonical order.
+fn cell(workload: &Workload, sched: SchedulerKind, repl: ReplacementKind, cores: usize) -> String {
     let mut system = SystemConfig::with_cores(cores);
     system.l1i_replacement = repl;
     system.l1d_replacement = repl;
@@ -50,11 +44,7 @@ fn run_cell(
         .scheduler(sched)
         .build()
         .expect("golden configuration is valid");
-    run(workload, &cfg)
-}
-
-/// The report's integer fields, in the snapshot's canonical order.
-fn fields(r: &Report) -> String {
+    let r = run(workload, &cfg);
     let agg = r.stats.aggregate();
     let latencies: Vec<String> = r.latencies.iter().map(|l| l.to_string()).collect();
     format!(
@@ -90,8 +80,8 @@ fn render_all() -> String {
     );
     for sched in SchedulerKind::ALL {
         for repl in ReplacementKind::ALL {
-            let r = run_cell(&workload, sched, repl, CORES);
-            let _ = writeln!(out, "scheduler={} repl={repl} {}", sched.key(), fields(&r));
+            let fields = cell(&workload, sched, repl, CORES);
+            let _ = writeln!(out, "scheduler={} repl={repl} {fields}", sched.key());
         }
     }
     let workload = Workload::preset_small(WorkloadKind::MapReduce, MAPREDUCE_POOL, GOLDEN_SEED);
@@ -100,15 +90,10 @@ fn render_all() -> String {
         "# golden reports: workload={} pool={MAPREDUCE_POOL} seed={GOLDEN_SEED} repl=LRU",
         workload.name()
     );
-    for cores in MAPREDUCE_CORES {
+    for cores in [2, 16] {
         for sched in SchedulerKind::ALL {
-            let r = run_cell(&workload, sched, ReplacementKind::Lru, cores);
-            let _ = writeln!(
-                out,
-                "scheduler={} cores={cores} {}",
-                sched.key(),
-                fields(&r)
-            );
+            let fields = cell(&workload, sched, ReplacementKind::Lru, cores);
+            let _ = writeln!(out, "scheduler={} cores={cores} {fields}", sched.key());
         }
     }
     out
