@@ -114,12 +114,8 @@ enum Inner {
 /// is instantiated for `HybridSched`, the per-event forwarding is one enum
 /// discriminant branch plus an inlinable call — no vtable on the path.
 ///
-/// Only `pre_fetch` stays deliberately **unforwarded**: it keeps the trait
-/// default, so a hybrid-selected STREX delegate runs *without* the rule-3
-/// victim monitor. That has been the hybrid's behavior since the seed and
-/// it is pinned by the golden report snapshot; forwarding it now would
-/// change every STREX-delegated hybrid cell's results. Revisit only
-/// together with a deliberate golden re-baseline.
+/// Every hook is forwarded, `pre_fetch` (STREX's victim monitor) included,
+/// so a hybrid run makes exactly its delegate's decisions.
 macro_rules! delegate {
     ($self:ident, $s:ident => $call:expr) => {
         match &mut $self.inner {
@@ -194,6 +190,16 @@ impl Scheduler for HybridSched {
 
     fn phase_tag(&self, core: CoreId) -> u8 {
         delegate_ref!(self, s => s.phase_tag(core))
+    }
+
+    fn pre_fetch(
+        &mut self,
+        core: CoreId,
+        thread: ThreadId,
+        block: BlockAddr,
+        mem: &MemorySystem,
+    ) -> Decision {
+        delegate!(self, s => s.pre_fetch(core, thread, block, mem))
     }
 
     fn on_fetch(
