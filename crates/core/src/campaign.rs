@@ -24,6 +24,21 @@
 //! sequential execution at *any* worker count (property-tested in
 //! `tests/campaign_api.rs`).
 //!
+//! Before anything runs, the executor plans which cells need a simulation
+//! of their own. Section 5.5's hybrid delegates wholesale to STREX or
+//! SLICC, so a hybrid run is its delegate's run apart from two labels
+//! (see [`crate::sched::hybrid`]). When the cells a call runs include a
+//! hybrid cell and the cell of its delegate — same workload, same
+//! configuration apart from the scheduler, both run by built-in factories
+//! ([`SchedulerFactory::built_in`](crate::sched::registry::SchedulerFactory::built_in))
+//! — only the delegate is simulated, and the hybrid cell takes its report
+//! with [`Report::scheduler`] and [`Report::hybrid_choice`] set. The
+//! delegate is the one the hybrid's own rule picks
+//! ([`FpTable::delegate`]), from each workload's FPTable, profiled once
+//! per call. A matrix over all four schedulers thus simulates three
+//! quarters of its cells, and its bytes stay those of simulating every
+//! cell.
+//!
 //! Results are pure data: a cell carries its key and report and nothing
 //! about the host that computed it, so a result's bytes depend only on
 //! the matrix. How fast a build simulates is the benchmark's business
@@ -84,6 +99,7 @@ use crate::error::ConfigError;
 use crate::json::JsonWriter;
 use crate::jsonval::{JsonValue, WireError};
 use crate::report::Report;
+use crate::sched::hybrid::{self, FpTable};
 use crate::sched::registry::{self, SchedulerRegistry};
 
 /// A declarative run matrix over one base configuration.
@@ -242,15 +258,20 @@ impl<'w> Campaign<'w> {
     /// sharded executor (see the module docs).
     ///
     /// Every cell is validated before anything runs, so a bad matrix
-    /// costs nothing. Each worker claims cells from a shared cursor, runs
-    /// them through the factory's typed run with its own reused
-    /// [`SimScratch`], and keeps its results in a private shard;
-    /// the shards are reassembled in matrix order afterwards, so the
-    /// outcome is independent of worker interleaving — and, because each
-    /// simulation is itself deterministic, bit-identical to sequential
+    /// costs nothing. A hybrid cell whose delegate's cell is in the
+    /// matrix takes that cell's report instead of a simulation (see the
+    /// module docs); every other cell is simulated. Each worker claims
+    /// cells to simulate from a shared cursor, runs them through the
+    /// factory's typed run with its own reused [`SimScratch`], and keeps
+    /// its results in a private shard; the shards are reassembled in
+    /// matrix order afterwards, so the outcome is independent of worker
+    /// interleaving — and, because each simulation is itself
+    /// deterministic, bit-identical to sequential
     /// [`run`](crate::driver::run) calls.
     pub fn run_on(&self, reg: &SchedulerRegistry) -> Result<CampaignResult, ConfigError> {
         let cells = self.cells(reg)?;
+        let reuse = self.reuse_plan(&cells, reg);
+        let simulated: Vec<usize> = (0..cells.len()).filter(|&i| reuse[i].is_none()).collect();
         let workers = self
             .parallelism
             .unwrap_or_else(|| {
@@ -258,7 +279,7 @@ impl<'w> Campaign<'w> {
                     .map(|n| n.get())
                     .unwrap_or(1)
             })
-            .min(cells.len().max(1));
+            .min(simulated.len().max(1));
 
         let next = AtomicUsize::new(0);
         let shards: Vec<Vec<(usize, Report)>> = std::thread::scope(|scope| {
@@ -266,19 +287,16 @@ impl<'w> Campaign<'w> {
                 .map(|_| {
                     let next = &next;
                     let cells = &cells;
+                    let simulated = &simulated;
                     scope.spawn(move || {
                         let mut scratch = SimScratch::new();
                         let mut shard: Vec<(usize, Report)> = Vec::new();
                         loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((key, cfg)) = cells.get(i) else {
+                            let k = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&i) = simulated.get(k) else {
                                 break;
                             };
-                            let workload = self.workloads[key.workload_idx];
-                            let factory = reg
-                                .get(&key.scheduler)
-                                .expect("cells() checked registration");
-                            shard.push((i, run_factory(factory, workload, cfg, &mut scratch)));
+                            shard.push((i, self.simulate(reg, &cells[i], &mut scratch)));
                         }
                         shard
                     })
@@ -294,6 +312,12 @@ impl<'w> Campaign<'w> {
         for (i, report) in shards.into_iter().flatten() {
             debug_assert!(slots[i].is_none(), "cell {i} executed twice");
             slots[i] = Some(report);
+        }
+        for (i, twin) in reuse.iter().enumerate() {
+            if let Some(j) = *twin {
+                let report = slots[j].clone().expect("a delegate cell is simulated");
+                slots[i] = Some(hybrid::relabel(report));
+            }
         }
         let cells: Vec<CampaignCell> = cells
             .into_iter()
@@ -328,7 +352,9 @@ impl<'w> Campaign<'w> {
     ///
     /// Shard ownership is by stable cell key ([`shard_of`]), not by
     /// position, so it is insensitive to how a peer process enumerated
-    /// the matrix.
+    /// the matrix. A hybrid cell takes its delegate's report, as in
+    /// [`run_on`](Campaign::run_on), when the shard runs both cells; the
+    /// bytes are the same either way.
     pub fn run_shard_on(
         &self,
         spec: ShardSpec,
@@ -347,6 +373,8 @@ impl<'w> Campaign<'w> {
     /// runs again. The remaining owned cells run in matrix order, and
     /// `on_cell` observes each one with its index as it finishes —
     /// callers persist or ship it (the dispatcher's `checkpoint` frames).
+    /// A hybrid cell that takes its delegate's report is observed exactly
+    /// once too, in its own place in that order.
     /// The merged result of a resumed shard is byte-identical to the
     /// uninterrupted run (property-tested in `tests/checkpoint_resume.rs`).
     ///
@@ -388,27 +416,123 @@ impl<'w> Campaign<'w> {
                 detail: format!("finished cell {i} ({}) {problem} ({spec})", cell.key),
             });
         }
-        let mut scratch = SimScratch::new();
         let mut adopted = done.into_iter().peekable();
         let mut cells = Vec::new();
-        for (i, (key, cfg)) in matrix.into_iter().enumerate() {
-            if let Some(cell) = adopted.next_if(|(j, _)| *j == i) {
-                cells.push(cell);
-                continue;
+        let (mut indices, mut runs) = (Vec::new(), Vec::new());
+        for (i, cell) in matrix.into_iter().enumerate() {
+            if let Some(finished) = adopted.next_if(|(j, _)| *j == i) {
+                cells.push(finished);
+            } else if spec.owns(&cell.0) {
+                indices.push(i);
+                runs.push(cell);
             }
-            if !spec.owns(&key) {
-                continue;
-            }
-            let workload = self.workloads[key.workload_idx];
-            let factory = reg
-                .get(&key.scheduler)
-                .expect("cells() checked registration");
-            let report = run_factory(factory, workload, &cfg, &mut scratch);
-            let cell = CampaignCell { key, report };
+        }
+
+        // Sequential on purpose: a shard is a dispatcher worker's unit,
+        // and the fleet gets its parallelism from running several.
+        let reuse = self.reuse_plan(&runs, reg);
+        let mut is_twin = vec![false; runs.len()];
+        for &j in reuse.iter().flatten() {
+            is_twin[j] = true;
+        }
+        // Delegate reports kept for their hybrid cells; one whose hybrid
+        // cell comes first is simulated when that cell's turn comes.
+        let mut kept: Vec<Option<Report>> = runs.iter().map(|_| None).collect();
+        let mut scratch = SimScratch::new();
+        let mut simulate = |k: usize| self.simulate(reg, &runs[k], &mut scratch);
+        for (k, i) in indices.into_iter().enumerate() {
+            let report = match reuse[k] {
+                Some(j) => hybrid::relabel(kept[j].get_or_insert_with(|| simulate(j)).clone()),
+                None if is_twin[k] => kept[k].get_or_insert_with(|| simulate(k)).clone(),
+                None => simulate(k),
+            };
+            let cell = CampaignCell {
+                key: runs[k].0.clone(),
+                report,
+            };
             on_cell(i, &cell);
             cells.push((i, cell));
         }
+        cells.sort_unstable_by_key(|(i, _)| *i);
         Ok(CampaignShard { spec, cells })
+    }
+
+    /// Simulates one cell through its factory's typed run.
+    fn simulate(
+        &self,
+        reg: &SchedulerRegistry,
+        (key, cfg): &(CellKey, SimConfig),
+        scratch: &mut SimScratch,
+    ) -> Report {
+        let factory = reg
+            .get(&key.scheduler)
+            .expect("cells() checked registration");
+        run_factory(factory, self.workloads[key.workload_idx], cfg, scratch)
+    }
+
+    /// [`plan_reuse`] with the hybrid's own rule, on FPTables profiled
+    /// from this campaign's workloads, each at most once. Every cell
+    /// carries the base configuration's L1-I, the FPTable's unit, so one
+    /// table per workload serves all of them.
+    fn reuse_plan(
+        &self,
+        cells: &[(CellKey, SimConfig)],
+        reg: &SchedulerRegistry,
+    ) -> Vec<Option<usize>> {
+        let mut tables: Vec<Option<FpTable>> = vec![None; self.workloads.len()];
+        plan_reuse(cells, reg, |key, cfg| {
+            tables[key.workload_idx]
+                .get_or_insert_with(|| {
+                    let l1i_bytes = cfg.system.l1i_geometry.size_bytes();
+                    FpTable::profile(self.workloads[key.workload_idx].txns(), l1i_bytes)
+                })
+                .delegate(cfg.system.n_cores)
+        })
+    }
+}
+
+/// Which of `cells` take another cell's report instead of a simulation:
+/// entry `k` is `Some(j)` when cell `k` runs the built-in hybrid and cell
+/// `j` runs the built-in policy that `delegate` names for it, on the same
+/// workload with the same configuration apart from the scheduler. The
+/// hybrid forwards every hook to that policy, so cell `k`'s report is
+/// cell `j`'s, relabelled ([`hybrid::relabel`]). Custom and wrapping
+/// factories never qualify ([`SchedulerFactory::built_in`]), and
+/// `delegate` is asked only about hybrid cells with a STREX or SLICC twin.
+///
+/// [`SchedulerFactory::built_in`]: crate::sched::registry::SchedulerFactory::built_in
+fn plan_reuse(
+    cells: &[(CellKey, SimConfig)],
+    reg: &SchedulerRegistry,
+    mut delegate: impl FnMut(&CellKey, &SimConfig) -> SchedulerKind,
+) -> Vec<Option<usize>> {
+    let built_in = |key: &CellKey| reg.get(&key.scheduler).and_then(|f| f.built_in());
+    cells
+        .iter()
+        .map(|(key, cfg)| {
+            if built_in(key) != Some(SchedulerKind::Hybrid) {
+                return None;
+            }
+            let twin = |kind| {
+                cells.iter().position(|(k, c)| {
+                    k.workload_idx == key.workload_idx
+                        && built_in(k) == Some(kind)
+                        && same_but_scheduler(c, cfg)
+                })
+            };
+            if twin(SchedulerKind::Strex).is_none() && twin(SchedulerKind::Slicc).is_none() {
+                return None;
+            }
+            twin(delegate(key, cfg))
+        })
+        .collect()
+}
+
+/// Whether `a` and `b` configure the same run apart from the scheduler.
+fn same_but_scheduler(a: &SimConfig, b: &SimConfig) -> bool {
+    *a == SimConfig {
+        scheduler: a.scheduler,
+        ..b.clone()
     }
 }
 
@@ -506,13 +630,16 @@ pub fn fnv64(text: &str) -> u64 {
     fnv64_fold(FNV_OFFSET, text)
 }
 
-/// How much simulation work a campaign's cells did: a figure computed
-/// from the cells ([`CampaignResult::perf`]), never measured on the host,
-/// so it is the same however and wherever the cells ran.
+/// How much simulation work a campaign's cells represent: a figure
+/// computed from the cells ([`CampaignResult::perf`]), never measured on
+/// the host, so it is the same however and wherever the cells ran, and
+/// whether a hybrid cell was simulated or took its delegate's report.
 #[derive(Copy, Clone, Debug)]
 pub struct CampaignPerf {
-    /// Memory-reference events (L1-I + L1-D accesses) simulated across
-    /// all cells.
+    /// Memory-reference events (L1-I + L1-D accesses) in every cell's
+    /// report, summed over all cells. A hybrid cell that took its
+    /// delegate's report counts its events again, so this can exceed the
+    /// events the executor simulated.
     pub total_events: u64,
 }
 
@@ -565,7 +692,8 @@ impl CampaignResult {
         &self.cells
     }
 
-    /// The simulation work the cells did, summed over their reports.
+    /// The events every cell represents, summed over their reports —
+    /// reused hybrid cells included (see [`CampaignPerf`]).
     pub fn perf(&self) -> CampaignPerf {
         let total_events = self
             .cells
@@ -957,6 +1085,7 @@ pub fn merge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::registry::SchedulerFactory;
     use strex_oltp::workload::WorkloadKind;
 
     fn pool() -> Workload {
@@ -1046,6 +1175,112 @@ mod tests {
         // pool's whole event stream once.
         let events: u64 = w.txns().iter().map(|t| t.len() as u64).sum();
         assert_eq!(result.perf().total_events, 2 * events);
+    }
+
+    /// The reuse plan is a function of the cell list, the registry and
+    /// the delegate rule alone; this rule stands in for the FPTable's.
+    fn delegate_by_cores(key: &CellKey, _: &SimConfig) -> SchedulerKind {
+        if key.cores >= 8 {
+            SchedulerKind::Slicc
+        } else {
+            SchedulerKind::Strex
+        }
+    }
+
+    fn ids(cells: &[(CellKey, SimConfig)], plan: &[Option<usize>]) -> Vec<(String, String)> {
+        plan.iter()
+            .enumerate()
+            .filter_map(|(k, twin)| twin.map(|j| (cells[k].0.to_string(), cells[j].0.to_string())))
+            .collect()
+    }
+
+    #[test]
+    fn hybrid_cells_reuse_their_delegates_cell_only() {
+        let (w1, w2) = (pool(), pool());
+        // Hybrid first, so one delegate cell comes after its hybrid cell;
+        // two workloads of one name, told apart by their index.
+        let cells = Campaign::new(SimConfig::new(2, SchedulerKind::Baseline))
+            .over_scheduler_names(["hybrid", "baseline", "strex", "slicc"])
+            .over_workloads([&w1, &w2])
+            .over_cores([2, 16])
+            .over_team_sizes([5, 10])
+            .cells(registry::global())
+            .expect("valid");
+        let plan = plan_reuse(&cells, registry::global(), delegate_by_cores);
+        let reused = ids(&cells, &plan);
+        assert_eq!(reused.len(), 8, "every hybrid cell: {reused:?}");
+        for (k, twin) in plan.iter().enumerate() {
+            let Some(j) = *twin else { continue };
+            let (hybrid, delegate) = (&cells[k].0, &cells[j].0);
+            assert_eq!(hybrid.scheduler, "hybrid");
+            let want = delegate_by_cores(hybrid, &cells[k].1).key();
+            assert_eq!(delegate.scheduler, want);
+            assert_eq!(delegate.workload_idx, hybrid.workload_idx);
+            assert_eq!(delegate.cores, hybrid.cores);
+            assert_eq!(delegate.team_size, hybrid.team_size);
+            assert!(j > k, "the delegate follows its hybrid cell here");
+        }
+    }
+
+    #[test]
+    fn only_built_in_policies_are_reused() {
+        struct Custom;
+        impl SchedulerFactory for Custom {
+            fn name(&self) -> &'static str {
+                "strex"
+            }
+            fn create(&self, _: &SimConfig) -> Box<dyn crate::sched::Scheduler> {
+                Box::new(crate::sched::BaselineSched::new())
+            }
+        }
+        let mut reg = SchedulerRegistry::with_defaults();
+        reg.register(Box::new(Custom));
+        let w = pool();
+        let cells = Campaign::new(SimConfig::new(2, SchedulerKind::Baseline))
+            .over_schedulers([
+                SchedulerKind::Strex,
+                SchedulerKind::Slicc,
+                SchedulerKind::Hybrid,
+            ])
+            .over_workloads([&w])
+            .over_cores([2, 16])
+            .cells(&reg)
+            .expect("valid");
+        // At 2 cores the delegate is the custom "strex": simulate. At 16
+        // it is the built-in SLICC: reuse.
+        let plan = plan_reuse(&cells, &reg, delegate_by_cores);
+        assert_eq!(
+            ids(&cells, &plan),
+            [(
+                "TPC-C-1/hybrid/c16/t10".into(),
+                "TPC-C-1/slicc/c16/t10".into()
+            )]
+        );
+    }
+
+    #[test]
+    fn a_hybrid_cell_without_a_twin_is_simulated_unprofiled() {
+        let w = pool();
+        let cells = Campaign::new(SimConfig::new(2, SchedulerKind::Baseline))
+            .over_schedulers([SchedulerKind::Baseline, SchedulerKind::Hybrid])
+            .over_workloads([&w])
+            .over_cores([2, 16])
+            .cells(registry::global())
+            .expect("valid");
+        let plan = plan_reuse(&cells, registry::global(), |key, _| {
+            panic!("{key} has no STREX or SLICC twin to choose between")
+        });
+        assert!(plan.iter().all(Option::is_none));
+
+        // A twin whose configuration differs elsewhere is no twin.
+        let mut cells = Campaign::new(SimConfig::new(2, SchedulerKind::Baseline))
+            .over_schedulers([SchedulerKind::Strex, SchedulerKind::Hybrid])
+            .over_workloads([&w])
+            .cells(registry::global())
+            .expect("valid");
+        cells[0].1.strex.min_quantum_fetches += 1;
+        let plan = plan_reuse(&cells, registry::global(), delegate_by_cores);
+        assert_eq!(plan, [None, None]);
     }
 
     #[test]

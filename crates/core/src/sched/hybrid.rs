@@ -6,13 +6,23 @@
 //! each transaction type's instruction footprint into an **FPTable**
 //! (in L1-I-size units) and, whenever a transaction group is scheduled,
 //! picks SLICC if the available core count covers the table's demand and
-//! STREX if not.
+//! STREX if not ([`FpTable::delegate`]).
 //!
 //! Profiling counts the unique cache blocks a sampled transaction touches —
 //! in hardware this reuses STREX's phase-ID tables while running under
 //! SLICC (Section 5.5); here the same quantity is computed from the sampled
 //! thread's trace, and the profiling period (0.2 % of execution) is charged
 //! as free, as the paper treats it.
+//!
+//! After the choice the hybrid hands every scheduler hook to its delegate,
+//! STREX's victim monitor (`pre_fetch`) included. A hybrid run is
+//! therefore its delegate's run: the two reports differ only in
+//! [`Report::scheduler`] and [`Report::hybrid_choice`]
+//! (`tests/hybrid_delegate_differential.rs` checks this on every workload
+//! family, core count, replacement policy and prefetcher). A
+//! [`Campaign`](crate::campaign::Campaign) that runs a hybrid cell beside
+//! its delegate's cell relies on that: it simulates the delegate once and
+//! gives the hybrid cell the same report, relabelled.
 
 use std::collections::BTreeMap;
 
@@ -22,8 +32,12 @@ use strex_sim::hierarchy::{InstFetch, MemorySystem};
 use strex_sim::ids::{CoreId, Cycle, ThreadId, TxnTypeId};
 
 use super::{BaselineSched, Decision, Scheduler, SliccSched, StrexSched};
-use crate::config::{SliccParams, StrexParams};
+use crate::config::{SchedulerKind, SliccParams, StrexParams};
+use crate::report::Report;
 use crate::thread::TxnThread;
+
+/// The hybrid's display name, [`Report::scheduler`] of its runs.
+const NAME: &str = "STREX+SLICC";
 
 /// The transaction-footprint-size table (FPTable) of Section 5.5.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -74,11 +88,28 @@ impl FpTable {
         self.entries.values().sum::<u64>() as f64 / self.entries.len() as f64
     }
 
-    /// The Section 5.5 rule: SLICC if the aggregate L1-I (`n_cores` units)
-    /// fits the workload's footprint demand.
-    pub fn choose_slicc(&self, n_cores: usize) -> bool {
-        !self.is_empty() && (n_cores as f64) >= self.mean_units()
+    /// The Section 5.5 rule, the one place the hybrid's choice is made:
+    /// SLICC if the aggregate L1-I (`n_cores` units) fits the workload's
+    /// footprint demand, STREX otherwise. [`HybridSched`] delegates to
+    /// the policy it names, and a campaign finds the cell whose report a
+    /// hybrid cell can take through it.
+    pub fn delegate(&self, n_cores: usize) -> SchedulerKind {
+        if !self.is_empty() && (n_cores as f64) >= self.mean_units() {
+            SchedulerKind::Slicc
+        } else {
+            SchedulerKind::Strex
+        }
     }
+}
+
+/// The report a hybrid run gives, made from its delegate's report of the
+/// same run: the delegate's name moves to [`Report::hybrid_choice`] and
+/// [`Report::scheduler`] names the hybrid. Every other field is the
+/// delegate's, as the hybrid forwards every hook.
+pub(crate) fn relabel(mut delegate: Report) -> Report {
+    let choice = std::mem::replace(&mut delegate.scheduler, NAME.to_string());
+    delegate.hybrid_choice = Some(choice);
+    delegate
 }
 
 /// The hybrid scheduler: profiles, then delegates wholesale.
@@ -157,25 +188,21 @@ impl HybridSched {
 
     /// Which scheduler the decision selected ("STREX" or "SLICC").
     pub fn selected(&self) -> &'static str {
-        match &self.inner {
-            Inner::Unset(_) => "unset",
-            Inner::Strex(_) => "STREX",
-            Inner::Slicc(_) => "SLICC",
-        }
+        self.hybrid_choice().unwrap_or("unset")
     }
 }
 
 impl Scheduler for HybridSched {
     fn name(&self) -> &'static str {
-        "STREX+SLICC"
+        NAME
     }
 
     fn init(&mut self, threads: &[TxnThread], traces: &[TxnTrace], n_cores: usize) {
         self.fptable = FpTable::profile(traces, self.l1i_bytes);
-        self.inner = if self.fptable.choose_slicc(n_cores) {
-            Inner::Slicc(SliccSched::new(self.slicc_params))
-        } else {
-            Inner::Strex(StrexSched::new(self.strex_params))
+        self.inner = match self.fptable.delegate(n_cores) {
+            SchedulerKind::Strex => Inner::Strex(StrexSched::new(self.strex_params)),
+            SchedulerKind::Slicc => Inner::Slicc(SliccSched::new(self.slicc_params)),
+            kind => unreachable!("the FPTable rule never picks {kind}"),
         };
         delegate!(self, s => s.init(threads, traces, n_cores));
     }
@@ -234,10 +261,12 @@ impl Scheduler for HybridSched {
     }
 
     fn hybrid_choice(&self) -> Option<&'static str> {
+        // The delegate's own name, so that `relabel` turns the delegate's
+        // report into exactly this run's.
         match &self.inner {
             Inner::Unset(_) => None,
-            Inner::Strex(_) => Some("STREX"),
-            Inner::Slicc(_) => Some("SLICC"),
+            Inner::Strex(s) => Some(s.name()),
+            Inner::Slicc(s) => Some(s.name()),
         }
     }
 }
@@ -288,9 +317,9 @@ mod tests {
         ];
         let fp = FpTable::profile(&traces, 32 * 1024);
         assert!((fp.mean_units() - 8.0).abs() < 1e-9);
-        assert!(!fp.choose_slicc(7));
-        assert!(fp.choose_slicc(8));
-        assert!(fp.choose_slicc(16));
+        assert_eq!(fp.delegate(7), SchedulerKind::Strex);
+        assert_eq!(fp.delegate(8), SchedulerKind::Slicc);
+        assert_eq!(fp.delegate(16), SchedulerKind::Slicc);
     }
 
     #[test]
@@ -315,7 +344,7 @@ mod tests {
     fn empty_table_never_chooses_slicc() {
         let fp = FpTable::default();
         assert!(fp.is_empty());
-        assert!(!fp.choose_slicc(64));
+        assert_eq!(fp.delegate(64), SchedulerKind::Strex);
         assert_eq!(fp.mean_units(), 0.0);
     }
 }

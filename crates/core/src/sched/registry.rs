@@ -68,6 +68,16 @@ pub trait SchedulerFactory: Send + Sync {
         let _ = (workload, config, scratch);
         None
     }
+
+    /// The built-in policy this factory runs, or `None`. Only the
+    /// registry's own entries ([`SchedulerRegistry::with_defaults`])
+    /// answer, so a custom factory, or one that wraps a built-in under
+    /// its name, is never taken for the policy itself. A campaign gives a
+    /// hybrid cell its delegate's report only when both cells run
+    /// built-in policies (see [`Campaign::run_on`](crate::campaign::Campaign::run_on)).
+    fn built_in(&self) -> Option<SchedulerKind> {
+        None
+    }
 }
 
 /// A name-keyed collection of [`SchedulerFactory`]s.
@@ -164,6 +174,10 @@ impl<S: Scheduler + 'static> SchedulerFactory for BuiltIn<S> {
         Box::new((self.build)(config))
     }
 
+    fn built_in(&self) -> Option<SchedulerKind> {
+        Some(self.kind)
+    }
+
     fn run_typed(
         &self,
         workload: &Workload,
@@ -183,7 +197,8 @@ mod tests {
     fn defaults_cover_every_kind() {
         let reg = SchedulerRegistry::with_defaults();
         for kind in SchedulerKind::ALL {
-            assert!(reg.get(kind.key()).is_some(), "{kind} missing");
+            let factory = reg.get(kind.key()).expect("registered");
+            assert_eq!(factory.built_in(), Some(kind));
         }
         assert_eq!(reg.names().len(), 4);
     }
@@ -211,6 +226,7 @@ mod tests {
         let mut reg = SchedulerRegistry::with_defaults();
         reg.register(Box::new(Override));
         assert_eq!(reg.names().len(), 4);
+        assert_eq!(reg.get("baseline").and_then(|f| f.built_in()), None);
         let cfg = SimConfig::new(2, SchedulerKind::Baseline);
         let sched = reg.create("baseline", &cfg).expect("still present");
         assert_eq!(sched.name(), "STREX", "override must win");

@@ -2,7 +2,7 @@
 //! config builder, the scheduler registry, and the parallel campaign
 //! executor — including the determinism guarantee the executor must keep.
 
-use strex::campaign::Campaign;
+use strex::campaign::{Campaign, CampaignResult};
 use strex::config::{SchedulerKind, SimConfig, MAX_CORES};
 use strex::driver::{run, run_with, SimScratch};
 use strex::error::ConfigError;
@@ -80,7 +80,11 @@ mod sharded_worker_counts {
 
     fn build(workloads: &[Workload], parallelism: usize) -> String {
         Campaign::new(SimConfig::new(2, SchedulerKind::Baseline))
-            .over_schedulers([SchedulerKind::Strex, SchedulerKind::Slicc])
+            .over_schedulers([
+                SchedulerKind::Strex,
+                SchedulerKind::Slicc,
+                SchedulerKind::Hybrid,
+            ])
             .over_workloads(workloads)
             .over_cores([2, 4])
             .parallelism(parallelism)
@@ -116,7 +120,9 @@ mod sharded_worker_counts {
 /// The deterministic sharding layer: shard ownership must partition the
 /// matrix (every cell in exactly one shard), and reassembling shards —
 /// through the JSON wire format, in any merge order — must reproduce the
-/// sequential `CampaignResult` byte for byte.
+/// sequential `CampaignResult` byte for byte. The matrix holds hybrid
+/// cells, which take their delegate's report when one shard runs both and
+/// are simulated when the split parts them; the bytes must not tell.
 mod deterministic_sharding {
     use super::*;
     use proptest::prelude::*;
@@ -132,7 +138,11 @@ mod deterministic_sharding {
 
     fn campaign(workloads: &[Workload]) -> Campaign<'_> {
         Campaign::new(SimConfig::new(2, SchedulerKind::Baseline))
-            .over_schedulers([SchedulerKind::Strex, SchedulerKind::Slicc])
+            .over_schedulers([
+                SchedulerKind::Strex,
+                SchedulerKind::Slicc,
+                SchedulerKind::Hybrid,
+            ])
             .over_workloads(workloads)
             .over_cores([2, 4])
     }
@@ -156,7 +166,7 @@ mod deterministic_sharding {
         let cells = campaign(&w)
             .cells(registry::global())
             .expect("valid campaign");
-        assert_eq!(cells.len(), 8);
+        assert_eq!(cells.len(), 12);
         for count in [1usize, 2, 3, 5, 8, 13] {
             let specs: Vec<ShardSpec> = (0..count)
                 .map(|i| ShardSpec::new(i, count).expect("valid"))
@@ -167,6 +177,29 @@ mod deterministic_sharding {
                 assert_eq!(owners, 1, "cell {key} owned by {owners} shards of {count}");
             }
         }
+    }
+
+    /// The property below draws 1-6 shards; among those splits some put
+    /// a hybrid cell on its delegate's shard and some do not, so both the
+    /// reused and the simulated hybrid cell meet the merge.
+    #[test]
+    fn the_shard_counts_both_join_and_part_hybrid_cells_from_delegates() {
+        let w = workloads();
+        let cells = campaign(&w).cells(registry::global()).expect("valid");
+        let (mut joined, mut parted) = (false, false);
+        for count in 1usize..=6 {
+            for (key, _) in cells.iter().filter(|(k, _)| k.scheduler == "hybrid") {
+                let same_shard = cells.iter().any(|(k, _)| {
+                    k.scheduler != "hybrid"
+                        && k.workload_idx == key.workload_idx
+                        && k.cores == key.cores
+                        && shard_of(k, count) == shard_of(key, count)
+                });
+                joined |= same_shard;
+                parted |= !same_shard;
+            }
+        }
+        assert!(joined && parted);
     }
 
     #[test]
@@ -430,6 +463,128 @@ fn custom_factory_plugs_into_driver_and_campaign() {
     // the custom entry.
     assert_eq!(run(&w, &cfg).to_json(), single.to_json());
     assert!(registry::global().get("renamed-baseline").is_none());
+}
+
+/// Hybrid cells that take their delegate's report are byte-identical to
+/// hybrid cells simulated on their own: a matrix over STREX, SLICC and the
+/// hybrid reuses every hybrid cell, a hybrid-only matrix simulates them
+/// all. TPC-C-1's FPTable puts the hybrid on STREX at 2-8 cores and on
+/// SLICC at 16.
+#[test]
+fn reused_hybrid_cells_equal_simulated_ones() {
+    let w = Workload::preset_small(WorkloadKind::TpccW1, 8, 13);
+    let run_over = |schedulers: &[SchedulerKind]| {
+        Campaign::new(SimConfig::new(2, SchedulerKind::Baseline))
+            .over_schedulers(schedulers.iter().copied())
+            .over_workloads([&w])
+            .over_cores([2, 4, 8, 16])
+            .run()
+            .expect("valid campaign")
+    };
+    let hybrid_cells = |result: &CampaignResult| -> Vec<String> {
+        result
+            .cells()
+            .iter()
+            .filter(|c| c.key.scheduler == "hybrid")
+            .map(|c| format!("{} {}", c.key, c.report.to_json()))
+            .collect()
+    };
+    let reused = run_over(&[
+        SchedulerKind::Strex,
+        SchedulerKind::Slicc,
+        SchedulerKind::Hybrid,
+    ]);
+    let simulated = run_over(&[SchedulerKind::Hybrid]);
+    assert_eq!(hybrid_cells(&simulated).len(), 4);
+    assert_eq!(hybrid_cells(&reused), hybrid_cells(&simulated));
+    let choices: Vec<_> = simulated
+        .cells()
+        .iter()
+        .map(|c| c.report.hybrid_choice.as_deref())
+        .collect();
+    assert_eq!(
+        choices,
+        [Some("STREX"), Some("STREX"), Some("STREX"), Some("SLICC")]
+    );
+}
+
+/// A registry whose `strex` entry is a custom factory is not the built-in
+/// STREX, so the hybrid cells it would delegate to are simulated: they
+/// equal the built-in hybrid's own run, not the custom cell relabelled.
+#[test]
+fn hybrid_cells_never_reuse_a_custom_factory() {
+    struct NotStrex;
+    impl SchedulerFactory for NotStrex {
+        fn name(&self) -> &'static str {
+            "strex"
+        }
+        fn create(&self, _config: &SimConfig) -> Box<dyn Scheduler> {
+            Box::new(BaselineSched::new())
+        }
+    }
+    let mut reg = SchedulerRegistry::with_defaults();
+    reg.register(Box::new(NotStrex));
+
+    let w = Workload::preset_small(WorkloadKind::TpccW1, 8, 13);
+    let base = SimConfig::new(2, SchedulerKind::Baseline);
+    let result = Campaign::new(base.clone())
+        .over_schedulers([SchedulerKind::Strex, SchedulerKind::Hybrid])
+        .over_workloads([&w])
+        .over_cores([2, 4])
+        .run_on(&reg)
+        .expect("valid campaign");
+    for cores in [2, 4] {
+        let mut cfg = base.clone();
+        cfg.scheduler = SchedulerKind::Hybrid;
+        cfg.system.n_cores = cores;
+        let own = run(&w, &cfg);
+        assert_eq!(own.hybrid_choice.as_deref(), Some("STREX"));
+        let cell = result.report("TPC-C-1", "hybrid", cores).expect("present");
+        assert_eq!(cell.to_json(), own.to_json(), "hybrid at {cores} cores");
+        let custom = result.report("TPC-C-1", "strex", cores).expect("present");
+        assert_ne!(custom.makespan, own.makespan, "the custom cell differs");
+    }
+}
+
+/// `run_shard_resumable` hands every owned cell to `on_cell` exactly
+/// once and in matrix order, hybrid cells that take their delegate's
+/// report included, also when the hybrid cell comes before its delegate.
+#[test]
+fn resumable_shards_report_every_owned_cell_once() {
+    use strex::campaign::{merge, ShardSpec};
+
+    let workloads = [
+        Workload::preset_small(WorkloadKind::TpccW1, 8, 13),
+        Workload::preset_small(WorkloadKind::MapReduce, 8, 13),
+    ];
+    for order in [["strex", "slicc", "hybrid"], ["hybrid", "slicc", "strex"]] {
+        let campaign = Campaign::new(SimConfig::new(2, SchedulerKind::Baseline))
+            .over_scheduler_names(order)
+            .over_workloads(&workloads)
+            .over_cores([2, 4]);
+        let sequential = campaign.run().expect("valid campaign").to_json();
+        for count in 1..=3 {
+            let shards: Vec<_> = (0..count)
+                .map(|index| {
+                    let spec = ShardSpec::new(index, count).expect("valid");
+                    let mut seen = Vec::new();
+                    let shard = campaign
+                        .run_shard_resumable(spec, Vec::new(), &mut |i, cell| {
+                            assert!(spec.owns(&cell.key));
+                            seen.push(i);
+                        })
+                        .expect("valid shard");
+                    let owned: Vec<usize> = shard.cells().iter().map(|(i, _)| *i).collect();
+                    assert_eq!(seen, owned, "{order:?}, shard {spec}");
+                    shard
+                })
+                .collect();
+            let reported: usize = shards.iter().map(|s| s.cells().len()).sum();
+            assert_eq!(reported, 12);
+            let merged = merge(shards).expect("complete");
+            assert_eq!(merged.to_json(), sequential, "{order:?}, {count} shards");
+        }
+    }
 }
 
 /// A minimal JSON well-formedness check (the build environment has no
