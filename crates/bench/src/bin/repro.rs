@@ -671,7 +671,7 @@ fn submit_mode(rest: &[String]) -> ExitCode {
         }
     }
     println!(
-        "dispatched campaign merged: {} cells, {} events",
+        "dispatched campaign merged: {} cells, {} events simulated",
         result.cells().len(),
         result.perf().total_events,
     );

@@ -24,12 +24,12 @@
 //! sequential execution at *any* worker count (property-tested in
 //! `tests/campaign_api.rs`).
 //!
-//! Before anything runs, the executor plans which cells need a simulation
-//! of their own. Section 5.5's hybrid delegates wholesale to STREX or
-//! SLICC, so a hybrid run is its delegate's run apart from two labels
-//! (see [`crate::sched::hybrid`]). When the cells a call runs include a
-//! hybrid cell and the cell of its delegate — same workload, same
-//! configuration apart from the scheduler, both run by built-in factories
+//! Before anything runs, [`Campaign::run_on`] plans which cells need a
+//! simulation of their own. Section 5.5's hybrid delegates wholesale to
+//! STREX or SLICC, so a hybrid run is its delegate's run apart from two
+//! labels (see [`crate::sched::hybrid`]). When the matrix holds a hybrid
+//! cell and the cell of its delegate — same workload, same configuration
+//! apart from the scheduler, both run by built-in factories
 //! ([`SchedulerFactory::built_in`](crate::sched::registry::SchedulerFactory::built_in))
 //! — only the delegate is simulated, and the hybrid cell takes its report
 //! with [`Report::scheduler`] and [`Report::hybrid_choice`] set. The
@@ -37,7 +37,8 @@
 //! ([`FpTable::delegate`]), from each workload's FPTable, profiled once
 //! per call. A matrix over all four schedulers thus simulates three
 //! quarters of its cells, and its bytes stay those of simulating every
-//! cell.
+//! cell. The shard path ([`Campaign::run_shard`]) simulates every cell
+//! it owns, hybrid cells included.
 //!
 //! Results are pure data: a cell carries its key and report and nothing
 //! about the host that computed it, so a result's bytes depend only on
@@ -296,7 +297,8 @@ impl<'w> Campaign<'w> {
                             let Some(&i) = simulated.get(k) else {
                                 break;
                             };
-                            shard.push((i, self.simulate(reg, &cells[i], &mut scratch)));
+                            let (key, cfg) = &cells[i];
+                            shard.push((i, self.simulate(reg, key, cfg, &mut scratch)));
                         }
                         shard
                     })
@@ -352,9 +354,9 @@ impl<'w> Campaign<'w> {
     ///
     /// Shard ownership is by stable cell key ([`shard_of`]), not by
     /// position, so it is insensitive to how a peer process enumerated
-    /// the matrix. A hybrid cell takes its delegate's report, as in
-    /// [`run_on`](Campaign::run_on), when the shard runs both cells; the
-    /// bytes are the same either way.
+    /// the matrix. Every owned cell is simulated, hybrid cells included:
+    /// only [`run_on`](Campaign::run_on) gives a hybrid cell its
+    /// delegate's report, and the bytes are the same either way.
     pub fn run_shard_on(
         &self,
         spec: ShardSpec,
@@ -373,8 +375,6 @@ impl<'w> Campaign<'w> {
     /// runs again. The remaining owned cells run in matrix order, and
     /// `on_cell` observes each one with its index as it finishes —
     /// callers persist or ship it (the dispatcher's `checkpoint` frames).
-    /// A hybrid cell that takes its delegate's report is observed exactly
-    /// once too, in its own place in that order.
     /// The merged result of a resumed shard is byte-identical to the
     /// uninterrupted run (property-tested in `tests/checkpoint_resume.rs`).
     ///
@@ -416,44 +416,22 @@ impl<'w> Campaign<'w> {
                 detail: format!("finished cell {i} ({}) {problem} ({spec})", cell.key),
             });
         }
+        let mut scratch = SimScratch::new();
         let mut adopted = done.into_iter().peekable();
         let mut cells = Vec::new();
-        let (mut indices, mut runs) = (Vec::new(), Vec::new());
-        for (i, cell) in matrix.into_iter().enumerate() {
-            if let Some(finished) = adopted.next_if(|(j, _)| *j == i) {
-                cells.push(finished);
-            } else if spec.owns(&cell.0) {
-                indices.push(i);
-                runs.push(cell);
+        for (i, (key, cfg)) in matrix.into_iter().enumerate() {
+            if let Some(cell) = adopted.next_if(|(j, _)| *j == i) {
+                cells.push(cell);
+                continue;
             }
-        }
-
-        // Sequential on purpose: a shard is a dispatcher worker's unit,
-        // and the fleet gets its parallelism from running several.
-        let reuse = self.reuse_plan(&runs, reg);
-        let mut is_twin = vec![false; runs.len()];
-        for &j in reuse.iter().flatten() {
-            is_twin[j] = true;
-        }
-        // Delegate reports kept for their hybrid cells; one whose hybrid
-        // cell comes first is simulated when that cell's turn comes.
-        let mut kept: Vec<Option<Report>> = runs.iter().map(|_| None).collect();
-        let mut scratch = SimScratch::new();
-        let mut simulate = |k: usize| self.simulate(reg, &runs[k], &mut scratch);
-        for (k, i) in indices.into_iter().enumerate() {
-            let report = match reuse[k] {
-                Some(j) => hybrid::relabel(kept[j].get_or_insert_with(|| simulate(j)).clone()),
-                None if is_twin[k] => kept[k].get_or_insert_with(|| simulate(k)).clone(),
-                None => simulate(k),
-            };
-            let cell = CampaignCell {
-                key: runs[k].0.clone(),
-                report,
-            };
+            if !spec.owns(&key) {
+                continue;
+            }
+            let report = self.simulate(reg, &key, &cfg, &mut scratch);
+            let cell = CampaignCell { key, report };
             on_cell(i, &cell);
             cells.push((i, cell));
         }
-        cells.sort_unstable_by_key(|(i, _)| *i);
         Ok(CampaignShard { spec, cells })
     }
 
@@ -461,7 +439,8 @@ impl<'w> Campaign<'w> {
     fn simulate(
         &self,
         reg: &SchedulerRegistry,
-        (key, cfg): &(CellKey, SimConfig),
+        key: &CellKey,
+        cfg: &SimConfig,
         scratch: &mut SimScratch,
     ) -> Report {
         let factory = reg
@@ -497,8 +476,7 @@ impl<'w> Campaign<'w> {
 /// workload with the same configuration apart from the scheduler. The
 /// hybrid forwards every hook to that policy, so cell `k`'s report is
 /// cell `j`'s, relabelled ([`hybrid::relabel`]). Custom and wrapping
-/// factories never qualify ([`SchedulerFactory::built_in`]), and
-/// `delegate` is asked only about hybrid cells with a STREX or SLICC twin.
+/// factories never qualify ([`SchedulerFactory::built_in`]).
 ///
 /// [`SchedulerFactory::built_in`]: crate::sched::registry::SchedulerFactory::built_in
 fn plan_reuse(
@@ -513,17 +491,12 @@ fn plan_reuse(
             if built_in(key) != Some(SchedulerKind::Hybrid) {
                 return None;
             }
-            let twin = |kind| {
-                cells.iter().position(|(k, c)| {
-                    k.workload_idx == key.workload_idx
-                        && built_in(k) == Some(kind)
-                        && same_but_scheduler(c, cfg)
-                })
-            };
-            if twin(SchedulerKind::Strex).is_none() && twin(SchedulerKind::Slicc).is_none() {
-                return None;
-            }
-            twin(delegate(key, cfg))
+            let kind = delegate(key, cfg);
+            cells.iter().position(|(k, c)| {
+                k.workload_idx == key.workload_idx
+                    && built_in(k) == Some(kind)
+                    && same_but_scheduler(c, cfg)
+            })
         })
         .collect()
 }
@@ -1259,7 +1232,7 @@ mod tests {
     }
 
     #[test]
-    fn a_hybrid_cell_without_a_twin_is_simulated_unprofiled() {
+    fn a_hybrid_cell_without_a_twin_is_simulated() {
         let w = pool();
         let cells = Campaign::new(SimConfig::new(2, SchedulerKind::Baseline))
             .over_schedulers([SchedulerKind::Baseline, SchedulerKind::Hybrid])
@@ -1267,9 +1240,7 @@ mod tests {
             .over_cores([2, 16])
             .cells(registry::global())
             .expect("valid");
-        let plan = plan_reuse(&cells, registry::global(), |key, _| {
-            panic!("{key} has no STREX or SLICC twin to choose between")
-        });
+        let plan = plan_reuse(&cells, registry::global(), delegate_by_cores);
         assert!(plan.iter().all(Option::is_none));
 
         // A twin whose configuration differs elsewhere is no twin.

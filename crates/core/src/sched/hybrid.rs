@@ -19,10 +19,11 @@
 //! therefore its delegate's run: the two reports differ only in
 //! [`Report::scheduler`] and [`Report::hybrid_choice`]
 //! (`tests/hybrid_delegate_differential.rs` checks this on every workload
-//! family, core count, replacement policy and prefetcher). A
-//! [`Campaign`](crate::campaign::Campaign) that runs a hybrid cell beside
-//! its delegate's cell relies on that: it simulates the delegate once and
-//! gives the hybrid cell the same report, relabelled.
+//! family, core count, replacement policy and prefetcher).
+//! [`Campaign::run_on`](crate::campaign::Campaign::run_on) relies on that
+//! when its matrix holds a hybrid cell beside its delegate's cell: it
+//! simulates the delegate once and gives the hybrid cell the same report,
+//! relabelled.
 
 use std::collections::BTreeMap;
 

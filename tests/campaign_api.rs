@@ -121,8 +121,8 @@ mod sharded_worker_counts {
 /// matrix (every cell in exactly one shard), and reassembling shards —
 /// through the JSON wire format, in any merge order — must reproduce the
 /// sequential `CampaignResult` byte for byte. The matrix holds hybrid
-/// cells, which take their delegate's report when one shard runs both and
-/// are simulated when the split parts them; the bytes must not tell.
+/// cells, which `run_on` gives their delegate's report and the shards
+/// simulate; the bytes must not tell.
 mod deterministic_sharding {
     use super::*;
     use proptest::prelude::*;
@@ -177,29 +177,6 @@ mod deterministic_sharding {
                 assert_eq!(owners, 1, "cell {key} owned by {owners} shards of {count}");
             }
         }
-    }
-
-    /// The property below draws 1-6 shards; among those splits some put
-    /// a hybrid cell on its delegate's shard and some do not, so both the
-    /// reused and the simulated hybrid cell meet the merge.
-    #[test]
-    fn the_shard_counts_both_join_and_part_hybrid_cells_from_delegates() {
-        let w = workloads();
-        let cells = campaign(&w).cells(registry::global()).expect("valid");
-        let (mut joined, mut parted) = (false, false);
-        for count in 1usize..=6 {
-            for (key, _) in cells.iter().filter(|(k, _)| k.scheduler == "hybrid") {
-                let same_shard = cells.iter().any(|(k, _)| {
-                    k.scheduler != "hybrid"
-                        && k.workload_idx == key.workload_idx
-                        && k.cores == key.cores
-                        && shard_of(k, count) == shard_of(key, count)
-                });
-                joined |= same_shard;
-                parted |= !same_shard;
-            }
-        }
-        assert!(joined && parted);
     }
 
     #[test]
@@ -543,47 +520,6 @@ fn hybrid_cells_never_reuse_a_custom_factory() {
         assert_eq!(cell.to_json(), own.to_json(), "hybrid at {cores} cores");
         let custom = result.report("TPC-C-1", "strex", cores).expect("present");
         assert_ne!(custom.makespan, own.makespan, "the custom cell differs");
-    }
-}
-
-/// `run_shard_resumable` hands every owned cell to `on_cell` exactly
-/// once and in matrix order, hybrid cells that take their delegate's
-/// report included, also when the hybrid cell comes before its delegate.
-#[test]
-fn resumable_shards_report_every_owned_cell_once() {
-    use strex::campaign::{merge, ShardSpec};
-
-    let workloads = [
-        Workload::preset_small(WorkloadKind::TpccW1, 8, 13),
-        Workload::preset_small(WorkloadKind::MapReduce, 8, 13),
-    ];
-    for order in [["strex", "slicc", "hybrid"], ["hybrid", "slicc", "strex"]] {
-        let campaign = Campaign::new(SimConfig::new(2, SchedulerKind::Baseline))
-            .over_scheduler_names(order)
-            .over_workloads(&workloads)
-            .over_cores([2, 4]);
-        let sequential = campaign.run().expect("valid campaign").to_json();
-        for count in 1..=3 {
-            let shards: Vec<_> = (0..count)
-                .map(|index| {
-                    let spec = ShardSpec::new(index, count).expect("valid");
-                    let mut seen = Vec::new();
-                    let shard = campaign
-                        .run_shard_resumable(spec, Vec::new(), &mut |i, cell| {
-                            assert!(spec.owns(&cell.key));
-                            seen.push(i);
-                        })
-                        .expect("valid shard");
-                    let owned: Vec<usize> = shard.cells().iter().map(|(i, _)| *i).collect();
-                    assert_eq!(seen, owned, "{order:?}, shard {spec}");
-                    shard
-                })
-                .collect();
-            let reported: usize = shards.iter().map(|s| s.cells().len()).sum();
-            assert_eq!(reported, 12);
-            let merged = merge(shards).expect("complete");
-            assert_eq!(merged.to_json(), sequential, "{order:?}, {count} shards");
-        }
     }
 }
 
