@@ -27,8 +27,8 @@
 //! claims). Each scenario's scheduler × workload × cores × team-size
 //! matrix runs through the campaign executor — in-process by default, or
 //! dispatched to a running fleet with `--connect ADDR [--shards N]`,
-//! where the coordinator evaluates the assertions on the merged result
-//! and returns the same diagnostics — and every assertion prints one
+//! whose merged result is bit-identical to the in-process one — and the
+//! assertions are judged against the result: every assertion prints one
 //! PASS/FAIL line with the expected bound, the observed value and the
 //! cell key. The output format is identical in both execution modes, so
 //! CI diffs a remote check against an in-process one byte for byte. Exit
@@ -48,10 +48,10 @@
 //! and executes shards until the coordinator closes the
 //! connection (`taskset -c C repro work …` pins it to core C). `submit` submits the
 //! quick matrix — or, with `--scenario PATH`, that scenario document —
-//! split `--shards` ways and prints the merged campaign's summary plus
-//! any coordinator-evaluated assertion diagnostics; `--verify`
-//! additionally runs the same work in-process sequentially and fails
-//! unless the dispatched result (and diagnostics) are bit-identical —
+//! split `--shards` ways and prints the merged campaign's summary plus,
+//! for a scenario, its assertion diagnostics judged against the merged
+//! result; `--verify` additionally runs the same work in-process
+//! sequentially and fails unless the dispatched result is bit-identical —
 //! the end-to-end determinism check CI runs on loopback. `status` polls
 //! a coordinator for one fleet snapshot (`--watch` re-polls every 2 s).
 //! `chaos-proxy` sits between fleet processes and injects a seeded fault
@@ -163,15 +163,15 @@ fn main() -> ExitCode {
 
 /// Evaluates declarative scenarios: runs each file's declared matrix
 /// through the campaign executor (in-process, or — with `--connect
-/// ADDR` — a running dispatcher fleet, which evaluates the assertions
-/// coordinator-side and returns the same diagnostics), judges every
-/// assertion, and prints one PASS/FAIL diagnostic per assertion. The
-/// output format is identical in both execution modes, so CI can diff a
-/// remote check against an in-process one byte for byte.
+/// ADDR` — a running dispatcher fleet, whose merged result is
+/// bit-identical), judges every assertion against the result, and
+/// prints one PASS/FAIL diagnostic per assertion. The output is
+/// identical in both execution modes, so CI can diff a remote check
+/// against an in-process one byte for byte.
 /// Exit 0 = all passed, 1 = an assertion failed, 2 = the check could
 /// not run (usage, I/O, or an invalid scenario file).
 fn check_mode(rest: &[String]) -> ExitCode {
-    use strex::scenario::{EvaluatorRegistry, Scenario};
+    use strex::scenario::Scenario;
 
     let mut path: Option<String> = None;
     let mut connect: Option<String> = None;
@@ -234,7 +234,6 @@ fn check_mode(rest: &[String]) -> ExitCode {
         vec![root.to_path_buf()]
     };
 
-    let registry = EvaluatorRegistry::with_defaults();
     let mut broken = 0usize;
     let mut assertions = 0usize;
     let mut failed = 0usize;
@@ -260,46 +259,37 @@ fn check_mode(rest: &[String]) -> ExitCode {
         if let Some(d) = &scenario.description {
             println!("  {d}");
         }
-        // Remote mode: the fleet runs the matrix and the coordinator
-        // returns the evaluated diagnostics — nothing to judge locally.
-        if let Some(addr) = &connect {
+        // Remote mode: the fleet runs the matrix, and `submit_scenario`
+        // judges the merged result it returns.
+        let outcomes = if let Some(addr) = &connect {
             match strex::dispatch::submit_scenario(addr.as_str(), &scenario, shards) {
-                Ok((_, outcomes)) => {
-                    for o in &outcomes {
-                        println!("  {o}");
-                    }
-                    assertions += outcomes.len();
-                    failed += outcomes.iter().filter(|o| !o.passed).count();
-                }
+                Ok((_, outcomes)) => outcomes,
                 Err(e) => {
                     eprintln!("{display}: dispatch failed: {e}");
                     broken += 1;
+                    continue;
                 }
             }
-            continue;
-        }
-        let workloads = scenario.workloads();
-        let result = match scenario.campaign(&workloads).run() {
-            Ok(result) => result,
-            Err(e) => {
-                eprintln!("{display}: invalid matrix: {e}");
-                broken += 1;
-                continue;
+        } else {
+            let workloads = scenario.workloads();
+            match scenario.campaign(&workloads).run() {
+                Ok(result) => scenario
+                    .assertions
+                    .iter()
+                    .map(|a| a.evaluate(&result))
+                    .collect(),
+                Err(e) => {
+                    eprintln!("{display}: invalid matrix: {e}");
+                    broken += 1;
+                    continue;
+                }
             }
         };
-        match scenario.evaluate(&result, &registry) {
-            Ok(outcomes) => {
-                for o in &outcomes {
-                    println!("  {o}");
-                }
-                assertions += outcomes.len();
-                failed += outcomes.iter().filter(|o| !o.passed).count();
-            }
-            Err(e) => {
-                eprintln!("{display}: {e}");
-                broken += 1;
-            }
+        for o in &outcomes {
+            println!("  {o}");
         }
+        assertions += outcomes.len();
+        failed += outcomes.iter().filter(|o| !o.passed).count();
     }
     println!(
         "checked {} scenario file(s): {assertions} assertion(s), {failed} failed{}",
@@ -549,11 +539,11 @@ fn work_mode(rest: &[String]) -> ExitCode {
 /// The submitter: sends the quick matrix — or, with `--scenario PATH`,
 /// that scenario's declared matrix — split `--shards` ways to
 /// `--connect ADDR`, blocks for the merged campaign, and prints its
-/// summary line. A scenario submission also prints the coordinator's
-/// per-assertion diagnostics (same format as `repro check`) and exits
-/// nonzero if any assertion failed. `--verify` re-runs the matrix
-/// in-process sequentially and fails unless the dispatched result (and,
-/// for scenarios, every diagnostic) is bit-identical.
+/// summary line. A scenario submission also prints its per-assertion
+/// diagnostics, judged against the merged result (same format as `repro
+/// check`), and exits nonzero if any assertion failed. `--verify` re-runs
+/// the matrix in-process sequentially and fails unless the dispatched
+/// result is bit-identical.
 fn submit_mode(rest: &[String]) -> ExitCode {
     use strex_bench::perf;
 
@@ -676,46 +666,28 @@ fn submit_mode(rest: &[String]) -> ExitCode {
         result.perf().total_events,
     );
     if verify {
-        let (sequential, local_outcomes) = match &scenario {
+        let sequential = match &scenario {
             Some(s) => {
                 let workloads = s.workloads();
-                let sequential = match s.campaign(&workloads).parallelism(1).run() {
+                match s.campaign(&workloads).parallelism(1).run() {
                     Ok(r) => r,
                     Err(e) => {
                         eprintln!("verify: scenario matrix failed to run in-process: {e}");
                         return ExitCode::FAILURE;
                     }
-                };
-                let registry = strex::EvaluatorRegistry::with_defaults();
-                let local = match s.evaluate(&sequential, &registry) {
-                    Ok(o) => o,
-                    Err(e) => {
-                        eprintln!("verify: local evaluation failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                (sequential, Some(local))
+                }
             }
             None => {
                 let workloads = perf::quick_matrix_workloads();
-                let sequential = perf::quick_campaign(&workloads)
+                perf::quick_campaign(&workloads)
                     .parallelism(1)
                     .run()
-                    .expect("quick matrix is valid");
-                (sequential, None)
+                    .expect("quick matrix is valid")
             }
         };
         if sequential.to_json() != result.to_json() {
             eprintln!("verify: FAILED — dispatched result diverged from the sequential run");
             return ExitCode::FAILURE;
-        }
-        if let Some(local) = local_outcomes {
-            if local != outcomes {
-                eprintln!(
-                    "verify: FAILED — coordinator diagnostics diverged from local evaluation"
-                );
-                return ExitCode::FAILURE;
-            }
         }
         println!("verify: ok — dispatched result bit-identical to the sequential run");
     }

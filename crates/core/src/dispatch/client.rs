@@ -6,9 +6,10 @@
 //! the same spec attaches to the in-flight job or returns the cached
 //! result, so a submitter that times out and retries never causes the
 //! matrix to run twice. [`submit_scenario`] is the remote half of
-//! `repro check`: the fleet runs the scenario's declared matrix and the
-//! coordinator returns its per-assertion diagnostics alongside the
-//! merged result. [`status`] asks a coordinator for one fleet snapshot.
+//! `repro check`: the fleet runs the scenario's declared matrix, and the
+//! submitter judges the scenario's assertions against the merged result
+//! the coordinator returns. [`status`] asks a coordinator for one fleet
+//! snapshot.
 //!
 //! That same idempotency is what makes the retry wrappers safe:
 //! [`submit_with_retry`] / [`submit_scenario_with_retry`] reconnect and
@@ -20,6 +21,7 @@
 //! the coordinator said no, and asking again louder is how a fleet gets
 //! a retry storm.
 
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -98,14 +100,12 @@ fn submit_spec(
     addr: impl ToSocketAddrs,
     work: JobSpec,
     shards: usize,
-) -> Result<(CampaignResult, Vec<AssertionOutcome>), DispatchError> {
+) -> Result<CampaignResult, DispatchError> {
     let mut stream = net::connect(addr)?;
     write_message(&mut stream, &Message::Submit { work, shards })?;
-    let mut reader = FrameReader::new(std::io::BufReader::new(stream));
+    let mut reader = FrameReader::new(io::BufReader::new(stream));
     match reader.next_message().map_err(DispatchError::Proto)? {
-        Some(Message::Result {
-            result, outcomes, ..
-        }) => Ok((result, outcomes)),
+        Some(Message::Result { result, .. }) => Ok(result),
         Some(Message::Reject { reason, message }) => {
             Err(DispatchError::Rejected { reason, message })
         }
@@ -113,23 +113,30 @@ fn submit_spec(
             "coordinator answered a submission with a {:?} frame",
             other.type_name()
         ))),
-        None => Err(DispatchError::Protocol(
-            "coordinator closed the connection before answering".to_string(),
-        )),
+        None => Err(closed_before_answering()),
     }
 }
 
+/// A coordinator that closed the connection before answering — the
+/// submitter-visible shape of a coordinator crash, which took our waiter
+/// slot with it — as the transport failure it is.
+fn closed_before_answering() -> DispatchError {
+    DispatchError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "coordinator closed the connection before answering",
+    ))
+}
+
 /// Whether a submission failure is worth resubmitting: transport-class
-/// failures (connect refused, mid-stream EOF when the coordinator died
-/// holding our waiter slot) are; typed rejections and in-band protocol
-/// violations are answers, not outages.
+/// failures (connect refused, a coordinator that closed before
+/// answering, a frame cut mid-stream) are; typed rejections and in-band
+/// protocol violations are answers, not outages.
 fn retryable(e: &DispatchError) -> bool {
     match e {
         DispatchError::Io(_) | DispatchError::Proto(_) => true,
-        // "closed before answering" is the submitter-visible shape of a
-        // coordinator crash: the connection died with our waiter slot.
-        DispatchError::Protocol(m) => m.contains("closed the connection"),
-        DispatchError::Rejected { .. } | DispatchError::Runner { .. } => false,
+        DispatchError::Protocol(_)
+        | DispatchError::Rejected { .. }
+        | DispatchError::Runner { .. } => false,
     }
 }
 
@@ -138,7 +145,7 @@ fn submit_spec_with_retry(
     work: JobSpec,
     shards: usize,
     attempts: usize,
-) -> Result<(CampaignResult, Vec<AssertionOutcome>), DispatchError> {
+) -> Result<CampaignResult, DispatchError> {
     let mut backoff = Backoff::new(100, 5_000, process_seed());
     let mut last = None;
     for attempt in 0..attempts.max(1) {
@@ -170,7 +177,7 @@ pub fn submit(
     campaign: &str,
     shards: usize,
 ) -> Result<CampaignResult, DispatchError> {
-    submit_spec(addr, JobSpec::Catalog(campaign.to_string()), shards).map(|(result, _)| result)
+    submit_spec(addr, JobSpec::Catalog(campaign.to_string()), shards)
 }
 
 /// [`submit`] surviving coordinator outages: transport-class failures
@@ -189,19 +196,20 @@ pub fn submit_with_retry(
         shards,
         attempts,
     )
-    .map(|(result, _)| result)
 }
 
-/// Submits a full scenario document split `shards` ways and blocks until
-/// the merged result and the coordinator-evaluated per-assertion
-/// diagnostics arrive — the same outcomes, in the same declaration
-/// order, an in-process `repro check` would compute.
+/// Submits a full scenario document split `shards` ways, blocks until the
+/// merged result arrives, and judges the scenario's assertions against
+/// it: one outcome per assertion, in declaration order. The result is
+/// bit-identical to an in-process run, so these are the outcomes an
+/// in-process `repro check` prints.
 pub fn submit_scenario(
     addr: impl ToSocketAddrs,
     scenario: &Scenario,
     shards: usize,
 ) -> Result<(CampaignResult, Vec<AssertionOutcome>), DispatchError> {
     submit_spec(addr, JobSpec::Scenario(Arc::new(scenario.clone())), shards)
+        .map(|result| judged(scenario, result))
 }
 
 /// [`submit_scenario`] with the same reconnect-and-resubmit behavior as
@@ -218,6 +226,17 @@ pub fn submit_scenario_with_retry(
         shards,
         attempts,
     )
+    .map(|result| judged(scenario, result))
+}
+
+/// `result` with `scenario`'s assertions evaluated against it.
+fn judged(scenario: &Scenario, result: CampaignResult) -> (CampaignResult, Vec<AssertionOutcome>) {
+    let outcomes = scenario
+        .assertions
+        .iter()
+        .map(|a| a.evaluate(&result))
+        .collect();
+    (result, outcomes)
 }
 
 /// Asks a coordinator for one fleet snapshot. The coordinator leaves the
@@ -227,7 +246,7 @@ pub fn submit_scenario_with_retry(
 pub fn status(addr: impl ToSocketAddrs) -> Result<StatusReport, DispatchError> {
     let mut stream = net::connect(addr)?;
     write_message(&mut stream, &Message::StatusRequest)?;
-    let mut reader = FrameReader::new(std::io::BufReader::new(stream));
+    let mut reader = FrameReader::new(io::BufReader::new(stream));
     match reader.next_message().map_err(DispatchError::Proto)? {
         Some(Message::Status { report }) => Ok(report),
         Some(Message::Reject { reason, message }) => {
@@ -237,9 +256,7 @@ pub fn status(addr: impl ToSocketAddrs) -> Result<StatusReport, DispatchError> {
             "coordinator answered a status request with a {:?} frame",
             other.type_name()
         ))),
-        None => Err(DispatchError::Protocol(
-            "coordinator closed the connection before answering".to_string(),
-        )),
+        None => Err(closed_before_answering()),
     }
 }
 
@@ -357,13 +374,20 @@ mod tests {
     fn rejections_are_final_but_transport_failures_retry() {
         use super::super::proto::RejectReason;
         assert!(retryable(&DispatchError::Io(std::io::Error::other("gone"))));
-        assert!(retryable(&DispatchError::Protocol(
-            "coordinator closed the connection before answering".into()
-        )));
+        let closed = closed_before_answering();
+        assert!(
+            matches!(&closed, DispatchError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{closed:?}"
+        );
+        assert!(retryable(&closed));
         assert!(!retryable(&DispatchError::Rejected {
             reason: RejectReason::RateLimited,
             message: "slow down".into(),
         }));
+        // Whatever its text: a protocol violation is an answer.
+        assert!(!retryable(&DispatchError::Protocol(
+            "coordinator closed the connection before answering".into()
+        )));
         assert!(!retryable(&DispatchError::Protocol(
             "coordinator answered a submission with a \"status\" frame".into()
         )));

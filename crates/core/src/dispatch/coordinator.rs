@@ -30,9 +30,9 @@
 //! `DuplicateShard`/`DuplicateCell` errors remain the backstop if that
 //! invariant is ever broken. When every slot is full, the shards merge
 //! into a [`CampaignResult`](crate::campaign::CampaignResult)
-//! bit-identical to a sequential run; a scenario job's assertions are
-//! then evaluated against the merged result, and every waiting submitter
-//! receives the result plus the per-assertion diagnostics.
+//! bit-identical to a sequential run, and every waiting submitter
+//! receives it. The coordinator judges nothing: a scenario's submitter
+//! evaluates the assertions against the result it receives.
 //!
 //! While a shard runs, its worker reports each finished cell once in a
 //! `checkpoint` frame. The coordinator holds those cells per shard index,
@@ -77,7 +77,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::campaign::{fnv64, merge, CampaignCell, CampaignShard, ShardSpec};
-use crate::scenario::EvaluatorRegistry;
 use crate::sched::registry;
 
 use super::clock::Clock;
@@ -85,7 +84,7 @@ use super::journal::{replay_journal_file, Journal, JournalEntry};
 use super::net::Acceptor;
 use super::proto::{
     assign_frame_len, done_entry_len, write_message, FrameReader, JobSpec, Message, ProtoError,
-    RejectReason, MAX_FRAME,
+    RejectReason, FRAME_DEADLINE_MS, MAX_FRAME,
 };
 use super::status::{
     AssignmentStatus, JobStatus, RateStatus, StatusCounters, StatusReport, WorkerStatus,
@@ -119,11 +118,6 @@ pub struct DispatchConfig {
     /// At most this many distinct jobs in flight; submissions that
     /// would create one more are rejected `queue_full`.
     pub max_pending_jobs: usize,
-    /// Once a frame's first byte arrives, the rest must follow within
-    /// this deadline or the connection is dropped ([`ProtoError::Stalled`]).
-    /// Guards the reader threads against byte-dribbling peers; `0`
-    /// disables the deadline.
-    pub frame_deadline_ms: u64,
 }
 
 impl Default for DispatchConfig {
@@ -134,7 +128,6 @@ impl Default for DispatchConfig {
             submit_burst: 10,
             submit_refill_ms: 1_000,
             max_pending_jobs: 64,
-            frame_deadline_ms: 30_000,
         }
     }
 }
@@ -355,8 +348,6 @@ pub struct Coordinator {
     /// Token buckets by submitter identity. Never pruned on disconnect:
     /// a reconnect must find the bucket it drained.
     buckets: BTreeMap<String, TokenBucket>,
-    /// Judges scenario assertions against merged results.
-    registry: EvaluatorRegistry,
     counters: StatusCounters,
 }
 
@@ -382,7 +373,6 @@ impl Coordinator {
             finished: VecDeque::new(),
             peers: BTreeMap::new(),
             buckets: BTreeMap::new(),
-            registry: EvaluatorRegistry::with_defaults(),
             counters: StatusCounters::default(),
         }
     }
@@ -630,27 +620,12 @@ impl Coordinator {
         if job.complete() {
             let job = self.jobs.remove(&job_id).expect("checked present");
             let outcome = match merge(job.done.into_iter().flatten()) {
-                // The merged result is bit-identical to a sequential run;
-                // a scenario job's assertions are judged against it here,
-                // so every waiter receives the same diagnostics an
-                // in-process `repro check` would print.
-                Ok(result) => match &job.work {
-                    JobSpec::Catalog(_) => Message::Result {
-                        job: job_id.clone(),
-                        result,
-                        outcomes: Vec::new(),
-                    },
-                    JobSpec::Scenario(s) => match s.evaluate(&result, &self.registry) {
-                        Ok(outcomes) => Message::Result {
-                            job: job_id.clone(),
-                            result,
-                            outcomes,
-                        },
-                        Err(e) => Message::Reject {
-                            reason: RejectReason::MergeFailed,
-                            message: format!("assertion evaluation failed: {e}"),
-                        },
-                    },
+                // Bit-identical to a sequential run, so a submitter that
+                // judges a scenario against it prints what an in-process
+                // `repro check` prints.
+                Ok(result) => Message::Result {
+                    job: job_id.clone(),
+                    result,
                 },
                 // Unreachable while the slot invariant holds; reported as
                 // a typed rejection rather than a panic if it ever breaks.
@@ -1009,7 +984,6 @@ impl Server {
         let (tx, rx) = mpsc::channel::<ConnEvent>();
         let writers: Arc<Mutex<BTreeMap<ConnId, TcpStream>>> =
             Arc::new(Mutex::new(BTreeMap::new()));
-        let frame_deadline_ms = self.coordinator.cfg.frame_deadline_ms;
         let mut acceptor = {
             let writers = Arc::clone(&writers);
             let clock = Arc::clone(&self.clock);
@@ -1027,13 +1001,7 @@ impl Server {
                 if let Ok(write_half) = stream.try_clone() {
                     writers.lock().expect("writer map").insert(conn, write_half);
                     let _ = tx.send(ConnEvent::Opened(conn, identity));
-                    spawn_reader(
-                        conn,
-                        stream,
-                        tx.clone(),
-                        frame_deadline_ms,
-                        Arc::clone(&clock),
-                    );
+                    spawn_reader(conn, stream, tx.clone(), Arc::clone(&clock));
                 }
             })?
         };
@@ -1153,24 +1121,21 @@ impl Server {
 
 /// One reader thread: frames (or the reason the connection died) into the
 /// shared channel. A protocol violation ends the connection — same as a
-/// death, so the state machine has exactly one failure path. A non-zero
-/// `frame_deadline_ms` arms the per-frame stall deadline: the socket gets
-/// a short read timeout so the deadline is polled, and a peer that opens
-/// a frame but dribbles it out is dropped with [`ProtoError::Stalled`].
+/// death, so the state machine has exactly one failure path. Every frame
+/// must complete within [`FRAME_DEADLINE_MS`] of its first byte: the
+/// socket wakes once a second so the deadline is polled, and a peer that
+/// opens a frame but dribbles it out is dropped with
+/// [`ProtoError::Stalled`].
 fn spawn_reader(
     conn: ConnId,
     stream: TcpStream,
     tx: mpsc::Sender<ConnEvent>,
-    frame_deadline_ms: u64,
     clock: Arc<dyn Clock>,
 ) {
     std::thread::spawn(move || {
-        if frame_deadline_ms > 0 {
-            let poll = (frame_deadline_ms / 4).clamp(10, 1_000);
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(poll)));
-        }
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
         let mut reader =
-            FrameReader::with_deadline(BufReader::new(stream), frame_deadline_ms, clock);
+            FrameReader::with_deadline(BufReader::new(stream), FRAME_DEADLINE_MS, clock);
         loop {
             match reader.next_message() {
                 Ok(Some(msg)) => {

@@ -3,9 +3,10 @@
 //! Anything that crosses processes or hosts goes through this module, a
 //! long-lived service built on [`crate::campaign`]'s shards: a
 //! **coordinator** accepting submissions over TCP — catalog campaigns by
-//! name, or full [`crate::scenario`] documents whose assertions the
-//! coordinator evaluates on the merged result — a fleet of **workers** executing
-//! shards, and the job-lifecycle machinery between them: idempotent
+//! name, or full [`crate::scenario`] documents, whose submitter judges
+//! the assertions against the merged result it receives — a fleet of
+//! **workers** executing shards, and the job-lifecycle machinery between
+//! them: idempotent
 //! submission keys, per-worker liveness via heartbeats, re-queue of
 //! shards from dead or straggling workers, resume from the cells a lost
 //! shard already finished, per-submitter token-bucket rate limiting, and

@@ -25,7 +25,7 @@ use crate::campaign::{
 };
 use crate::json::JsonWriter;
 use crate::jsonval::{JsonValue, WireError};
-use crate::scenario::{AssertionOutcome, Scenario};
+use crate::scenario::Scenario;
 
 use super::clock::Clock;
 use super::status::StatusReport;
@@ -34,6 +34,12 @@ use super::status::StatusReport;
 /// few MiB on the wire; the cap only exists so a peer that never sends a
 /// newline cannot grow a reader's buffer without bound.
 pub const MAX_FRAME: usize = 256 * 1024 * 1024;
+
+/// Once a frame's first byte arrives, the coordinator's reader threads
+/// wait at most this long for the rest, then drop the connection
+/// ([`ProtoError::Stalled`]): the guard against a peer that dribbles a
+/// frame out to pin a reader thread.
+pub const FRAME_DEADLINE_MS: u64 = 30_000;
 
 /// What a submission asks the fleet to run: a campaign from the
 /// coordinator's fixed catalog, by name, or a full
@@ -50,9 +56,8 @@ pub enum JobSpec {
     /// A campaign the coordinator's catalog knows by name (e.g.
     /// `"quick"`).
     Catalog(String),
-    /// A validated scenario document; workers run its declared matrix
-    /// and the coordinator evaluates its assertions on the merged
-    /// result.
+    /// A validated scenario document; workers run its declared matrix,
+    /// and the submitter evaluates its assertions on the merged result.
     Scenario(Arc<Scenario>),
 }
 
@@ -127,8 +132,8 @@ pub enum RejectReason {
     /// The peer sent a well-formed frame that makes no sense in this
     /// direction.
     Protocol,
-    /// Completed shards failed to merge or the merged result could not
-    /// be evaluated (invariant breach — reported, never a panic).
+    /// Completed shards failed to merge (invariant breach — reported,
+    /// never a panic).
     MergeFailed,
 }
 
@@ -235,16 +240,13 @@ pub enum Message {
         shard: CampaignShard,
     },
     /// Coordinator → submitter: the merged campaign, bit-identical to a
-    /// sequential in-process run, plus — for scenario jobs — one
-    /// evaluated diagnostic per declared assertion.
+    /// sequential in-process run. A scenario's submitter judges its
+    /// assertions against it.
     Result {
         /// The job's idempotency key.
         job: String,
         /// The merged result.
         result: CampaignResult,
-        /// Per-assertion diagnostics in declaration order; empty for
-        /// catalog jobs (they declare no assertions).
-        outcomes: Vec<AssertionOutcome>,
     },
     /// Coordinator → peer: the request cannot be served. Terminal for
     /// the connection.
@@ -335,15 +337,9 @@ impl Message {
                 w.key("shard");
                 w.raw(&shard.to_json());
             }
-            Message::Result {
-                job,
-                result,
-                outcomes,
-            } => {
+            Message::Result { job, result } => {
                 w.key("job");
                 w.string(job);
-                w.key("outcomes");
-                w.raw(&outcomes_json(outcomes));
                 w.key("result");
                 w.raw(&result.to_json());
             }
@@ -412,7 +408,6 @@ impl Message {
             "result" => Ok(Message::Result {
                 job: doc.req_str("job")?.to_string(),
                 result: CampaignResult::from_json_value(doc.req("result")?)?,
-                outcomes: outcomes_from_value(doc.req("outcomes")?)?,
             }),
             "reject" => Ok(Message::Reject {
                 reason: RejectReason::parse(doc.req_str("reason")?)?,
@@ -471,27 +466,6 @@ pub(crate) fn done_entry_len(index: usize, cell: &CampaignCell) -> usize {
     let mut w = JsonWriter::new();
     write_cell_json(&mut w, Some(index), cell);
     w.finish().len() + 1
-}
-
-/// Renders a diagnostic list as one JSON array (deterministic order and
-/// key layout, like every other wire document here).
-fn outcomes_json(outcomes: &[AssertionOutcome]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_array();
-    for o in outcomes {
-        o.write_into(&mut w);
-    }
-    w.end_array();
-    w.finish()
-}
-
-/// Parses a diagnostic list from an already-parsed array value.
-fn outcomes_from_value(doc: &JsonValue) -> Result<Vec<AssertionOutcome>, WireError> {
-    doc.as_array()
-        .ok_or_else(|| WireError::new("outcomes must be an array"))?
-        .iter()
-        .map(AssertionOutcome::from_json_value)
-        .collect()
 }
 
 /// Why a frame could not be read or decoded.
@@ -584,18 +558,21 @@ impl<R: BufRead> FrameReader<R> {
     /// returns [`ProtoError::Stalled`] — the defense against a peer that
     /// dribbles one byte per heartbeat interval to pin a reader thread
     /// forever. Waiting *between* frames is unbounded (an idle submitter
-    /// connection is legal).
+    /// connection is legal). The coordinator's reader threads use
+    /// [`FRAME_DEADLINE_MS`]; `deadline_ms` must not be zero, which would
+    /// stall every frame at its first byte.
     ///
     /// The clock is only consulted when a read returns — the transport
     /// must wake periodically for the deadline to fire while blocked, so
     /// pair this with a socket read timeout (the coordinator's reader
     /// threads do; `WouldBlock`/`TimedOut` wakes are absorbed here, not
-    /// surfaced). `deadline_ms == 0` disables the deadline.
+    /// surfaced).
     pub fn with_deadline(reader: R, deadline_ms: u64, clock: Arc<dyn Clock>) -> FrameReader<R> {
+        debug_assert!(deadline_ms > 0, "a zero frame deadline stalls every frame");
         FrameReader {
             reader,
             buf: Vec::new(),
-            deadline: (deadline_ms > 0).then_some(FrameDeadline {
+            deadline: Some(FrameDeadline {
                 clock,
                 ms: deadline_ms,
             }),
@@ -900,27 +877,13 @@ mod tests {
             } => assert_eq!(name, "quick"),
             other => panic!("unexpected {other:?}"),
         }
-        // A register without cores, a reject without a reason tag
-        // and a result without diagnostics only ever came from v1 peers.
-        let result = match tiny_result() {
-            Message::Result { result, .. } => result.to_json(),
-            other => panic!("unexpected {other:?}"),
-        };
+        // A register without cores and a reject without a reason tag
+        // only ever came from v1 peers.
         for (frame, missing) in [
-            (
-                "{\"type\":\"register\",\"name\":\"w\"}\n".to_string(),
-                "cores",
-            ),
-            (
-                "{\"type\":\"reject\",\"message\":\"nope\"}\n".to_string(),
-                "reason",
-            ),
-            (
-                format!("{{\"type\":\"result\",\"job\":\"j\",\"result\":{result}}}\n"),
-                "outcomes",
-            ),
+            ("{\"type\":\"register\",\"name\":\"w\"}\n", "cores"),
+            ("{\"type\":\"reject\",\"message\":\"nope\"}\n", "reason"),
         ] {
-            match Message::parse_frame(&frame) {
+            match Message::parse_frame(frame) {
                 Err(ProtoError::Wire(e)) => assert!(e.to_string().contains(missing), "{e}"),
                 other => panic!("{frame}: expected a wire error, got {other:?}"),
             }
@@ -1008,22 +971,6 @@ mod tests {
         Message::Result {
             job: "ab12".into(),
             result: merge([one]).expect("merges"),
-            outcomes: vec![
-                AssertionOutcome {
-                    kind: "throughput_at_least".into(),
-                    passed: true,
-                    cell: "TPC-C-1/baseline/c2/t8".into(),
-                    expected: "steady throughput >= 0.001 txn/cycle".into(),
-                    observed: "0.0123 txn/cycle".into(),
-                },
-                AssertionOutcome {
-                    kind: "metric_within".into(),
-                    passed: false,
-                    cell: "TPC-E/strex/c4/t8".into(),
-                    expected: "i_mpki in [1, 2]".into(),
-                    observed: "3.5".into(),
-                },
-            ],
         }
     }
 
@@ -1036,18 +983,6 @@ mod tests {
             assert_eq!(parsed.to_frame(), frame, "byte-identical re-emission");
             assert!(r.next_message().expect("eof").is_none(), "clean EOF");
         }
-    }
-
-    #[test]
-    fn result_diagnostics_survive_the_frame() {
-        let frame = tiny_result().to_frame();
-        let mut r = FrameReader::new(BufReader::new(frame.as_bytes()));
-        let Some(Message::Result { outcomes, .. }) = r.next_message().expect("parse") else {
-            panic!("expected a result frame");
-        };
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes[0].passed && !outcomes[1].passed);
-        assert_eq!(outcomes[1].cell, "TPC-E/strex/c4/t8");
     }
 
     /// The start of an older build's binary `shard_done` payload: magic,

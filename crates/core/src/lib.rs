@@ -96,9 +96,7 @@ pub use driver::{run, run_with, SimScratch};
 pub use error::ConfigError;
 pub use jsonval::{JsonValue, WireError};
 pub use report::Report;
-pub use scenario::{
-    Assertion, AssertionOutcome, CellSelector, EvaluatorRegistry, Metric, Scenario, ScenarioError,
-};
+pub use scenario::{Assertion, AssertionOutcome, CellSelector, Metric, Scenario, ScenarioError};
 pub use sched::registry::{SchedulerFactory, SchedulerRegistry};
 pub use sched::{FpTable, Scheduler};
 pub use team::{form_teams, Team};

@@ -19,24 +19,24 @@
 //! `parse(serialize(parse(x)))` is the identity (property-tested in
 //! `tests/scenario_roundtrip.rs`).
 //!
-//! Evaluation is registry-dispatched: every assertion kind has an
-//! evaluator in an [`EvaluatorRegistry`] keyed by the kind tag, so
-//! downstream code can override a built-in or register new kinds
-//! without touching this module. Each evaluation yields an
+//! Evaluation is one function, [`Assertion::evaluate`]: a pure function
+//! of the assertion and a merged [`CampaignResult`] that yields an
 //! [`AssertionOutcome`] carrying the expected bound, the observed value
 //! and the offending cell key — the diagnostic `repro check` prints
-//! whether the assertion passed or failed.
+//! whether the assertion passed or failed. Being pure, it runs wherever
+//! the result is: `repro check` judges an in-process run, and a fleet
+//! submitter judges the result the coordinator returns
+//! ([`crate::dispatch::submit_scenario`]).
 //!
 //! ```no_run
-//! use strex::scenario::{EvaluatorRegistry, Scenario};
+//! use strex::scenario::Scenario;
 //!
 //! let text = std::fs::read_to_string("scenarios/strex_l1i_reduction.json")?;
 //! let scenario = Scenario::from_json(&text)?;
 //! let workloads = scenario.workloads();
 //! let result = scenario.campaign(&workloads).run()?;
-//! let registry = EvaluatorRegistry::with_defaults();
-//! for outcome in scenario.evaluate(&result, &registry)? {
-//!     println!("{outcome}");
+//! for assertion in &scenario.assertions {
+//!     println!("{}", assertion.evaluate(&result));
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -64,7 +64,7 @@ pub const MAX_POOL: usize = 100_000;
 /// wider window than scenarios can express.
 pub const MAX_TEAM_SIZE: usize = 30;
 
-/// Why a scenario document was rejected or could not be evaluated.
+/// Why a scenario document was rejected.
 ///
 /// Every variant names the dotted path of the offending field when one
 /// exists, so a failing `repro check` run points at the exact line to
@@ -111,12 +111,6 @@ pub enum ScenarioError {
         /// The accepted names, for the error message.
         known: String,
     },
-    /// [`EvaluatorRegistry::evaluate`] found no evaluator registered for
-    /// an assertion's kind tag.
-    NoEvaluator {
-        /// The kind tag that had no evaluator.
-        kind: String,
-    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -137,12 +131,6 @@ impl fmt::Display for ScenarioError {
                 write!(
                     f,
                     "scenario: `{path}` names unknown {name:?} (known: {known})"
-                )
-            }
-            ScenarioError::NoEvaluator { kind } => {
-                write!(
-                    f,
-                    "scenario: no evaluator registered for assertion kind {kind:?}"
                 )
             }
         }
@@ -329,8 +317,7 @@ pub const ASSERTION_KINDS: [&str; 4] = [
 ];
 
 impl Assertion {
-    /// The snake_case kind tag this assertion serializes under (and the
-    /// [`EvaluatorRegistry`] key it dispatches through).
+    /// The snake_case kind tag this assertion serializes under.
     pub fn kind(&self) -> &'static str {
         match self {
             Assertion::ThroughputAtLeast { .. } => "throughput_at_least",
@@ -371,48 +358,6 @@ impl fmt::Display for AssertionOutcome {
             self.expected,
             self.observed,
         )
-    }
-}
-
-impl AssertionOutcome {
-    /// Writes the outcome as one JSON object into an open writer — the
-    /// element form the dispatcher's `result` frame embeds (see
-    /// `docs/PROTOCOL.md`), with a fixed key order so re-emission is
-    /// byte-identical.
-    pub fn write_into(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("kind");
-        w.string(&self.kind);
-        w.key("passed");
-        w.boolean(self.passed);
-        w.key("cell");
-        w.string(&self.cell);
-        w.key("expected");
-        w.string(&self.expected);
-        w.key("observed");
-        w.string(&self.observed);
-        w.end_object();
-    }
-
-    /// The outcome as one standalone JSON object.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_into(&mut w);
-        w.finish()
-    }
-
-    /// Parses one outcome object coming off the wire. Diagnostics cross
-    /// a trust boundary (a coordinator evaluated them, a submitter
-    /// prints them), so the failure mode is a typed
-    /// [`WireError`](crate::jsonval::WireError), not a panic.
-    pub fn from_json_value(doc: &JsonValue) -> Result<AssertionOutcome, crate::jsonval::WireError> {
-        Ok(AssertionOutcome {
-            kind: doc.req_str("kind")?.to_string(),
-            passed: doc.req_bool("passed")?,
-            cell: doc.req_str("cell")?.to_string(),
-            expected: doc.req_str("expected")?.to_string(),
-            observed: doc.req_str("observed")?.to_string(),
-        })
     }
 }
 
@@ -1075,93 +1020,43 @@ impl Scenario {
         campaign
     }
 
-    /// Evaluates every assertion against `result` through `registry`,
-    /// returning one [`AssertionOutcome`] per assertion in declaration
-    /// order. `Err` only for assertions whose kind has no registered
-    /// evaluator; an assertion that *fails* is a `passed: false`
-    /// outcome, not an error.
+    /// Every assertion's [`Assertion::evaluate`] against `result`, in
+    /// declaration order. Never `Err`, and `registry` selects nothing:
+    /// both remain so that existing callers keep compiling. New code maps
+    /// [`Assertion::evaluate`] over [`Scenario::assertions`] instead.
     pub fn evaluate(
         &self,
         result: &CampaignResult,
-        registry: &EvaluatorRegistry,
+        _registry: &EvaluatorRegistry,
     ) -> Result<Vec<AssertionOutcome>, ScenarioError> {
-        self.assertions
-            .iter()
-            .map(|a| registry.evaluate(a, result))
-            .collect()
+        Ok(self.assertions.iter().map(|a| a.evaluate(result)).collect())
     }
 }
 
 // ---------------------------------------------------------------------
-// Evaluation: registry-dispatched per assertion kind.
+// Evaluation: one match over the four assertion kinds.
 // ---------------------------------------------------------------------
 
-/// An assertion evaluator: judges one [`Assertion`] against a campaign
-/// result and renders the outcome diagnostic.
-pub type Evaluator = Box<dyn Fn(&Assertion, &CampaignResult) -> AssertionOutcome + Send + Sync>;
-
-/// Dispatches assertions to evaluators by kind tag.
-///
-/// [`EvaluatorRegistry::with_defaults`] installs the four built-in
-/// kinds; [`EvaluatorRegistry::register`] overrides one or adds a new
-/// kind (paired with a custom `Assertion` producer upstream). The
-/// registry exists so the set of claim kinds is extensible the same way
-/// the scheduler registry makes policies extensible — dispatch by name,
-/// never a hard-coded match at the call site.
-#[derive(Default)]
-pub struct EvaluatorRegistry {
-    evaluators: BTreeMap<String, Evaluator>,
-}
+/// The argument [`Scenario::evaluate`] still takes. There is one
+/// evaluator, [`Assertion::evaluate`], so this holds and selects nothing;
+/// it remains so that existing callers (the benchmark crate among them)
+/// keep compiling.
+pub struct EvaluatorRegistry;
 
 impl EvaluatorRegistry {
-    /// An empty registry (no kinds; every evaluation errors).
-    pub fn new() -> EvaluatorRegistry {
-        EvaluatorRegistry::default()
-    }
-
-    /// A registry with every built-in assertion kind installed.
+    /// The registry [`Scenario::evaluate`] takes.
     pub fn with_defaults() -> EvaluatorRegistry {
-        let mut reg = EvaluatorRegistry::new();
-        reg.register("throughput_at_least", Box::new(eval_throughput_at_least));
-        reg.register("metric_within", Box::new(eval_metric_within));
-        reg.register("reduction_at_least", Box::new(eval_reduction_at_least));
-        reg.register("ratio_at_least", Box::new(eval_ratio_at_least));
-        reg
-    }
-
-    /// Installs (or replaces) the evaluator for `kind`.
-    pub fn register(&mut self, kind: impl Into<String>, evaluator: Evaluator) {
-        self.evaluators.insert(kind.into(), evaluator);
-    }
-
-    /// The registered kind tags, sorted.
-    pub fn kinds(&self) -> Vec<&str> {
-        self.evaluators.keys().map(String::as_str).collect()
-    }
-
-    /// Judges one assertion, dispatching on its kind tag.
-    pub fn evaluate(
-        &self,
-        assertion: &Assertion,
-        result: &CampaignResult,
-    ) -> Result<AssertionOutcome, ScenarioError> {
-        let kind = assertion.kind();
-        let eval = self
-            .evaluators
-            .get(kind)
-            .ok_or_else(|| ScenarioError::NoEvaluator {
-                kind: kind.to_string(),
-            })?;
-        Ok(eval(assertion, result))
+        EvaluatorRegistry
     }
 }
 
-/// Resolves a selector against the result's cells: exactly one match or
-/// a human-readable refusal (no match, or ambiguous match).
+/// Resolves a selector against the result's cells: exactly one match, or
+/// the selector and a human-readable refusal (no match, or an ambiguous
+/// match).
 fn resolve<'r>(
     result: &'r CampaignResult,
     sel: &CellSelector,
-) -> Result<(String, &'r Report), String> {
+) -> Result<(String, &'r Report), (String, String)> {
     let mut matches = result.cells().iter().filter(|c| {
         c.key.workload == sel.workload
             && c.key.scheduler == sel.scheduler
@@ -1170,174 +1065,119 @@ fn resolve<'r>(
     });
     match (matches.next(), matches.next()) {
         (Some(cell), None) => Ok((cell.key.to_string(), &cell.report)),
-        (None, _) => Err(format!("no cell matches selector {sel}")),
-        (Some(_), Some(_)) => Err(format!(
-            "selector {sel} is ambiguous (multiple team sizes match; pin team_size)"
+        (None, _) => Err((sel.to_string(), format!("no cell matches selector {sel}"))),
+        (Some(_), Some(_)) => Err((
+            sel.to_string(),
+            format!("selector {sel} is ambiguous (multiple team sizes match; pin team_size)"),
         )),
     }
 }
 
-/// A failed outcome for a selector that did not resolve.
-fn unresolved(kind: &str, sel: &CellSelector, expected: String, why: String) -> AssertionOutcome {
-    AssertionOutcome {
-        kind: kind.to_string(),
-        passed: false,
-        cell: sel.to_string(),
-        expected,
-        observed: why,
-    }
-}
-
-fn eval_throughput_at_least(a: &Assertion, result: &CampaignResult) -> AssertionOutcome {
-    let Assertion::ThroughputAtLeast { cell, min } = a else {
-        return mismatched_kind(a, "throughput_at_least");
-    };
-    let expected = format!("steady throughput >= {min} txn/cycle");
-    match resolve(result, cell) {
-        Ok((key, report)) => {
-            let observed = report.steady_throughput();
-            AssertionOutcome {
-                kind: a.kind().to_string(),
-                passed: observed >= *min,
-                cell: key,
-                expected,
-                observed: format!("{observed} txn/cycle"),
-            }
-        }
-        Err(why) => unresolved(a.kind(), cell, expected, why),
-    }
-}
-
-fn eval_metric_within(a: &Assertion, result: &CampaignResult) -> AssertionOutcome {
-    let Assertion::MetricWithin {
-        cell,
-        metric,
-        min,
-        max,
-    } = a
-    else {
-        return mismatched_kind(a, "metric_within");
-    };
-    let expected = format!("{} in [{min}, {max}]", metric.key());
-    match resolve(result, cell) {
-        Ok((key, report)) => {
-            let observed = metric.of(report);
-            AssertionOutcome {
-                kind: a.kind().to_string(),
-                passed: (*min..=*max).contains(&observed),
-                cell: key,
-                expected,
-                observed: format!("{} = {observed}", metric.key()),
-            }
-        }
-        Err(why) => unresolved(a.kind(), cell, expected, why),
-    }
-}
-
-fn eval_reduction_at_least(a: &Assertion, result: &CampaignResult) -> AssertionOutcome {
-    let Assertion::ReductionAtLeast {
-        metric,
-        from,
-        to,
-        min_percent,
-    } = a
-    else {
-        return mismatched_kind(a, "reduction_at_least");
-    };
-    let expected = format!("{} reduced by >= {min_percent}% vs {from}", metric.key());
-    let (from_key, from_report) = match resolve(result, from) {
-        Ok(found) => found,
-        Err(why) => return unresolved(a.kind(), from, expected, why),
-    };
-    let (to_key, to_report) = match resolve(result, to) {
-        Ok(found) => found,
-        Err(why) => return unresolved(a.kind(), to, expected, why),
-    };
-    let from_value = metric.of(from_report);
-    let to_value = metric.of(to_report);
-    if from_value <= 0.0 {
-        return AssertionOutcome {
-            kind: a.kind().to_string(),
-            passed: false,
-            cell: from_key,
-            expected,
-            observed: format!(
-                "{} = {from_value} at the reference cell (no reduction is computable)",
-                metric.key()
+impl Assertion {
+    /// Judges this assertion against `result`. A claim that does not
+    /// hold, a selector that matches no cell or several, and a reference
+    /// value of zero or less are all `passed: false` outcomes whose
+    /// `observed` says why; evaluation never fails otherwise.
+    pub fn evaluate(&self, result: &CampaignResult) -> AssertionOutcome {
+        // Each arm yields the expected bound and either (passed, judged
+        // cell, observed) or the selector that did not resolve and why.
+        let (expected, verdict) = match self {
+            Assertion::ThroughputAtLeast { cell, min } => (
+                format!("steady throughput >= {min} txn/cycle"),
+                resolve(result, cell).map(|(key, report)| {
+                    let observed = report.steady_throughput();
+                    (observed >= *min, key, format!("{observed} txn/cycle"))
+                }),
+            ),
+            Assertion::MetricWithin {
+                cell,
+                metric,
+                min,
+                max,
+            } => (
+                format!("{} in [{min}, {max}]", metric.key()),
+                resolve(result, cell).map(|(key, report)| {
+                    let observed = metric.of(report);
+                    (
+                        (*min..=*max).contains(&observed),
+                        key,
+                        format!("{} = {observed}", metric.key()),
+                    )
+                }),
+            ),
+            Assertion::ReductionAtLeast {
+                metric,
+                from,
+                to,
+                min_percent,
+            } => (
+                format!("{} reduced by >= {min_percent}% vs {from}", metric.key()),
+                resolve(result, from).and_then(|(from_key, from_report)| {
+                    let (to_key, to_report) = resolve(result, to)?;
+                    let from_value = metric.of(from_report);
+                    let to_value = metric.of(to_report);
+                    if from_value <= 0.0 {
+                        return Ok((
+                            false,
+                            from_key,
+                            format!(
+                                "{} = {from_value} at the reference cell (no reduction is computable)",
+                                metric.key()
+                            ),
+                        ));
+                    }
+                    let reduction = (from_value - to_value) / from_value * 100.0;
+                    Ok((
+                        reduction >= *min_percent,
+                        to_key,
+                        format!(
+                            "{} = {to_value} vs {from_value} ({reduction:.2}% reduction)",
+                            metric.key()
+                        ),
+                    ))
+                }),
+            ),
+            Assertion::RatioAtLeast {
+                metric,
+                numerator,
+                denominator,
+                min,
+            } => (
+                format!("{} ratio >= {min} vs {denominator}", metric.key()),
+                resolve(result, denominator).and_then(|(_, den_report)| {
+                    let (num_key, num_report) = resolve(result, numerator)?;
+                    let num_value = metric.of(num_report);
+                    let den_value = metric.of(den_report);
+                    if den_value <= 0.0 {
+                        return Ok((
+                            false,
+                            num_key,
+                            format!(
+                                "{} = {den_value} at the denominator cell (no ratio is computable)",
+                                metric.key()
+                            ),
+                        ));
+                    }
+                    let ratio = num_value / den_value;
+                    Ok((
+                        ratio >= *min,
+                        num_key,
+                        format!(
+                            "{} = {num_value} vs {den_value} (ratio {ratio:.4})",
+                            metric.key()
+                        ),
+                    ))
+                }),
             ),
         };
-    }
-    let reduction = (from_value - to_value) / from_value * 100.0;
-    AssertionOutcome {
-        kind: a.kind().to_string(),
-        passed: reduction >= *min_percent,
-        cell: to_key,
-        expected,
-        observed: format!(
-            "{} = {to_value} vs {from_value} ({reduction:.2}% reduction)",
-            metric.key()
-        ),
-    }
-}
-
-fn eval_ratio_at_least(a: &Assertion, result: &CampaignResult) -> AssertionOutcome {
-    let Assertion::RatioAtLeast {
-        metric,
-        numerator,
-        denominator,
-        min,
-    } = a
-    else {
-        return mismatched_kind(a, "ratio_at_least");
-    };
-    let expected = format!("{} ratio >= {min} vs {denominator}", metric.key());
-    let (_den_key, den_report) = match resolve(result, denominator) {
-        Ok(found) => found,
-        Err(why) => return unresolved(a.kind(), denominator, expected, why),
-    };
-    let (num_key, num_report) = match resolve(result, numerator) {
-        Ok(found) => found,
-        Err(why) => return unresolved(a.kind(), numerator, expected, why),
-    };
-    let num_value = metric.of(num_report);
-    let den_value = metric.of(den_report);
-    if den_value <= 0.0 {
-        return AssertionOutcome {
-            kind: a.kind().to_string(),
-            passed: false,
-            cell: num_key,
+        let (passed, cell, observed) = verdict.unwrap_or_else(|(sel, why)| (false, sel, why));
+        AssertionOutcome {
+            kind: self.kind().to_string(),
+            passed,
+            cell,
             expected,
-            observed: format!(
-                "{} = {den_value} at the denominator cell (no ratio is computable)",
-                metric.key()
-            ),
-        };
-    }
-    let ratio = num_value / den_value;
-    AssertionOutcome {
-        kind: a.kind().to_string(),
-        passed: ratio >= *min,
-        cell: num_key,
-        expected,
-        observed: format!(
-            "{} = {num_value} vs {den_value} (ratio {ratio:.4})",
-            metric.key()
-        ),
-    }
-}
-
-/// The outcome when an evaluator is handed an assertion of a different
-/// kind than it was registered under — possible only through
-/// [`EvaluatorRegistry::register`] misuse, and reported as a failed
-/// outcome rather than a panic because evaluation sits behind the same
-/// trust boundary as parsing.
-fn mismatched_kind(a: &Assertion, registered: &str) -> AssertionOutcome {
-    AssertionOutcome {
-        kind: a.kind().to_string(),
-        passed: false,
-        cell: "-".to_string(),
-        expected: format!("an assertion of kind {registered:?}"),
-        observed: format!("assertion of kind {:?} (registry misconfigured)", a.kind()),
+            observed,
+        }
     }
 }
 
@@ -1476,7 +1316,6 @@ mod tests {
     /// boundary-value evaluator tests; the simulation is deterministic,
     /// so the metric values are stable across runs.
     fn tiny_result() -> CampaignResult {
-        use crate::campaign::Campaign;
         use crate::config::SchedulerKind;
         let w = Workload::preset_small(WorkloadKind::TpccW1, 4, 7);
         Campaign::new(SimConfig::builder().build().unwrap())
@@ -1487,36 +1326,64 @@ mod tests {
             .expect("tiny matrix is valid")
     }
 
+    fn selector(workload: &str, scheduler: &str, cores: usize) -> CellSelector {
+        CellSelector {
+            workload: workload.into(),
+            scheduler: scheduler.into(),
+            cores,
+            team_size: None,
+        }
+    }
+
     #[test]
     fn selector_resolution_and_ambiguity() {
         let result = tiny_result();
-        let sel = CellSelector {
-            workload: "TPC-C-1".into(),
-            scheduler: "strex".into(),
-            cores: 2,
-            team_size: None,
-        };
+        let sel = selector("TPC-C-1", "strex", 2);
         let (key, _) = resolve(&result, &sel).expect("one match");
         assert!(key.starts_with("TPC-C-1/strex/c2/t"), "{key}");
         let missing = CellSelector {
             cores: 16,
             ..sel.clone()
         };
-        let err = resolve(&result, &missing).unwrap_err();
+        let (cell, err) = resolve(&result, &missing).unwrap_err();
+        assert_eq!(cell, "TPC-C-1/strex/c16");
         assert!(err.contains("no cell matches"), "{err}");
         assert!(err.contains("TPC-C-1/strex/c16"), "{err}");
+
+        // Two team sizes: a selector that omits `team_size` matches both
+        // cells and fails, naming the fix; pinning it resolves.
+        use crate::config::SchedulerKind;
+        let w = Workload::preset_small(WorkloadKind::TpccW1, 4, 7);
+        let two_teams = Campaign::new(SimConfig::builder().build().unwrap())
+            .over_schedulers([SchedulerKind::Strex])
+            .over_workloads([&w])
+            .over_cores([2])
+            .over_team_sizes([2, 4])
+            .run()
+            .expect("two-team matrix is valid");
+        let claim = |team_size| Assertion::ThroughputAtLeast {
+            cell: CellSelector {
+                team_size,
+                ..sel.clone()
+            },
+            min: 0.0,
+        };
+        let outcome = claim(None).evaluate(&two_teams);
+        assert!(!outcome.passed, "{outcome}");
+        assert_eq!(outcome.cell, "TPC-C-1/strex/c2");
+        assert_eq!(
+            outcome.observed,
+            "selector TPC-C-1/strex/c2 is ambiguous (multiple team sizes match; pin team_size)"
+        );
+        let pinned = claim(Some(4)).evaluate(&two_teams);
+        assert!(pinned.passed, "{pinned}");
+        assert_eq!(pinned.cell, "TPC-C-1/strex/c2/t4");
     }
 
     #[test]
     fn evaluators_judge_boundaries_inclusively() {
         let result = tiny_result();
-        let reg = EvaluatorRegistry::with_defaults();
-        let cell = CellSelector {
-            workload: "TPC-C-1".into(),
-            scheduler: "strex".into(),
-            cores: 2,
-            team_size: None,
-        };
+        let cell = selector("TPC-C-1", "strex", 2);
         let report = resolve(&result, &cell).unwrap().1;
         let tp = report.steady_throughput();
         let mpki = report.i_mpki();
@@ -1526,12 +1393,12 @@ mod tests {
             cell: cell.clone(),
             min: tp,
         };
-        assert!(reg.evaluate(&at, &result).unwrap().passed);
+        assert!(at.evaluate(&result).passed);
         let above = Assertion::ThroughputAtLeast {
             cell: cell.clone(),
             min: tp * 1.0001 + f64::MIN_POSITIVE,
         };
-        let outcome = reg.evaluate(&above, &result).unwrap();
+        let outcome = above.evaluate(&result);
         assert!(!outcome.passed);
         assert!(outcome.observed.contains("txn/cycle"), "{outcome}");
 
@@ -1542,35 +1409,16 @@ mod tests {
             min,
             max,
         };
-        assert!(reg.evaluate(&window(mpki, mpki), &result).unwrap().passed);
-        assert!(
-            !reg.evaluate(&window(0.0, mpki * 0.999), &result)
-                .unwrap()
-                .passed
-        );
-        assert!(
-            !reg.evaluate(&window(mpki * 1.001, mpki * 2.0), &result)
-                .unwrap()
-                .passed
-        );
+        assert!(window(mpki, mpki).evaluate(&result).passed);
+        assert!(!window(0.0, mpki * 0.999).evaluate(&result).passed);
+        assert!(!window(mpki * 1.001, mpki * 2.0).evaluate(&result).passed);
     }
 
     #[test]
     fn reduction_and_ratio_compare_cells() {
         let result = tiny_result();
-        let reg = EvaluatorRegistry::with_defaults();
-        let base = CellSelector {
-            workload: "TPC-C-1".into(),
-            scheduler: "baseline".into(),
-            cores: 2,
-            team_size: None,
-        };
-        let strex = CellSelector {
-            workload: "TPC-C-1".into(),
-            scheduler: "strex".into(),
-            cores: 2,
-            team_size: None,
-        };
+        let base = selector("TPC-C-1", "baseline", 2);
+        let strex = selector("TPC-C-1", "strex", 2);
         let base_mpki = Metric::IMpki.of(resolve(&result, &base).unwrap().1);
         let strex_mpki = Metric::IMpki.of(resolve(&result, &strex).unwrap().1);
         let actual = (base_mpki - strex_mpki) / base_mpki * 100.0;
@@ -1583,7 +1431,7 @@ mod tests {
             to: strex.clone(),
             min_percent: actual - 1e-9,
         };
-        let outcome = reg.evaluate(&exact, &result).unwrap();
+        let outcome = exact.evaluate(&result);
         assert!(outcome.passed, "{outcome}");
         assert!(outcome.observed.contains("reduction"), "{outcome}");
         let too_much = Assertion::ReductionAtLeast {
@@ -1592,7 +1440,7 @@ mod tests {
             to: strex.clone(),
             min_percent: (actual + 0.5).min(100.0),
         };
-        assert!(!reg.evaluate(&too_much, &result).unwrap().passed);
+        assert!(!too_much.evaluate(&result).passed);
 
         // ratio_at_least on the inverse direction.
         let ratio = Assertion::RatioAtLeast {
@@ -1601,45 +1449,61 @@ mod tests {
             denominator: strex.clone(),
             min: base_mpki / strex_mpki - 1e-9,
         };
-        assert!(reg.evaluate(&ratio, &result).unwrap().passed);
+        assert!(ratio.evaluate(&result).passed);
+    }
+
+    #[test]
+    fn a_zero_reference_value_fails_with_a_diagnostic() {
+        // A baseline cell never migrates, so its `migrations` is 0: no
+        // reduction from it, and no ratio over it, is computable.
+        let result = tiny_result();
+        let base = selector("TPC-C-1", "baseline", 2);
+        let strex = selector("TPC-C-1", "strex", 2);
+        assert_eq!(
+            Metric::Migrations.of(resolve(&result, &base).unwrap().1),
+            0.0
+        );
+        let reduction = Assertion::ReductionAtLeast {
+            metric: Metric::Migrations,
+            from: base.clone(),
+            to: strex.clone(),
+            min_percent: 0.0,
+        }
+        .evaluate(&result);
+        assert!(!reduction.passed, "{reduction}");
+        assert!(
+            reduction.cell.starts_with("TPC-C-1/baseline/c2/t"),
+            "{reduction}"
+        );
+        assert_eq!(
+            reduction.observed,
+            "migrations = 0 at the reference cell (no reduction is computable)"
+        );
+        let ratio = Assertion::RatioAtLeast {
+            metric: Metric::Migrations,
+            numerator: strex,
+            denominator: base,
+            min: 0.0,
+        }
+        .evaluate(&result);
+        assert!(!ratio.passed, "{ratio}");
+        assert!(ratio.cell.starts_with("TPC-C-1/strex/c2/t"), "{ratio}");
+        assert_eq!(
+            ratio.observed,
+            "migrations = 0 at the denominator cell (no ratio is computable)"
+        );
     }
 
     #[test]
     fn unresolved_selectors_fail_with_diagnostics_not_errors() {
         let result = tiny_result();
-        let reg = EvaluatorRegistry::with_defaults();
         let a = Assertion::ThroughputAtLeast {
-            cell: CellSelector {
-                workload: "TPC-E".into(),
-                scheduler: "strex".into(),
-                cores: 2,
-                team_size: None,
-            },
+            cell: selector("TPC-E", "strex", 2),
             min: 0.0,
         };
-        let outcome = reg.evaluate(&a, &result).unwrap();
+        let outcome = a.evaluate(&result);
         assert!(!outcome.passed);
         assert!(outcome.observed.contains("no cell matches"), "{outcome}");
-    }
-
-    #[test]
-    fn empty_registry_reports_missing_evaluators() {
-        let result = tiny_result();
-        let reg = EvaluatorRegistry::new();
-        let a = Assertion::ThroughputAtLeast {
-            cell: CellSelector {
-                workload: "TPC-C-1".into(),
-                scheduler: "strex".into(),
-                cores: 2,
-                team_size: None,
-            },
-            min: 0.0,
-        };
-        assert!(matches!(
-            reg.evaluate(&a, &result),
-            Err(ScenarioError::NoEvaluator { .. })
-        ));
-        assert!(EvaluatorRegistry::with_defaults().kinds().len() >= 4);
     }
 
     #[test]

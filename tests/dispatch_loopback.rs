@@ -21,7 +21,7 @@ use strex::dispatch::{
     read_message, replay_journal_file, run_worker, submit, submit_scenario, write_message,
     DispatchConfig, Message, ServeOptions, Server, SystemClock, WorkerOptions,
 };
-use strex::scenario::{EvaluatorRegistry, Scenario};
+use strex::scenario::{AssertionOutcome, Scenario};
 use strex_oltp::workload::{Workload, WorkloadKind};
 
 const CAMPAIGN: &str = "tiny";
@@ -196,9 +196,10 @@ fn garbage_speaking_peer_does_not_take_the_coordinator_down() {
 fn scenario_file_dispatched_to_the_fleet_matches_the_in_process_check() {
     // The remote half of `repro check`: a scenario document read from a
     // file, submitted over TCP, run by a two-worker fleet, assertions
-    // evaluated coordinator-side — and everything it reports (merged
-    // result, per-assertion diagnostics, their printed lines) must be
-    // bit-identical to an in-process check of the same file.
+    // judged by the submitter against the merged result — and
+    // everything it reports (merged result, per-assertion diagnostics,
+    // their printed lines) must be bit-identical to an in-process check
+    // of the same file.
     const SCENARIO_JSON: &str = r#"{
         "name": "loopback-tiny",
         "description": "Tiny two-cell matrix for the loopback dispatch test",
@@ -240,9 +241,7 @@ fn scenario_file_dispatched_to_the_fleet_matches_the_in_process_check() {
 
     let workloads = scenario.workloads();
     let sequential = scenario.campaign(&workloads).run().expect("valid matrix");
-    let local = scenario
-        .evaluate(&sequential, &EvaluatorRegistry::with_defaults())
-        .expect("evaluable");
+    let local = judge(&scenario, &sequential);
     assert_eq!(
         result.to_json(),
         sequential.to_json(),
@@ -310,6 +309,16 @@ fn a_journaled_job_checkpoints_each_finished_cell_once() {
     assert_eq!(reported, [0, 1, 2, 3], "one record per matrix cell");
 }
 
+/// Every assertion of `scenario` judged against `result`, as an
+/// in-process `repro check` does.
+fn judge(scenario: &Scenario, result: &CampaignResult) -> Vec<AssertionOutcome> {
+    scenario
+        .assertions
+        .iter()
+        .map(|a| a.evaluate(result))
+        .collect()
+}
+
 /// A four-cell TPC-E document over a one-transaction pool: a few
 /// milliseconds of simulation, so dispatch costs dominate its round trip.
 /// Each `name` makes a distinct job (a repeated job key would be answered
@@ -357,7 +366,6 @@ fn a_tiny_job_costs_its_simulation_plus_a_few_milliseconds() {
             .shards_run
     });
 
-    let registry = EvaluatorRegistry::with_defaults();
     let mut overheads_ms = Vec::with_capacity(JOBS);
     for i in 0..JOBS {
         let scenario = tiny_tpce_job(&format!("latency {i}"));
@@ -370,7 +378,7 @@ fn a_tiny_job_costs_its_simulation_plus_a_few_milliseconds() {
             .parallelism(1)
             .run()
             .expect("valid matrix");
-        let local_outcomes = scenario.evaluate(&local, &registry).expect("evaluable");
+        let local_outcomes = judge(&scenario, &local);
         let local_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();
