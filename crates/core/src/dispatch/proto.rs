@@ -888,6 +888,19 @@ mod tests {
                 other => panic!("{frame}: expected a wire error, got {other:?}"),
             }
         }
+        // The previous revision's result also carried the coordinator's
+        // diagnostics as `outcomes`; the merged result is all that is read.
+        let Message::Result { result, .. } = tiny_result() else {
+            panic!("tiny_result builds a result frame");
+        };
+        let frame = format!(
+            "{{\"type\":\"result\",\"job\":\"j\",\"outcomes\":[],\"result\":{}}}\n",
+            result.to_json()
+        );
+        assert!(matches!(
+            Message::parse_frame(&frame),
+            Ok(Message::Result { .. })
+        ));
     }
 
     #[test]

@@ -1074,10 +1074,10 @@ fn resolve<'r>(
 }
 
 impl Assertion {
-    /// Judges this assertion against `result`. A claim that does not
-    /// hold, a selector that matches no cell or several, and a reference
-    /// value of zero or less are all `passed: false` outcomes whose
-    /// `observed` says why; evaluation never fails otherwise.
+    /// Judges this assertion against `result`. Never fails: a claim that
+    /// does not hold, a selector that matches no cell or several, and a
+    /// reference value of zero or less are all `passed: false` outcomes
+    /// whose `observed` says why.
     pub fn evaluate(&self, result: &CampaignResult) -> AssertionOutcome {
         // Each arm yields the expected bound and either (passed, judged
         // cell, observed) or the selector that did not resolve and why.
