@@ -6,13 +6,12 @@
 //! name, or full [`crate::scenario`] documents, whose submitter judges
 //! the assertions against the merged result it receives — a fleet of
 //! **workers** executing shards, and the job-lifecycle machinery between
-//! them: idempotent
-//! submission keys, per-worker liveness via heartbeats, re-queue of
-//! shards from dead or straggling workers, resume from the cells a lost
-//! shard already finished, per-submitter token-bucket rate limiting, and
-//! a status frame for observability. The delivery contract is
-//! at-least-once with dedup at the coordinator's completion slots, which
-//! is safe precisely because shard execution is deterministic and
+//! them: idempotent submission keys, per-worker liveness via heartbeats,
+//! re-queue of shards from dead or straggling workers, resume from the
+//! cells a lost shard already finished, per-submitter token-bucket rate
+//! limiting, and a status frame for observability. The delivery contract
+//! is at-least-once with dedup at the coordinator's completion slots,
+//! which is safe precisely because shard execution is deterministic and
 //! [`merge`](crate::campaign::merge) is order-insensitive: however many
 //! times a shard runs, its bytes are the same, and the merged
 //! [`CampaignResult`](crate::campaign::CampaignResult) is bit-identical
